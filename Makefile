@@ -16,8 +16,8 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific analyzers (internal/lint): pooling, lock-scope,
-# context-flow, fault-surfacing, raw-XML, and the concurrency pack
-# (atomicmix, goroutinelife, timerleak, copylock), run interprocedurally
+# context-flow, fault-surfacing, raw-XML, span-leak, and the concurrency
+# pack (atomicmix, goroutinelife, timerleak), run interprocedurally
 # over one whole-module Program. Exits non-zero on any finding;
 # suppress intentional violations with
 # `//lint:ignore ogsalint/<name> reason`. `-json` emits a finding
@@ -84,10 +84,11 @@ bench-load:
 		| $(GO) run ./cmd/benchjson > BENCH_load.json
 
 # Observability-plane benchmarks: the disabled-path floor, observation
-# and exemplar-capture cost, flight-recorder append, exposition
-# render/parse, fleet merge, and the SLO engine's steady-state
-# evaluation pass, emitted as machine-readable JSON. Advisory in CI
-# like the other timing runs.
+# and exemplar-capture cost, flight-recorder append, text exposition
+# render, the per-peer federation cost (decoding one /metrics.json
+# snapshot), fleet merge, and the SLO engine's steady-state evaluation
+# pass, emitted as machine-readable JSON. Advisory in CI like the
+# other timing runs.
 bench-obs:
 	$(GO) test -run NONE -bench 'Obs|SLO' -benchmem ./internal/obs/... \
 		| $(GO) run ./cmd/benchjson > BENCH_obs.json
@@ -99,14 +100,17 @@ bench-obs:
 soak-smoke:
 	$(GO) run ./cmd/loadgen -soak -stack both -duration 10s
 
-# Short fuzz pass over the hand-rolled XML parser: it sits on the
-# network boundary and must never panic on adversarial bytes.
+# Short fuzz passes over the network-boundary decoders that must never
+# panic on adversarial bytes: the hand-rolled XML parser, and a peer's
+# metrics snapshot through decode, merge, render, and quantiles.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s ./internal/xmlutil/
+	$(GO) test -run NONE -fuzz FuzzDecodeSnapshot -fuzztime 10s ./internal/obs/
 
 # End-to-end check of the observability surface: counterd -admin must
-# come up, and `gridctl metrics` must expose every migrated counter
-# family plus the stage histograms.
+# come up, `gridctl metrics` must expose every migrated counter family
+# plus the stage histograms, and the fleet commands must federate two
+# instances over /metrics.json.
 obs-smoke:
 	./scripts/obs-smoke.sh
 

@@ -11,9 +11,10 @@ import (
 )
 
 // Fleet-facing observability commands. -admin accepts a comma-
-// separated list of admin URLs; `top` and `metrics -fleet` scrape
-// every instance, merge the expositions bucket-for-bucket, and show
-// both the fleet totals and the per-instance drill-down.
+// separated list of admin URLs; `top` and `metrics -fleet` fetch every
+// instance's registry snapshot (/metrics.json), merge them
+// bucket-for-bucket, and show both the fleet totals and the
+// per-instance drill-down.
 
 // adminURLs splits the -admin flag into individual admin URLs.
 func adminURLs(adminFlag string) []string {
@@ -26,7 +27,7 @@ func adminURLs(adminFlag string) []string {
 	return out
 }
 
-// scrapeAll fetches and parses every instance's /metrics. Failed
+// scrapeAll fetches every instance's snapshot. Failed or rejected
 // scrapes produce a nil exposition in the same position, so callers
 // can show the hole.
 func scrapeAll(urls []string) []*obs.Exposition {
@@ -42,7 +43,7 @@ func scrapeAll(urls []string) []*obs.Exposition {
 	return out
 }
 
-// showFleetMetrics merges every instance's exposition and prints the
+// showFleetMetrics merges every instance's snapshot and prints the
 // result in Prometheus text format — the client-side equivalent of the
 // /federate endpoint, with the instance set chosen on the command line.
 func showFleetMetrics(adminFlag string) error {
@@ -72,8 +73,8 @@ func counterValue(e *obs.Exposition, name string) float64 {
 	return 0
 }
 
-// stageHist returns the parsed stage histogram, or nil.
-func stageHist(e *obs.Exposition, stage string) *obs.HistData {
+// stageHist returns the stage histogram, or nil.
+func stageHist(e *obs.Exposition, stage string) *obs.HistogramSnapshot {
 	if s := e.Get("ogsa_stage_duration_seconds", obs.Label("stage", stage)); s != nil {
 		return s.Hist
 	}
@@ -116,15 +117,14 @@ func showTop(adminFlag string) error {
 		if h == nil || h.Count == 0 {
 			continue
 		}
-		snap := h.Snapshot()
 		ex := slowestExemplar(h)
 		exNote := "-"
 		if ex != nil {
 			exNote = fmt.Sprintf("trace=%s %v", ex.TraceID, time.Duration(ex.Value*float64(time.Second)).Round(time.Microsecond))
 		}
-		fmt.Printf("%-12s %9d %11v %11v  %s\n", stage, snap.Count,
-			time.Duration(snap.Quantile(0.50)*float64(time.Second)).Round(time.Microsecond),
-			time.Duration(snap.Quantile(0.99)*float64(time.Second)).Round(time.Microsecond),
+		fmt.Printf("%-12s %9d %11v %11v  %s\n", stage, h.Count,
+			time.Duration(h.Quantile(0.50)*float64(time.Second)).Round(time.Microsecond),
+			time.Duration(h.Quantile(0.99)*float64(time.Second)).Round(time.Microsecond),
 			exNote)
 	}
 	return nil
@@ -133,10 +133,10 @@ func showTop(adminFlag string) error {
 func printTopRow(name string, e *obs.Exposition) {
 	var dp99, vp99 time.Duration
 	if h := stageHist(e, "dispatch"); h != nil {
-		dp99 = time.Duration(h.Snapshot().Quantile(0.99) * float64(time.Second))
+		dp99 = time.Duration(h.Quantile(0.99) * float64(time.Second))
 	}
 	if h := stageHist(e, "deliver"); h != nil {
-		vp99 = time.Duration(h.Snapshot().Quantile(0.99) * float64(time.Second))
+		vp99 = time.Duration(h.Quantile(0.99) * float64(time.Second))
 	}
 	fmt.Printf("%-28s %9.0f %8.0f %7.0f %9.1fM %11v %11v\n",
 		name,
@@ -155,7 +155,7 @@ func instanceLabel(url string) string {
 
 // slowestExemplar returns the exemplar of the highest occupied bucket
 // that retains one.
-func slowestExemplar(h *obs.HistData) *obs.Exemplar {
+func slowestExemplar(h *obs.HistogramSnapshot) *obs.Exemplar {
 	for i := len(h.Exemplars) - 1; i >= 0; i-- {
 		if h.Exemplars[i] != nil {
 			return h.Exemplars[i]

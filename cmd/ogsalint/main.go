@@ -1,6 +1,6 @@
 // ogsalint is the project's static-analysis driver: it runs the nine
 // internal/lint analyzers (poolescape, lockheld, ctxflow, soapfault,
-// rawxml, atomicmix, goroutinelife, timerleak, copylock) over package
+// rawxml, atomicmix, goroutinelife, timerleak, spanleak) over package
 // patterns, printing findings in the familiar file:line:col form. It
 // exits 0 when the tree is clean and 1 when anything fires, so
 // `make lint` gates CI.

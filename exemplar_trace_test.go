@@ -60,14 +60,14 @@ func TestDeliverExemplarResolvesToStitchedTrace(t *testing.T) {
 	// The delivery wrote its exemplar into whichever bucket its latency
 	// landed in; that exemplar's trace id must be the stitched trace's.
 	var ex *obs.Exemplar
-	for _, e := range obs.StageDeliver.Exemplars() {
+	for _, e := range obs.StageDeliver.Snapshot().Exemplars {
 		if e != nil && e.TraceID == stitched.ID {
 			ex = e
 		}
 	}
 	if ex == nil {
 		t.Fatalf("no deliver exemplar points at the stitched trace %s; exemplars: %+v",
-			stitched.ID, obs.StageDeliver.Exemplars())
+			stitched.ID, obs.StageDeliver.Snapshot().Exemplars)
 	}
 
 	// And the exemplar's MessageID is the correlation key the stitch

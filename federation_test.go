@@ -1,14 +1,16 @@
 // Fleet federation end to end, multi-process: two sharded counterd
 // daemons are launched as real OS processes, traffic is driven at
 // both, and the fleet view is asserted from both sides — client-side
-// (scrape every instance and merge) and server-side (the /federate
-// endpoint of the peer-configured instance). The merged histograms
-// must equal the per-instance sums bucket for bucket, and the admin
-// plane (/slo, /dump) must serve on every instance.
+// (fetch every instance's /metrics.json snapshot and merge) and
+// server-side (the /federate endpoint of the peer-configured
+// instance). The merged histograms must equal the per-instance sums
+// bucket for bucket, and the admin plane (/slo, /dump) must serve on
+// every instance.
 package altstacks_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +18,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -144,7 +147,7 @@ func TestFleetFederation(t *testing.T) {
 	}
 
 	// Fleet histograms add bucket for bucket.
-	hist := func(e *obs.Exposition) *obs.HistData {
+	hist := func(e *obs.Exposition) *obs.HistogramSnapshot {
 		s := e.Get("ogsa_stage_duration_seconds", obs.Label("stage", "dispatch"))
 		if s == nil || s.Hist == nil {
 			t.Fatalf("instance %s exposes no dispatch histogram", e.Instance)
@@ -174,21 +177,38 @@ func TestFleetFederation(t *testing.T) {
 	}
 
 	// Server-side federation: d2's /federate merges d1 in and must agree
-	// with the client-side merge (traffic is quiesced, so the numbers
-	// are stable).
+	// line for line with the client-side merge rendered by the same
+	// Render. Traffic is quiesced, so every sample is stable except the
+	// ones that move with time on their own: uptime, the Go runtime
+	// readings, and the SLO engine's periodic evaluation count.
 	fedBody, err := fetchURL(d2.admin + "/federate")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := obs.ParseExposition(fedBody)
-	if err != nil {
-		t.Fatalf("/federate output does not re-parse: %v", err)
+	var clientSide bytes.Buffer
+	if err := merged.Render(&clientSide); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := reqs(fed), reqs(merged); got != want {
-		t.Fatalf("/federate requests = %v, client-side merge = %v", got, want)
+	stableSamples := func(text string) []string {
+		var out []string
+		for _, line := range strings.Split(text, "\n") {
+			if line == "" || strings.HasPrefix(line, "#") ||
+				strings.HasPrefix(line, "ogsa_uptime_seconds") || strings.HasPrefix(line, "ogsa_runtime_") ||
+				strings.HasPrefix(line, "ogsa_slo_evaluations_total") {
+				continue
+			}
+			out = append(out, line)
+		}
+		slices.Sort(out)
+		return out
 	}
-	if hf := hist(fed); hf.Count != hm.Count {
-		t.Fatalf("/federate dispatch count = %d, client-side merge = %d", hf.Count, hm.Count)
+	fedLines, wantLines := stableSamples(string(fedBody)), stableSamples(clientSide.String())
+	if !slices.Equal(fedLines, wantLines) {
+		t.Fatalf("/federate disagrees with the client-side merge:\n--- /federate ---\n%s\n--- client-side ---\n%s",
+			strings.Join(fedLines, "\n"), strings.Join(wantLines, "\n"))
+	}
+	if !strings.Contains(string(fedBody), "# federate: 2 instance(s)\n") {
+		t.Fatalf("/federate did not merge both instances:\n%s", fedBody)
 	}
 
 	// The rest of the admin plane serves on both instances.

@@ -253,7 +253,10 @@ func (t connTraceTransport) RoundTrip(req *http.Request) (*http.Response, error)
 // notification path in the given mode. Both modes account connection
 // dials and reuses into the shared delivery metrics; DeliveryPooled
 // rides the base client's idle pool, DeliveryPerMessage closes after
-// every exchange (see WithoutKeepAlives).
+// every exchange (see WithoutKeepAlives). Delivery is one-way: the
+// consumer's acknowledgement carries nothing to verify and is unsigned,
+// so the returned client keeps signing requests but verifies no
+// responses.
 func (c *Client) ForDelivery(mode DeliveryMode) *Client {
 	base := c.httpClient().Transport
 	if base == nil {
@@ -267,6 +270,7 @@ func (c *Client) ForDelivery(mode DeliveryMode) *Client {
 	hc.Transport = rt
 	cp := *c
 	cp.HTTP = &hc
+	cp.Verifier = nil
 	return &cp
 }
 

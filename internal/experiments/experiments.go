@@ -186,13 +186,18 @@ func NewHello(sc core.Scenario, stack core.Stack, cost xmldb.CostModel) (*Hello,
 				if err := cl.Set(notifyCounter, counter.Representation(notifyValue)); err != nil {
 					return err
 				}
+				// Only the event carrying the value just set counts: a stale
+				// or duplicate delivery from an earlier iteration must not
+				// end the measurement.
 				deadline := time.After(10 * time.Second)
 				for {
 					select {
-					case <-stream.Events():
-						return nil
+					case ev := <-stream.Events():
+						if v, err := counter.Value(ev.Message); err == nil && v == notifyValue {
+							return nil
+						}
 					case <-deadline:
-						return fmt.Errorf("experiments: notification never arrived")
+						return fmt.Errorf("experiments: notification of value %d never arrived", notifyValue)
 					}
 				}
 			}},

@@ -6,6 +6,7 @@ import (
 	"altstacks/internal/container"
 	"altstacks/internal/core"
 	"altstacks/internal/netlat"
+	"altstacks/internal/wsn"
 	"altstacks/internal/xmldb"
 )
 
@@ -72,18 +73,36 @@ func TestGridOpsBothStacks(t *testing.T) {
 	}
 }
 
+// TestSignedScenario runs Get and Set under X.509 signing, then Notify
+// past the producer's eviction threshold: were signed delivery to fail
+// (the producer verifying the consumer's unsigned acknowledgement),
+// the subscription would be evicted after wsn.DefaultEvictAfter
+// publishes and a later Notify would time out. Each failed publish can
+// queue up to wsn.DefaultMaxAttempts retried copies before that, so the
+// loop runs long enough to outlast them all.
 func TestSignedScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RSA-heavy")
 	}
 	sc := core.Scenario{Index: 2, Sec: container.SecuritySign, Link: netlat.CoLocated}
 	for _, stack := range []core.Stack{core.StackWSRF, core.StackWST} {
-		h, err := NewHello(sc, stack, xmldb.CostModel{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		smoke(t, h.Ops[:2]) // Get + Set under signing suffices as a gate
-		h.Close()
+		t.Run(string(stack), func(t *testing.T) {
+			h, err := NewHello(sc, stack, xmldb.CostModel{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			smoke(t, h.Ops[:2])
+			notify := h.Ops[4]
+			if err := notify.Prep(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i <= wsn.DefaultMaxAttempts*wsn.DefaultEvictAfter; i++ {
+				if err := notify.Run(); err != nil {
+					t.Fatalf("Notify %d: %v", i+1, err)
+				}
+			}
+		})
 	}
 }
 

@@ -28,7 +28,6 @@ func TestRawXMLFixtures(t *testing.T)     { runFixture(t, RawXML, "rawxml") }
 func TestAtomicMixFixtures(t *testing.T)     { runFixture(t, AtomicMix, "atomicmix") }
 func TestGoroutineLifeFixtures(t *testing.T) { runFixture(t, GoroutineLife, "goroutinelife") }
 func TestTimerLeakFixtures(t *testing.T)     { runFixture(t, TimerLeak, "timerleak") }
-func TestCopyLockFixtures(t *testing.T)      { runFixture(t, CopyLock, "copylock") }
 func TestSpanLeakFixtures(t *testing.T)      { runFixture(t, SpanLeak, "spanleak") }
 
 // The *_interproc fixtures put every violation behind at least one

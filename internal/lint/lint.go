@@ -73,7 +73,6 @@ func Analyzers() []*Analyzer {
 		AtomicMix,
 		GoroutineLife,
 		TimerLeak,
-		CopyLock,
 		SpanLeak,
 	}
 }

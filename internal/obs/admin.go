@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -27,8 +28,10 @@ func HandleAdmin(path string, h http.Handler) {
 }
 
 // AdminMux returns the admin HTTP handler: /metrics (Prometheus text
-// exposition of the Default registry), /federate (the fleet-merged
-// exposition: local registry plus every configured peer), /traces
+// exposition of the Default registry, for external scrapers),
+// /metrics.json (the same registry Snapshot as JSON, what peers and
+// gridctl exchange), /federate (the fleet-merged exposition as text:
+// local registry plus every configured peer), /traces
 // (finished traces as JSON, stitched across MessageID links), /dump
 // (the fault flight recorder as JSON), endpoints registered through
 // HandleAdmin (the slo engine's /slo), and the net/http/pprof suite
@@ -38,6 +41,10 @@ func AdminMux() *http.ServeMux {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = Default.WritePrometheus(w)
+	})
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(Default.Snapshot())
 	})
 	mux.HandleFunc("/federate", federateHandler)
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {

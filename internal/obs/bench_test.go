@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -84,19 +85,20 @@ func BenchmarkObsWritePrometheus(b *testing.B) {
 	}
 }
 
-func BenchmarkObsParseExposition(b *testing.B) {
+// BenchmarkObsDecodeSnapshot is the per-peer federation cost: decode
+// and validate one instance's /metrics.json body.
+func BenchmarkObsDecodeSnapshot(b *testing.B) {
 	Enable()
 	b.Cleanup(Disable)
-	var buf bytes.Buffer
-	if err := Default.WritePrometheus(&buf); err != nil {
+	data, err := json.Marshal(Default.Snapshot())
+	if err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseExposition(data); err != nil {
+		if _, err := DecodeSnapshot(data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,17 +107,9 @@ func BenchmarkObsParseExposition(b *testing.B) {
 func BenchmarkObsMergeFleet4(b *testing.B) {
 	Enable()
 	b.Cleanup(Disable)
-	var buf bytes.Buffer
-	if err := Default.WritePrometheus(&buf); err != nil {
-		b.Fatal(err)
-	}
 	insts := make([]*Exposition, 4)
 	for i := range insts {
-		exp, err := ParseExposition(buf.Bytes())
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts[i] = exp
+		insts[i] = Default.Snapshot()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -64,37 +64,15 @@ func (h *Histogram) observeSpan(d time.Duration, s *Span) {
 	}
 }
 
-// Exemplars returns the current per-bucket exemplars, index-aligned
-// with Snapshot().Counts (len(bounds)+1 entries, last is +Inf); buckets
-// that never saw a span-carrying observation are nil.
-func (h *Histogram) Exemplars() []*Exemplar {
-	out := make([]*Exemplar, len(h.exemplars))
-	for i := range h.exemplars {
-		out[i] = h.exemplars[i].Load()
-	}
-	return out
-}
-
-// setExemplar installs a pre-built exemplar into bucket i; the
-// federation merge uses it to keep the most recent exemplar across
-// instances.
-func (h *Histogram) setExemplar(i int, e *Exemplar) {
-	if i >= 0 && i < len(h.exemplars) {
-		h.exemplars[i].Store(e)
-	}
-}
-
-// writeExemplar renders the OpenMetrics exemplar suffix for one bucket
+// exemplar writes the OpenMetrics exemplar suffix of one bucket
 // line: ` # {trace_id="...",message_id="..."} value timestamp`.
-func writeExemplar(e *Exemplar) string {
-	if e == nil {
-		return ""
-	}
-	labels := Label("trace_id", e.TraceID)
+func (t *textWriter) exemplar(e *Exemplar) {
+	t.WriteString(" # {" + Label("trace_id", e.TraceID))
 	if e.MessageID != "" {
-		labels += "," + Label("message_id", e.MessageID)
+		t.WriteString("," + Label("message_id", e.MessageID))
 	}
-	return " # {" + labels + "} " +
-		strconv.FormatFloat(e.Value, 'g', -1, 64) + " " +
-		strconv.FormatFloat(float64(e.Time.UnixNano())/1e9, 'f', 3, 64)
+	t.WriteString("} ")
+	t.float(e.Value)
+	t.num = strconv.AppendFloat(append(t.num[:0], ' '), float64(e.Time.UnixNano())/1e9, 'f', 3, 64)
+	t.Write(t.num)
 }

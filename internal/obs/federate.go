@@ -2,7 +2,8 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,54 +16,41 @@ import (
 )
 
 // Metrics federation: one process's /metrics is a keyhole view of a
-// sharded cluster. This file parses the Prometheus text exposition the
-// registry emits (including OpenMetrics exemplar suffixes), merges any
-// number of instance expositions into one fleet snapshot — counters
-// and gauges sum, bucket-aligned histograms add per bucket, exemplars
-// keep the most recent — and renders the merged view back out. The
-// /federate admin endpoint serves exactly that: the local registry
-// merged with every configured peer's /metrics, so `gridctl top`
-// pointed at any one daemon sees the whole fleet.
+// sharded cluster. Instances exchange their registry Snapshot as JSON
+// at /metrics.json; Merge folds any number of snapshots into one fleet
+// view — counters and gauges sum, bucket-aligned histograms add per
+// bucket, exemplars keep the most recent — and Render writes any
+// snapshot, local or merged, as Prometheus text. The /federate admin
+// endpoint serves exactly that: the local registry merged with every
+// configured peer's snapshot, so `gridctl top` pointed at any one
+// daemon sees the whole fleet. Text is for external scrapers only;
+// nothing here reads it back.
 
-// Exposition is a parsed Prometheus text exposition.
+// Exposition is a registry snapshot: every metric family with its
+// current series.
 type Exposition struct {
 	// Instance names the source ("" until a scraper labels it); it is
-	// carried for drill-down display, never merged into label sets.
-	Instance string
-	Families []*Family
+	// carried for drill-down display, never merged or sent.
+	Instance string    `json:"-"`
+	Families []*Family `json:"families"`
 }
 
 // Family is one metric family: every series sharing a name.
 type Family struct {
-	Name, Help, Type string
-	Series           []*Series
+	Name   string    `json:"name"`
+	Help   string    `json:"help"`
+	Type   string    `json:"type"`
+	Series []*Series `json:"series"`
 }
 
 // Series is one label set of a family: a plain value for counters and
-// gauges, a HistData for histograms.
+// gauges, a histogram snapshot for histograms.
 type Series struct {
 	// Labels is the canonical label block without braces (and, for
 	// histograms, without le), values escaped: `stage="deliver"`.
-	Labels string
-	Value  float64
-	Hist   *HistData
-}
-
-// HistData is one parsed histogram series.
-type HistData struct {
-	Bounds []float64 // finite upper bounds, ascending
-	// Counts are per-bucket (de-cumulated) counts; len(Bounds)+1, the
-	// last entry the +Inf bucket.
-	Counts    []int64
-	Sum       float64
-	Count     int64
-	Exemplars []*Exemplar // len(Bounds)+1, nil where the bucket has none
-}
-
-// Snapshot converts the parsed histogram into a HistogramSnapshot so
-// the quantile/delta machinery applies to scraped data too.
-func (h *HistData) Snapshot() HistogramSnapshot {
-	return HistogramSnapshot{Bounds: h.Bounds, Counts: h.Counts, Sum: h.Sum, Count: h.Count}
+	Labels string             `json:"labels,omitempty"`
+	Value  float64            `json:"value,omitempty"`
+	Hist   *HistogramSnapshot `json:"hist,omitempty"`
 }
 
 // Family returns the named family, or nil.
@@ -90,326 +78,87 @@ func (e *Exposition) Get(name, labels string) *Series {
 	return nil
 }
 
-// ParseExposition parses a Prometheus text exposition as the registry
-// writes it: HELP/TYPE comments, counter/gauge/untyped samples,
-// histogram bucket/sum/count triples, and OpenMetrics `# {...}`
-// exemplar suffixes on bucket lines. Unparseable lines are skipped
-// rather than fatal — a fleet scrape must not die on one odd sample —
-// but a fully empty parse of non-empty input returns an error.
-func ParseExposition(data []byte) (*Exposition, error) {
+// DecodeSnapshot decodes one instance's /metrics.json body and rejects
+// it unless every family and histogram is one Merge, Render, and
+// Quantile can trust: a peer's snapshot is network input.
+func DecodeSnapshot(data []byte) (*Exposition, error) {
 	exp := &Exposition{}
-	fams := map[string]*Family{}
-	family := func(name string) *Family {
-		f := fams[name]
-		if f == nil {
-			f = &Family{Name: name, Type: "untyped"}
-			fams[name] = f
-			exp.Families = append(exp.Families, f)
-		}
-		return f
+	if err := json.Unmarshal(data, exp); err != nil {
+		return nil, fmt.Errorf("obs: decode snapshot: %w", err)
 	}
-	// Histogram assembly state: cumulative counts per (base name,
-	// labels-without-le) key, finished on the _count line.
-	type histKey struct{ name, labels string }
-	hists := map[histKey]*histBuild{}
-
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	for _, f := range exp.Families {
+		if err := f.validate(); err != nil {
+			return nil, fmt.Errorf("obs: decode snapshot: %w", err)
 		}
-		if strings.HasPrefix(line, "#") {
-			parseComment(line, family)
-			continue
-		}
-		name, labels, rest, ok := splitSample(line)
-		if !ok {
-			continue
-		}
-		valueStr, exemplarStr, _ := strings.Cut(rest, " # ")
-		value, err := strconv.ParseFloat(strings.Fields(valueStr)[0], 64)
-		if err != nil {
-			continue
-		}
-		base, part := histPart(name, fams)
-		if part == "" {
-			f := family(name)
-			f.Series = append(f.Series, &Series{Labels: labels, Value: value})
-			continue
-		}
-		pairs := parseLabels(labels)
-		le, pairsNoLE := extractLE(pairs)
-		key := histKey{base, renderLabels(pairsNoLE)}
-		hb := hists[key]
-		if hb == nil {
-			hb = &histBuild{}
-			hists[key] = hb
-		}
-		switch part {
-		case "bucket":
-			bound := math.Inf(1)
-			if le != "+Inf" {
-				bound, err = strconv.ParseFloat(le, 64)
-				if err != nil {
-					continue
-				}
-			}
-			var ex *Exemplar
-			if exemplarStr != "" {
-				ex = parseExemplar(exemplarStr)
-			}
-			hb.buckets = append(hb.buckets, histBucket{bound: bound, cum: int64(value), ex: ex})
-		case "sum":
-			hb.sum = value
-		case "count":
-			hb.count = int64(value)
-			// _count closes the series: registry output always orders
-			// bucket* sum count.
-			f := family(base)
-			f.Series = append(f.Series, &Series{Labels: key.labels, Hist: hb.finish()})
-			delete(hists, key)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: parse exposition: %w", err)
-	}
-	if len(exp.Families) == 0 && len(bytes.TrimSpace(data)) > 0 {
-		return nil, fmt.Errorf("obs: exposition parse produced no families from %d bytes", len(data))
 	}
 	return exp, nil
 }
 
-type histBucket struct {
-	bound float64
-	cum   int64
-	ex    *Exemplar
-}
-
-type histBuild struct {
-	buckets []histBucket
-	sum     float64
-	count   int64
-}
-
-// finish de-cumulates the bucket counts into a HistData.
-func (hb *histBuild) finish() *HistData {
-	sort.Slice(hb.buckets, func(i, j int) bool { return hb.buckets[i].bound < hb.buckets[j].bound })
-	h := &HistData{Sum: hb.sum, Count: hb.count}
-	prev := int64(0)
-	for _, b := range hb.buckets {
-		if !math.IsInf(b.bound, 1) {
-			h.Bounds = append(h.Bounds, b.bound)
+func (f *Family) validate() error {
+	if f == nil {
+		return errors.New("null family")
+	}
+	// A raw newline in any rendered string would forge extra lines in
+	// the /federate text; registered names and escaped labels have none.
+	if strings.ContainsRune(f.Name+f.Help+f.Type, '\n') {
+		return fmt.Errorf("family %q: newline in name, help, or type", f.Name)
+	}
+	for _, s := range f.Series {
+		if s == nil {
+			return fmt.Errorf("family %s: null series", f.Name)
 		}
-		h.Counts = append(h.Counts, b.cum-prev)
-		h.Exemplars = append(h.Exemplars, b.ex)
-		prev = b.cum
-	}
-	// A series missing its +Inf bucket still needs the implicit one.
-	for len(h.Counts) < len(h.Bounds)+1 {
-		h.Counts = append(h.Counts, 0)
-		h.Exemplars = append(h.Exemplars, nil)
-	}
-	return h
-}
-
-func parseComment(line string, family func(string) *Family) {
-	fields := strings.SplitN(line, " ", 4)
-	if len(fields) < 3 {
-		return
-	}
-	switch fields[1] {
-	case "HELP":
-		f := family(fields[2])
-		if len(fields) == 4 {
-			f.Help = fields[3]
+		if strings.ContainsRune(s.Labels, '\n') {
+			return fmt.Errorf("family %s: newline in labels", f.Name)
 		}
-	case "TYPE":
-		if len(fields) == 4 {
-			family(fields[2]).Type = fields[3]
-		}
-	}
-}
-
-// splitSample splits `name{labels} rest` / `name rest` into parts.
-// The label block is scanned with escape awareness so a `}` inside a
-// quoted value cannot truncate it.
-func splitSample(line string) (name, labels, rest string, ok bool) {
-	brace := strings.IndexByte(line, '{')
-	space := strings.IndexByte(line, ' ')
-	if brace == -1 || (space != -1 && space < brace) {
-		if space == -1 {
-			return "", "", "", false
-		}
-		return line[:space], "", strings.TrimSpace(line[space+1:]), true
-	}
-	name = line[:brace]
-	i := brace + 1
-	inQuote := false
-	for ; i < len(line); i++ {
-		c := line[i]
-		if inQuote {
-			if c == '\\' {
-				i++
-			} else if c == '"' {
-				inQuote = false
-			}
+		if s.Hist == nil {
 			continue
 		}
-		if c == '"' {
-			inQuote = true
-		} else if c == '}' {
-			return name, line[brace+1 : i], strings.TrimSpace(line[i+1:]), true
+		if err := s.Hist.validate(); err != nil {
+			return fmt.Errorf("%s{%s}: %w", f.Name, s.Labels, err)
 		}
 	}
-	return "", "", "", false
+	return nil
 }
 
-// labelPair is one parsed k="v" with the value unescaped.
-type labelPair struct{ k, v string }
-
-// parseLabels parses a label block (no braces) into ordered pairs,
-// handling \\, \", and \n escapes in values.
-func parseLabels(block string) []labelPair {
-	var pairs []labelPair
-	i := 0
-	for i < len(block) {
-		eq := strings.IndexByte(block[i:], '=')
-		if eq == -1 {
-			break
+// validate checks the shape Render indexes without guards: finite
+// ascending bounds, one count per bucket plus +Inf, non-negative
+// counts that add up to Count, and exemplars absent or one per bucket.
+func (h *HistogramSnapshot) validate() error {
+	for i, b := range h.Bounds {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			return fmt.Errorf("non-finite bound %v", b)
 		}
-		k := strings.TrimSpace(block[i : i+eq])
-		i += eq + 1
-		if i >= len(block) || block[i] != '"' {
-			break
-		}
-		i++
-		var v strings.Builder
-		for i < len(block) {
-			c := block[i]
-			if c == '\\' && i+1 < len(block) {
-				switch block[i+1] {
-				case 'n':
-					v.WriteByte('\n')
-				case '\\':
-					v.WriteByte('\\')
-				case '"':
-					v.WriteByte('"')
-				default:
-					v.WriteByte(c)
-					v.WriteByte(block[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				i++
-				break
-			}
-			v.WriteByte(c)
-			i++
-		}
-		pairs = append(pairs, labelPair{k, v.String()})
-		for i < len(block) && (block[i] == ',' || block[i] == ' ') {
-			i++
+		if i > 0 && b <= h.Bounds[i-1] {
+			return errors.New("bounds not ascending")
 		}
 	}
-	return pairs
+	if len(h.Counts) != len(h.Bounds)+1 {
+		return fmt.Errorf("%d counts for %d bounds", len(h.Counts), len(h.Bounds))
+	}
+	var total int64
+	for _, c := range h.Counts {
+		if c < 0 || total > math.MaxInt64-c {
+			return fmt.Errorf("bucket count %d out of range", c)
+		}
+		total += c
+	}
+	if total != h.Count {
+		return fmt.Errorf("count %d != bucket total %d", h.Count, total)
+	}
+	if n := len(h.Exemplars); n != 0 && n != len(h.Counts) {
+		return fmt.Errorf("%d exemplars for %d buckets", n, len(h.Counts))
+	}
+	return nil
 }
 
-func extractLE(pairs []labelPair) (le string, rest []labelPair) {
-	for _, p := range pairs {
-		if p.k == "le" {
-			le = p.v
-			continue
-		}
-		rest = append(rest, p)
-	}
-	return le, rest
-}
-
-func renderLabels(pairs []labelPair) string {
-	parts := make([]string, 0, len(pairs))
-	for _, p := range pairs {
-		parts = append(parts, Label(p.k, p.v))
-	}
-	return strings.Join(parts, ",")
-}
-
-// histPart decides whether name is a histogram sample of an already-
-// TYPEd histogram family, returning the base family name and the part
-// ("bucket", "sum", "count"; "" for plain samples).
-func histPart(name string, fams map[string]*Family) (base, part string) {
-	for _, suffix := range [...]string{"_bucket", "_sum", "_count"} {
-		b := strings.TrimSuffix(name, suffix)
-		if b == name {
-			continue
-		}
-		if f, ok := fams[b]; ok && f.Type == "histogram" {
-			return b, suffix[1:]
-		}
-	}
-	return "", ""
-}
-
-// parseExemplar parses the OpenMetrics exemplar payload after " # ":
-// `{labels} value [timestamp]`.
-func parseExemplar(s string) *Exemplar {
-	s = strings.TrimSpace(s)
-	if !strings.HasPrefix(s, "{") {
-		return nil
-	}
-	end := -1
-	inQuote := false
-	for i := 1; i < len(s); i++ {
-		c := s[i]
-		if inQuote {
-			if c == '\\' {
-				i++
-			} else if c == '"' {
-				inQuote = false
-			}
-			continue
-		}
-		if c == '"' {
-			inQuote = true
-		} else if c == '}' {
-			end = i
-			break
-		}
-	}
-	if end == -1 {
-		return nil
-	}
-	e := &Exemplar{}
-	for _, p := range parseLabels(s[1:end]) {
-		switch p.k {
-		case "trace_id":
-			e.TraceID = p.v
-		case "message_id":
-			e.MessageID = p.v
-		}
-	}
-	fields := strings.Fields(s[end+1:])
-	if len(fields) >= 1 {
-		e.Value, _ = strconv.ParseFloat(fields[0], 64)
-	}
-	if len(fields) >= 2 {
-		if ts, err := strconv.ParseFloat(fields[1], 64); err == nil {
-			sec, frac := math.Modf(ts)
-			e.Time = time.Unix(int64(sec), int64(frac*1e9))
-		}
-	}
-	return e
-}
-
-// Merge folds any number of instance expositions into one fleet view:
+// Merge folds any number of instance snapshots into one fleet view:
 // counters and gauges sum, histograms with identical bounds add per
 // bucket (keeping the most recent exemplar per bucket), and families
 // are emitted in name order. Histogram series whose bounds disagree
 // across instances (a version-skewed peer) keep the first instance's
 // data and drop the mismatched one rather than fabricating buckets.
+// Inputs are local snapshots or DecodeSnapshot results, both of which
+// are well-formed.
 func Merge(insts []*Exposition) *Exposition {
 	out := &Exposition{Instance: "fleet"}
 	fams := map[string]*Family{}
@@ -446,21 +195,20 @@ func Merge(insts []*Exposition) *Exposition {
 	return out
 }
 
-func cloneHist(h *HistData) *HistData {
+func cloneHist(h *HistogramSnapshot) *HistogramSnapshot {
 	if h == nil {
 		return nil
 	}
-	c := &HistData{
+	return &HistogramSnapshot{
 		Bounds:    append([]float64(nil), h.Bounds...),
 		Counts:    append([]int64(nil), h.Counts...),
 		Sum:       h.Sum,
 		Count:     h.Count,
 		Exemplars: append([]*Exemplar(nil), h.Exemplars...),
 	}
-	return c
 }
 
-func mergeHist(dst, src *HistData) {
+func mergeHist(dst, src *HistogramSnapshot) {
 	if len(dst.Bounds) != len(src.Bounds) {
 		return // version-skewed peer; keep dst
 	}
@@ -470,53 +218,114 @@ func mergeHist(dst, src *HistData) {
 		}
 	}
 	for i := range dst.Counts {
-		if i < len(src.Counts) {
-			dst.Counts[i] += src.Counts[i]
-		}
+		dst.Counts[i] += src.Counts[i]
 	}
 	dst.Sum += src.Sum
 	dst.Count += src.Count
-	for i := range dst.Exemplars {
-		if i >= len(src.Exemplars) || src.Exemplars[i] == nil {
+	for i, ex := range src.Exemplars {
+		if ex == nil {
 			continue
 		}
-		if dst.Exemplars[i] == nil || src.Exemplars[i].Time.After(dst.Exemplars[i].Time) {
-			dst.Exemplars[i] = src.Exemplars[i]
+		if dst.Exemplars == nil {
+			dst.Exemplars = make([]*Exemplar, len(dst.Counts))
+		}
+		if cur := dst.Exemplars[i]; cur == nil || ex.Time.After(cur.Time) {
+			dst.Exemplars[i] = ex
 		}
 	}
 }
 
-// Render writes the exposition back out in the registry's text
-// format, exemplars included, so /federate output is itself parseable
-// by this parser (and by anything that reads the instances' own
-// /metrics).
+// Render writes the exposition in Prometheus text format, each
+// bucket's exemplar as an OpenMetrics `# {...}` suffix. It is the one
+// text writer: /metrics renders the local snapshot, /federate and
+// `gridctl metrics -fleet` render a merge.
 func (e *Exposition) Render(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	t := textWriter{Writer: bufio.NewWriter(w)}
 	for _, f := range e.Families {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type)
+		t.WriteString("# HELP " + f.Name + " " + f.Help + "\n# TYPE " + f.Name + " " + f.Type + "\n")
 		for _, s := range f.Series {
-			if s.Hist == nil {
-				fmt.Fprintf(bw, "%s %s\n", sampleName(f.Name, s.Labels, ""),
-					strconv.FormatFloat(s.Value, 'g', -1, 64))
+			h := s.Hist
+			if h == nil {
+				t.name(f.Name, "", s.Labels, nil)
+				t.value(s.Value)
+				t.WriteByte('\n')
 				continue
 			}
 			cum := int64(0)
-			for i, b := range s.Hist.Bounds {
-				cum += s.Hist.Counts[i]
-				fmt.Fprintf(bw, "%s %d%s\n",
-					sampleName(f.Name+"_bucket", s.Labels, `le="`+strconv.FormatFloat(b, 'g', -1, 64)+`"`),
-					cum, writeExemplar(s.Hist.Exemplars[i]))
+			for i, c := range h.Counts {
+				le := infLE
+				if i < len(h.Bounds) {
+					t.num = strconv.AppendFloat(t.num[:0], h.Bounds[i], 'g', -1, 64)
+					le = t.num
+				}
+				t.name(f.Name, "_bucket", s.Labels, le)
+				cum += c
+				t.integer(cum)
+				if i < len(h.Exemplars) && h.Exemplars[i] != nil {
+					t.exemplar(h.Exemplars[i])
+				}
+				t.WriteByte('\n')
 			}
-			last := len(s.Hist.Bounds)
-			cum += s.Hist.Counts[last]
-			fmt.Fprintf(bw, "%s %d%s\n", sampleName(f.Name+"_bucket", s.Labels, `le="+Inf"`),
-				cum, writeExemplar(s.Hist.Exemplars[last]))
-			fmt.Fprintf(bw, "%s %s\n", sampleName(f.Name+"_sum", s.Labels, ""),
-				strconv.FormatFloat(s.Hist.Sum, 'g', -1, 64))
-			fmt.Fprintf(bw, "%s %d\n", sampleName(f.Name+"_count", s.Labels, ""), cum)
+			t.name(f.Name, "_sum", s.Labels, nil)
+			t.float(h.Sum)
+			t.WriteByte('\n')
+			t.name(f.Name, "_count", s.Labels, nil)
+			t.integer(cum)
+			t.WriteByte('\n')
 		}
 	}
-	return bw.Flush()
+	return t.Flush()
+}
+
+var infLE = []byte("+Inf")
+
+// textWriter is Render's line writer: numbers go through one reused
+// scratch buffer, so a sample line costs no allocation.
+type textWriter struct {
+	*bufio.Writer
+	num []byte
+}
+
+// name writes `name+suffix{labels,le="…"} `, the braces only when
+// there is a label; le is set on bucket lines only.
+func (t *textWriter) name(name, suffix, labels string, le []byte) {
+	t.WriteString(name)
+	t.WriteString(suffix)
+	if labels != "" || le != nil {
+		t.WriteByte('{')
+		t.WriteString(labels)
+		if le != nil {
+			if labels != "" {
+				t.WriteByte(',')
+			}
+			t.WriteString(`le="`)
+			t.Write(le)
+			t.WriteByte('"')
+		}
+		t.WriteByte('}')
+	}
+	t.WriteByte(' ')
+}
+
+func (t *textWriter) integer(v int64) {
+	t.num = strconv.AppendInt(t.num[:0], v, 10)
+	t.Write(t.num)
+}
+
+func (t *textWriter) float(v float64) {
+	t.num = strconv.AppendFloat(t.num[:0], v, 'g', -1, 64)
+	t.Write(t.num)
+}
+
+// value writes a counter or gauge value: integral values as plain
+// integers (a count of 12345678, not 1.2345678e+07), others in the
+// shortest 'g' form.
+func (t *textWriter) value(v float64) {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		t.integer(int64(v))
+		return
+	}
+	t.float(v)
 }
 
 // ---- fleet scraping ----
@@ -547,22 +356,28 @@ func FederatePeers() []string {
 // /federate request.
 var scrapeClient = &http.Client{Timeout: 5 * time.Second}
 
-// ScrapeInstance fetches and parses one instance's /metrics. The
-// returned exposition's Instance is the admin URL's host:port.
+// maxSnapshotBytes caps one peer's /metrics.json body; a registry
+// snapshot is tens of kilobytes.
+const maxSnapshotBytes = 8 << 20
+
+// ScrapeInstance fetches and decodes one instance's /metrics.json. The
+// returned exposition's Instance is the admin URL's host:port. A peer
+// without the endpoint, or whose snapshot fails validation, is an
+// error like an unreachable one.
 func ScrapeInstance(adminURL string) (*Exposition, error) {
-	resp, err := scrapeClient.Get(strings.TrimRight(adminURL, "/") + "/metrics")
+	resp, err := scrapeClient.Get(strings.TrimRight(adminURL, "/") + "/metrics.json")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSnapshotBytes))
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("obs: scrape %s: %s", adminURL, resp.Status)
 	}
-	exp, err := ParseExposition(data)
+	exp, err := DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
@@ -577,32 +392,13 @@ func instanceName(adminURL string) string {
 	return name
 }
 
-// SelfExposition renders and re-parses the Default registry — the
-// local instance's contribution to a federated view.
-func SelfExposition() (*Exposition, error) {
-	var buf bytes.Buffer
-	if err := Default.WritePrometheus(&buf); err != nil {
-		return nil, err
-	}
-	exp, err := ParseExposition(buf.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	exp.Instance = "self"
-	return exp, nil
-}
-
-// FederateFleet scrapes the local registry plus every peer and merges.
-// Unreachable peers are reported in the returned error list but do not
-// fail the merge — a fleet view with a hole beats no view during an
-// incident.
+// FederateFleet merges the local registry with every peer's snapshot.
+// Unreachable or rejected peers are reported in the returned error
+// list but do not fail the merge — a fleet view with a hole beats no
+// view during an incident.
 func FederateFleet(peers []string) (*Exposition, []error) {
 	var errs []error
-	self, err := SelfExposition()
-	if err != nil {
-		errs = append(errs, err)
-	}
-	insts := []*Exposition{self}
+	insts := []*Exposition{Default.Snapshot()}
 	for _, p := range peers {
 		exp, err := ScrapeInstance(p)
 		if err != nil {
@@ -618,11 +414,12 @@ func FederateFleet(peers []string) (*Exposition, []error) {
 // errors surface as exposition comments so a partial fleet view is
 // visibly partial.
 func federateHandler(w http.ResponseWriter, _ *http.Request) {
-	merged, errs := FederateFleet(FederatePeers())
+	peers := FederatePeers()
+	merged, errs := FederateFleet(peers)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	for _, err := range errs {
 		fmt.Fprintf(w, "# federate: %v\n", err)
 	}
-	fmt.Fprintf(w, "# federate: %d instance(s)\n", 1+len(FederatePeers())-len(errs))
+	fmt.Fprintf(w, "# federate: %d instance(s)\n", 1+len(peers)-len(errs))
 	_ = merged.Render(w)
 }

@@ -92,12 +92,22 @@ func TestPrometheusExposition(t *testing.T) {
 		h.Observe(200 * time.Microsecond) // bucket le=0.00025
 		h.Observe(30 * time.Millisecond)  // bucket le=0.05
 		h.Observe(20 * time.Second)       // +Inf only
+		big := NewCounter("test_expo_big_total", "", "a count past 1e6")
+		big.Add(12345678)
 
 		var sb strings.Builder
 		if err := Default.WritePrometheus(&sb); err != nil {
 			t.Fatal(err)
 		}
 		out := sb.String()
+		// /federate renders a merge through the same writer.
+		var fed strings.Builder
+		if err := Merge([]*Exposition{Default.Snapshot()}).Render(&fed); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(fed.String(), "test_expo_big_total 12345678\n") {
+			t.Errorf("merged render writes a large count in float form:\n%s", fed.String())
+		}
 		for _, want := range []string{
 			"# HELP test_expo_ops_total ops by kind\n",
 			"# TYPE test_expo_ops_total counter\n",
@@ -116,8 +126,9 @@ func TestPrometheusExposition(t *testing.T) {
 			`ogsa_stage_duration_seconds_bucket{stage="storage",le="+Inf"}`,
 			`ogsa_stage_duration_seconds_bucket{stage="serialize",le="+Inf"}`,
 			`ogsa_stage_duration_seconds_bucket{stage="deliver",le="+Inf"}`,
-			"ogsa_goroutines ",
+			"ogsa_runtime_goroutines ",
 			"ogsa_uptime_seconds ",
+			"test_expo_big_total 12345678\n",
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("exposition missing %q\n--- got ---\n%s", want, out)
@@ -340,6 +351,13 @@ func TestAdminEndpoints(t *testing.T) {
 		body := httpGet(t, url+"/metrics")
 		if !strings.Contains(body, "ogsa_stage_duration_seconds_bucket") {
 			t.Fatalf("/metrics missing stage histograms:\n%s", body)
+		}
+		snap, err := DecodeSnapshot([]byte(httpGet(t, url+"/metrics.json")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Get("ogsa_stage_duration_seconds", Label("stage", "dispatch")) == nil {
+			t.Fatal("/metrics.json missing the dispatch stage histogram")
 		}
 		traces := httpGet(t, url+"/traces")
 		if !strings.Contains(traces, `"container.dispatch"`) {

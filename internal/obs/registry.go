@@ -1,38 +1,36 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// A metric is anything the registry can expose in Prometheus text
-// format. The three concrete kinds (Counter, Gauge+GaugeFunc,
-// Histogram) cover what the container needs; the paper's figures are
+// desc is what every metric kind shares: the family name, the baked
+// label set ("" or `k="v",k2="v2"`), help text, and exposition type.
+type desc struct{ name, labels, help, typ string }
+
+func (d *desc) describe() *desc { return d }
+
+// A metric is anything the registry can snapshot. The concrete kinds
+// (Counter, Gauge, GaugeFunc, Histogram, and the runtime GC-pause
+// histogram) cover what the container needs; the paper's figures are
 // latency distributions and operation counts, nothing fancier.
 type metric interface {
-	// metricName is the family name (no labels).
-	metricName() string
-	// metricLabels is the baked label set ("" or `k="v",k2="v2"`).
-	metricLabels() string
-	metricHelp() string
-	metricType() string
-	// writeSamples emits the sample lines for this metric.
-	writeSamples(w *bufio.Writer)
+	describe() *desc
+	// series reads the metric's current value; nil exposes nothing.
+	series() *Series
 }
 
-// Registry holds registered metrics and renders them as Prometheus
-// text exposition. Registration happens at package init (metrics are
-// package vars in the instrumented layers), so the hot path never
-// touches the registry lock — only /metrics scrapes do.
+// Registry holds registered metrics and snapshots them. Registration
+// happens at package init (metrics are package vars in the
+// instrumented layers), so the hot path never touches the registry
+// lock — only scrapes do.
 type Registry struct {
 	mu      sync.Mutex
 	metrics []metric
@@ -46,7 +44,8 @@ var Default = &Registry{}
 func (r *Registry) register(m metric) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	key := m.metricName() + "{" + m.metricLabels() + "}"
+	d := m.describe()
+	key := d.name + "{" + d.labels + "}"
 	if r.seen == nil {
 		r.seen = map[string]bool{}
 	}
@@ -57,24 +56,33 @@ func (r *Registry) register(m metric) {
 	r.metrics = append(r.metrics, m)
 }
 
-// WritePrometheus renders every registered metric in Prometheus text
-// format, grouped by family, families in name order and label sets in
-// registration order within a family.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// Snapshot reads every registered metric into an Exposition: families
+// in name order, label sets in registration order within a family.
+// It is the registry's one output — /metrics renders it as text,
+// /metrics.json serves it to peers, and Values reads it.
+func (r *Registry) Snapshot() *Exposition {
 	r.mu.Lock()
 	ms := append([]metric(nil), r.metrics...)
 	r.mu.Unlock()
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].metricName() < ms[j].metricName() })
-	bw := bufio.NewWriter(w)
-	prev := ""
+	sort.SliceStable(ms, func(i, j int) bool { return ms[i].describe().name < ms[j].describe().name })
+	exp := &Exposition{}
+	var f *Family
 	for _, m := range ms {
-		if name := m.metricName(); name != prev {
-			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", name, m.metricHelp(), name, m.metricType())
-			prev = name
+		d := m.describe()
+		if f == nil || f.Name != d.name {
+			f = &Family{Name: d.name, Help: d.help, Type: d.typ}
+			exp.Families = append(exp.Families, f)
 		}
-		m.writeSamples(bw)
+		if s := m.series(); s != nil {
+			f.Series = append(f.Series, s)
+		}
 	}
-	return bw.Flush()
+	return exp
+}
+
+// WritePrometheus renders the registry in Prometheus text format.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	return r.Snapshot().Render(w)
 }
 
 // EscapeLabelValue escapes a label value per the Prometheus text
@@ -112,34 +120,19 @@ func Label(k, v string) string {
 	return k + `="` + EscapeLabelValue(v) + `"`
 }
 
-// sampleName renders name{labels} with an optional extra label (for
-// histogram le) appended.
-func sampleName(name, labels, extra string) string {
-	switch {
-	case labels == "" && extra == "":
-		return name
-	case labels == "":
-		return name + "{" + extra + "}"
-	case extra == "":
-		return name + "{" + labels + "}"
-	default:
-		return name + "{" + labels + "," + extra + "}"
-	}
-}
-
 // Counter is a monotonically increasing atomic counter. Add and Inc
 // are no-ops while the layer is disabled, so mirroring an existing
 // subsystem counter into the registry costs one atomic bool load at
 // the increment site.
 type Counter struct {
-	name, labels, help string
-	v                  atomic.Int64
+	desc
+	v atomic.Int64
 }
 
 // NewCounter registers a counter in the Default registry. labels is a
 // baked Prometheus label set (`op="create"`) or "".
 func NewCounter(name, labels, help string) *Counter {
-	c := &Counter{name: name, labels: labels, help: help}
+	c := &Counter{desc: desc{name, labels, help, "counter"}}
 	Default.register(c)
 	return c
 }
@@ -157,23 +150,17 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) metricName() string   { return c.name }
-func (c *Counter) metricLabels() string { return c.labels }
-func (c *Counter) metricHelp() string   { return c.help }
-func (c *Counter) metricType() string   { return "counter" }
-func (c *Counter) writeSamples(w *bufio.Writer) {
-	fmt.Fprintf(w, "%s %d\n", sampleName(c.name, c.labels, ""), c.v.Load())
-}
+func (c *Counter) series() *Series { return &Series{Labels: c.labels, Value: float64(c.v.Load())} }
 
 // Gauge is a settable level (in-flight work, pool sizes).
 type Gauge struct {
-	name, labels, help string
-	v                  atomic.Int64
+	desc
+	v atomic.Int64
 }
 
 // NewGauge registers a gauge in the Default registry.
 func NewGauge(name, labels, help string) *Gauge {
-	g := &Gauge{name: name, labels: labels, help: help}
+	g := &Gauge{desc: desc{name, labels, help, "gauge"}}
 	Default.register(g)
 	return g
 }
@@ -195,35 +182,30 @@ func (g *Gauge) Set(n int64) {
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-func (g *Gauge) metricName() string   { return g.name }
-func (g *Gauge) metricLabels() string { return g.labels }
-func (g *Gauge) metricHelp() string   { return g.help }
-func (g *Gauge) metricType() string   { return "gauge" }
-func (g *Gauge) writeSamples(w *bufio.Writer) {
-	fmt.Fprintf(w, "%s %d\n", sampleName(g.name, g.labels, ""), g.v.Load())
-}
+func (g *Gauge) series() *Series { return &Series{Labels: g.labels, Value: float64(g.v.Load())} }
 
-// GaugeFunc is a gauge evaluated at scrape time (goroutine counts,
-// heap size, uptime) — it costs nothing between scrapes.
+// GaugeFunc is a gauge evaluated at scrape time (uptime, Go runtime
+// readings) — it costs nothing between scrapes. A non-finite reading
+// exposes nothing: the JSON snapshot peers exchange cannot carry NaN
+// or ±Inf.
 type GaugeFunc struct {
-	name, labels, help string
-	fn                 func() float64
+	desc
+	fn func() float64
 }
 
 // NewGaugeFunc registers a collected-at-scrape gauge.
 func NewGaugeFunc(name, labels, help string, fn func() float64) *GaugeFunc {
-	g := &GaugeFunc{name: name, labels: labels, help: help, fn: fn}
+	g := &GaugeFunc{desc: desc{name, labels, help, "gauge"}, fn: fn}
 	Default.register(g)
 	return g
 }
 
-func (g *GaugeFunc) metricName() string   { return g.name }
-func (g *GaugeFunc) metricLabels() string { return g.labels }
-func (g *GaugeFunc) metricHelp() string   { return g.help }
-func (g *GaugeFunc) metricType() string   { return "gauge" }
-func (g *GaugeFunc) writeSamples(w *bufio.Writer) {
-	fmt.Fprintf(w, "%s %s\n", sampleName(g.name, g.labels, ""),
-		strconv.FormatFloat(g.fn(), 'g', -1, 64))
+func (g *GaugeFunc) series() *Series {
+	v := g.fn()
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return nil
+	}
+	return &Series{Labels: g.labels, Value: v}
 }
 
 // latencyBuckets are the fixed histogram bounds, in seconds. They span
@@ -240,11 +222,11 @@ var latencyBuckets = []float64{
 // lock-free (one atomic add per bucket touched plus sum and count) and
 // skipped entirely while disabled.
 type Histogram struct {
-	name, labels, help string
-	bounds             []float64
-	buckets            []atomic.Int64 // len(bounds)+1; last is +Inf
-	sumNanos           atomic.Int64
-	count              atomic.Int64
+	desc
+	bounds   []float64
+	buckets  []atomic.Int64 // len(bounds)+1; last is +Inf
+	sumNanos atomic.Int64
+	count    atomic.Int64
 	// exemplars holds, per bucket, the most recent span-linked
 	// observation (see exemplar.go); written only by ObserveSinceSpan
 	// and friends, so plain Observe paths never touch it.
@@ -262,7 +244,7 @@ func NewHistogram(name, labels, help string) *Histogram {
 // depths). Record into it with ObserveValue.
 func NewValueHistogram(name, labels, help string, bounds []float64) *Histogram {
 	h := &Histogram{
-		name: name, labels: labels, help: help,
+		desc:      desc{name, labels, help, "histogram"},
 		bounds:    bounds,
 		buckets:   make([]atomic.Int64, len(bounds)+1),
 		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
@@ -342,24 +324,9 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 // Count returns how many observations the histogram holds.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-func (h *Histogram) metricName() string   { return h.name }
-func (h *Histogram) metricLabels() string { return h.labels }
-func (h *Histogram) metricHelp() string   { return h.help }
-func (h *Histogram) metricType() string   { return "histogram" }
-func (h *Histogram) writeSamples(w *bufio.Writer) {
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.buckets[i].Load()
-		fmt.Fprintf(w, "%s %d%s\n",
-			sampleName(h.name+"_bucket", h.labels, `le="`+strconv.FormatFloat(b, 'g', -1, 64)+`"`), cum,
-			writeExemplar(h.exemplars[i].Load()))
-	}
-	cum += h.buckets[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s %d%s\n", sampleName(h.name+"_bucket", h.labels, `le="+Inf"`), cum,
-		writeExemplar(h.exemplars[len(h.bounds)].Load()))
-	fmt.Fprintf(w, "%s %s\n", sampleName(h.name+"_sum", h.labels, ""),
-		strconv.FormatFloat(float64(h.sumNanos.Load())/1e9, 'g', -1, 64))
-	fmt.Fprintf(w, "%s %d\n", sampleName(h.name+"_count", h.labels, ""), cum)
+func (h *Histogram) series() *Series {
+	snap := h.Snapshot()
+	return &Series{Labels: h.labels, Hist: &snap}
 }
 
 // The six per-stage latency histograms of the container pipeline —
@@ -380,16 +347,7 @@ func newStage(stage, help string) *Histogram {
 
 var processStart = time.Now()
 
-// Process-level gauges, collected at scrape time.
-var (
-	_ = NewGaugeFunc("ogsa_uptime_seconds", "", "seconds since process start",
-		func() float64 { return time.Since(processStart).Seconds() })
-	_ = NewGaugeFunc("ogsa_goroutines", "", "current goroutine count",
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	_ = NewGaugeFunc("ogsa_heap_alloc_bytes", "", "bytes of allocated heap objects",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapAlloc)
-		})
-)
+// Process uptime, collected at scrape time; Go runtime health is the
+// ogsa_runtime_* set in runtime.go.
+var _ = NewGaugeFunc("ogsa_uptime_seconds", "", "seconds since process start",
+	func() float64 { return time.Since(processStart).Seconds() })

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"bufio"
-	"fmt"
 	"math"
 	"runtime/metrics"
-	"strconv"
 )
 
 // Go runtime health under the ogsa_runtime_* family, read through
@@ -15,35 +12,21 @@ import (
 // pause histogram answers "are collection pauses eating into the
 // latency SLO" — both per instance and, through /federate, fleet-wide.
 
-// runtimeGauge is a gauge read from one runtime/metrics sample at
-// scrape time.
-type runtimeGauge struct {
-	name, help, sample string
-}
-
-func newRuntimeGauge(name, help, sample string) *runtimeGauge {
-	g := &runtimeGauge{name: name, help: help, sample: sample}
-	Default.register(g)
-	return g
-}
-
-func (g *runtimeGauge) metricName() string   { return g.name }
-func (g *runtimeGauge) metricLabels() string { return "" }
-func (g *runtimeGauge) metricHelp() string   { return g.help }
-func (g *runtimeGauge) metricType() string   { return "gauge" }
-func (g *runtimeGauge) writeSamples(w *bufio.Writer) {
-	s := []metrics.Sample{{Name: g.sample}}
-	metrics.Read(s)
-	var v float64
-	switch s[0].Value.Kind() {
-	case metrics.KindUint64:
-		v = float64(s[0].Value.Uint64())
-	case metrics.KindFloat64:
-		v = s[0].Value.Float64()
-	default:
-		return // metric unknown to this runtime; expose nothing
+// runtimeReading reads one runtime/metrics sample at scrape time, for
+// a GaugeFunc. A metric unknown to this runtime reads NaN, which the
+// GaugeFunc exposes as nothing.
+func runtimeReading(sample string) func() float64 {
+	return func() float64 {
+		s := []metrics.Sample{{Name: sample}}
+		metrics.Read(s)
+		switch s[0].Value.Kind() {
+		case metrics.KindUint64:
+			return float64(s[0].Value.Uint64())
+		case metrics.KindFloat64:
+			return s[0].Value.Float64()
+		}
+		return math.NaN()
 	}
-	fmt.Fprintf(w, "%s %s\n", g.name, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 // gcPauseBounds are the fixed bounds the runtime's GC pause histogram
@@ -58,30 +41,25 @@ var gcPauseBounds = []float64{
 // runtimeHist exposes a runtime/metrics Float64Histogram re-bucketed
 // onto fixed bounds, sampled at scrape time.
 type runtimeHist struct {
-	name, help, sample string
-	bounds             []float64
+	desc
+	sample string
+	bounds []float64
 }
 
 func newRuntimeHist(name, help, sample string, bounds []float64) *runtimeHist {
-	h := &runtimeHist{name: name, help: help, sample: sample, bounds: bounds}
+	h := &runtimeHist{desc: desc{name, "", help, "histogram"}, sample: sample, bounds: bounds}
 	Default.register(h)
 	return h
 }
 
-func (h *runtimeHist) metricName() string   { return h.name }
-func (h *runtimeHist) metricLabels() string { return "" }
-func (h *runtimeHist) metricHelp() string   { return h.help }
-func (h *runtimeHist) metricType() string   { return "histogram" }
-func (h *runtimeHist) writeSamples(w *bufio.Writer) {
+func (h *runtimeHist) series() *Series {
 	s := []metrics.Sample{{Name: h.sample}}
 	metrics.Read(s)
 	if s[0].Value.Kind() != metrics.KindFloat64Histogram {
-		return
+		return nil
 	}
 	rh := s[0].Value.Float64Histogram()
-	counts := make([]int64, len(h.bounds)+1)
-	var sum float64
-	var total int64
+	snap := &HistogramSnapshot{Bounds: h.bounds, Counts: make([]int64, len(h.bounds)+1)}
 	for i, c := range rh.Counts {
 		if c == 0 {
 			continue
@@ -101,28 +79,20 @@ func (h *runtimeHist) writeSamples(w *bufio.Writer) {
 		for j < len(h.bounds) && h.bounds[j] < hi {
 			j++
 		}
-		counts[j] += int64(c)
-		sum += ((lo + hi) / 2) * float64(c)
-		total += int64(c)
+		snap.Counts[j] += int64(c)
+		snap.Sum += ((lo + hi) / 2) * float64(c)
+		snap.Count += int64(c)
 	}
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, strconv.FormatFloat(b, 'g', -1, 64), cum)
-	}
-	cum += counts[len(h.bounds)]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.name, cum)
-	fmt.Fprintf(w, "%s_sum %s\n", h.name, strconv.FormatFloat(sum, 'g', -1, 64))
-	fmt.Fprintf(w, "%s_count %d\n", h.name, total)
+	return &Series{Hist: snap}
 }
 
 var (
-	_ = newRuntimeGauge("ogsa_runtime_goroutines",
+	_ = NewGaugeFunc("ogsa_runtime_goroutines", "",
 		"live goroutines (runtime/metrics, sampled at scrape)",
-		"/sched/goroutines:goroutines")
-	_ = newRuntimeGauge("ogsa_runtime_heap_inuse_bytes",
+		runtimeReading("/sched/goroutines:goroutines"))
+	_ = NewGaugeFunc("ogsa_runtime_heap_inuse_bytes", "",
 		"bytes of heap occupied by live objects plus unswept spans",
-		"/memory/classes/heap/objects:bytes")
+		runtimeReading("/memory/classes/heap/objects:bytes"))
 	_ = newRuntimeHist("ogsa_runtime_gc_pause_seconds",
 		"stop-the-world GC pause durations, re-bucketed from runtime/metrics",
 		"/gc/pauses:seconds", gcPauseBounds)

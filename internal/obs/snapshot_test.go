@@ -11,7 +11,7 @@ import (
 // don't trip the Default registry's duplicate-name panic.
 func newTestHist(bounds []float64) *Histogram {
 	return &Histogram{
-		name:    "test_hist",
+		desc:    desc{name: "test_hist"},
 		bounds:  bounds,
 		buckets: make([]atomic.Int64, len(bounds)+1),
 	}
@@ -42,6 +42,16 @@ func TestSnapshotQuantile(t *testing.T) {
 	h.Observe(30 * time.Second)
 	if q := h.Snapshot().Quantile(1); q != 1 {
 		t.Fatalf("max quantile = %v, want top bound 1", q)
+	}
+}
+
+// TestQuantileNoFiniteBounds: a histogram with only the +Inf bucket
+// whose Count exceeds its bucket total (an inconsistent peer) must not
+// index Bounds[-1]; with no finite bound to report, the estimate is 0.
+func TestQuantileNoFiniteBounds(t *testing.T) {
+	s := HistogramSnapshot{Counts: []int64{1}, Count: 5}
+	if q := s.Quantile(0.99); q != 0 {
+		t.Fatalf("Quantile = %v, want 0", q)
 	}
 }
 
@@ -107,8 +117,8 @@ func TestRegistryValues(t *testing.T) {
 	Enable()
 	defer Disable()
 	r := &Registry{}
-	c := &Counter{name: "test_total", labels: `k="v"`}
-	g := &Gauge{name: "test_level"}
+	c := &Counter{desc: desc{name: "test_total", labels: `k="v"`}}
+	g := &Gauge{desc: desc{name: "test_level"}}
 	r.register(c)
 	r.register(g)
 	c.Add(3)

@@ -4,9 +4,10 @@
 # /metrics through `gridctl metrics`, and assert every migrated counter
 # family plus the per-stage latency histogram is exposed. Also
 # exercises `gridctl trace` against /traces, the fleet view
-# (`gridctl top` across both admins), server-side federation
-# (`gridctl federate` on the peer-configured instance), and the SLO and
-# flight-recorder endpoints. Run via `make obs-smoke`.
+# (`gridctl top` across both admins, over their /metrics.json
+# snapshots), server-side federation (`gridctl federate` on the
+# peer-configured instance), and the SLO and flight-recorder endpoints.
+# Run via `make obs-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -101,8 +102,9 @@ fi
 # ring is empty (no requests have been served yet).
 "$tmp/gridctl" -admin "$admin" trace >"$tmp/traces.txt"
 
-# Fleet view across both admins: the merged FLEET row appears only
-# when more than one instance is reachable.
+# Fleet view across both admins: gridctl fetches each /metrics.json
+# snapshot, and the merged FLEET row appears only when more than one
+# instance answered with a valid one.
 "$tmp/gridctl" -admin "$admin,$admin2" top >"$tmp/top.txt"
 if ! grep -q '^FLEET' "$tmp/top.txt"; then
     echo "obs-smoke: gridctl top across two admins shows no FLEET row:" >&2
@@ -120,6 +122,11 @@ if ! grep -q '^# federate: 2 instance(s)$' "$tmp/federate.txt"; then
 fi
 if ! grep -q '^ogsa_container_requests_total' "$tmp/federate.txt"; then
     echo "obs-smoke: /federate output is missing the request counter:" >&2
+    cat "$tmp/federate.txt" >&2
+    exit 1
+fi
+if ! grep -q '^# TYPE ogsa_stage_duration_seconds histogram$' "$tmp/federate.txt"; then
+    echo "obs-smoke: /federate output is missing the stage histogram family:" >&2
     cat "$tmp/federate.txt" >&2
     exit 1
 fi
