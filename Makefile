@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self test race check-race race-delivery bench-smoke bench bench-delivery bench-storage bench-load bench-obs soak-smoke fuzz-smoke obs-smoke check ci
+.PHONY: all build vet fmt-check lint lint-self test race check-race race-delivery bench-smoke bench bench-delivery bench-storage bench-load bench-obs soak-smoke fuzz-smoke obs-smoke check ci
 
 all: build
 
@@ -14,6 +14,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean; lists the offenders and fails.
+fmt-check:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 # Project-specific analyzers (internal/lint): pooling, lock-scope,
 # context-flow, fault-surfacing, raw-XML, span-leak, and the concurrency
@@ -115,6 +119,6 @@ obs-smoke:
 	./scripts/obs-smoke.sh
 
 # Everything a change should pass before review.
-check: build vet lint check-race race-delivery bench-smoke fuzz-smoke obs-smoke
+check: build vet fmt-check lint check-race race-delivery bench-smoke fuzz-smoke obs-smoke
 
 ci: check

@@ -36,6 +36,10 @@ type Client struct {
 	Signer *wssec.Signer
 	// Verifier verifies signed responses; nil skips verification.
 	Verifier *wssec.Verifier
+
+	// traceConns counts each exchange's connection as a delivery dial
+	// or reuse (set by ForDelivery).
+	traceConns bool
 }
 
 // ClientConfig assembles a Client for one experimental scenario.
@@ -149,6 +153,9 @@ func (c *Client) callEnvelope(ctx context.Context, epr wsa.EPR, action string, h
 			return nil, err
 		}
 	}
+	if c.traceConns {
+		ctx = withDeliveryTrace(ctx)
+	}
 	// The request marshals straight into a pooled buffer; bytes.NewReader
 	// gives the transport a rewindable view of it (GetBody for retries).
 	buf := bodyPool.Get().(*bytes.Buffer)
@@ -166,8 +173,11 @@ func (c *Client) callEnvelope(ctx context.Context, epr wsa.EPR, action string, h
 		return nil, fmt.Errorf("container: %s: %w", action, err)
 	}
 	defer httpResp.Body.Close()
-	respData, err := io.ReadAll(io.LimitReader(httpResp.Body, 16<<20))
-	if err != nil {
+	// The response is read into a second pooled buffer; soap.Parse
+	// copies what it keeps, so that buffer is free once Parse returns.
+	respBuf := bodyPool.Get().(*bytes.Buffer)
+	respBuf.Reset()
+	if _, err := respBuf.ReadFrom(io.LimitReader(httpResp.Body, maxRequestBody)); err != nil {
 		return nil, fmt.Errorf("container: read response: %w", err)
 	}
 	// A fully read response means the exchange completed and the
@@ -179,7 +189,10 @@ func (c *Client) callEnvelope(ctx context.Context, epr wsa.EPR, action string, h
 	if buf.Cap() <= maxPooledBody {
 		bodyPool.Put(buf)
 	}
-	respEnv, err := soap.Parse(respData)
+	respEnv, err := soap.Parse(respBuf.Bytes())
+	if respBuf.Cap() <= maxPooledBody {
+		bodyPool.Put(respBuf)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("container: response (HTTP %d): %w", httpResp.StatusCode, err)
 	}
@@ -229,7 +242,7 @@ func (m DeliveryMode) String() string {
 }
 
 // deliveryTrace counts connection establishment versus reuse on the
-// delivery path; one shared trace so attaching it allocates only the
+// delivery path. Attaching the shared trace allocates only the
 // per-request context, keeping per-delivery allocations flat.
 var deliveryTrace = &httptrace.ClientTrace{
 	GotConn: func(info httptrace.GotConnInfo) {
@@ -241,12 +254,19 @@ var deliveryTrace = &httptrace.ClientTrace{
 	},
 }
 
-// connTraceTransport attaches deliveryTrace to each exchange.
-type connTraceTransport struct{ base http.RoundTripper }
-
-func (t connTraceTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	req = req.WithContext(httptrace.WithClientTrace(req.Context(), deliveryTrace))
-	return t.base.RoundTrip(req)
+// withDeliveryTrace attaches deliveryTrace to ctx. httptrace composes a
+// new trace with one already in the context by rewriting the new
+// trace's hooks, so when the caller brought its own trace the
+// composition goes into a per-call copy: rewriting the shared trace
+// would race between fan-out workers and leave the caller's hooks
+// firing on every later delivery.
+func withDeliveryTrace(ctx context.Context) context.Context {
+	trace := deliveryTrace
+	if httptrace.ContextClientTrace(ctx) != nil {
+		cp := *deliveryTrace
+		trace = &cp
+	}
+	return httptrace.WithClientTrace(ctx, trace)
 }
 
 // ForDelivery returns a client configured for the outbound
@@ -258,19 +278,18 @@ func (t connTraceTransport) RoundTrip(req *http.Request) (*http.Response, error)
 // so the returned client keeps signing requests but verifies no
 // responses.
 func (c *Client) ForDelivery(mode DeliveryMode) *Client {
-	base := c.httpClient().Transport
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	var rt http.RoundTripper = connTraceTransport{base}
-	if mode == DeliveryPerMessage {
-		rt = closingTransport{rt}
-	}
 	hc := *c.httpClient()
-	hc.Transport = rt
+	if mode == DeliveryPerMessage {
+		base := hc.Transport
+		if base == nil {
+			base = http.DefaultTransport
+		}
+		hc.Transport = closingTransport{base}
+	}
 	cp := *c
 	cp.HTTP = &hc
 	cp.Verifier = nil
+	cp.traceConns = true
 	return &cp
 }
 

@@ -24,6 +24,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -284,6 +285,10 @@ func (c *Container) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	c.writeResponse(reqCtx, w, http.StatusOK, resp)
 }
 
+// containerUnderstood names the header blocks the container processes
+// itself, whatever the service.
+var containerUnderstood = map[string]bool{wssec.SecurityHeaderName: true}
+
 // dispatch runs the security handler and the action handler, mirroring
 // the Figure 1 pipeline.
 func (c *Container) dispatch(reqCtx context.Context, svc *Service, env *soap.Envelope, info wsa.Info) (*soap.Envelope, *soap.Fault) {
@@ -309,11 +314,7 @@ func (c *Container) dispatch(reqCtx context.Context, svc *Service, env *soap.Env
 	// mustUnderstand accounting: addressing headers, the security
 	// header, EPR reference properties (never flagged), and anything
 	// the service declares.
-	understood := map[string]bool{wssec.SecurityHeaderName: true}
-	for name := range svc.Understood {
-		understood[name] = true
-	}
-	if err := env.CheckMustUnderstand(understood); err != nil {
+	if err := env.CheckMustUnderstand(containerUnderstood, svc.Understood); err != nil {
 		return nil, faultOf(err)
 	}
 	handler, ok := svc.Actions[info.Action]
@@ -368,10 +369,11 @@ func (c *Container) writeResponse(ctx context.Context, w http.ResponseWriter, st
 	buf.Reset()
 	env.MarshalTo(buf)
 	obs.StageSerialize.ObserveSinceSpan(st, sspan)
-	sspan.SetAttr("bytes", fmt.Sprint(buf.Len()))
+	size := strconv.Itoa(buf.Len())
+	sspan.SetAttr("bytes", size)
 	sspan.End()
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
+	w.Header().Set("Content-Length", size)
 	w.WriteHeader(status)
 	// A failed response write means the client hung up: there is no one
 	// left to fault to, and the ResponseWriter has no ledger.

@@ -92,10 +92,10 @@ func TestDropBlocksUntilCallerTimeout(t *testing.T) {
 
 func TestKeyNormalization(t *testing.T) {
 	for in, want := range map[string]string{
-		"http://h:80/p":  "h:80/p",
-		"https://h:443":  "h:443",
-		"tcp://h:9":      "h:9",
-		"h:9":            "h:9",
+		"http://h:80/p": "h:80/p",
+		"https://h:443": "h:443",
+		"tcp://h:9":     "h:9",
+		"h:9":           "h:9",
 	} {
 		if got := Key(in); got != want {
 			t.Fatalf("Key(%q) = %q, want %q", in, got, want)

@@ -9,8 +9,12 @@
 package soap
 
 import (
+	"bytes"
+	"encoding/xml"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"altstacks/internal/xmlutil"
 )
@@ -79,55 +83,87 @@ func (e *Envelope) IsFault() bool { return e.Fault != nil }
 
 // Element renders the envelope as an element tree. The returned tree
 // is fully independent of the envelope.
-func (e *Envelope) Element() *xmlutil.Element { return e.element(true) }
-
-// element builds the envelope tree; with clone false the header and
-// body subtrees are shared with the envelope, which is safe for
-// read-only uses (serialization) and skips a deep copy of the whole
-// message — the dominant allocation in the signed request path.
-func (e *Envelope) element(clone bool) *xmlutil.Element {
-	keep := func(el *xmlutil.Element) *xmlutil.Element {
-		if clone {
-			return el.Clone()
-		}
-		return el
-	}
+func (e *Envelope) Element() *xmlutil.Element {
 	env := xmlutil.New(NS, "Envelope")
 	if len(e.Headers) > 0 {
 		hdr := xmlutil.New(NS, "Header")
 		for _, h := range e.Headers {
-			hdr.Add(keep(h))
+			hdr.Add(h.Clone())
 		}
 		env.Add(hdr)
 	}
 	body := xmlutil.New(NS, "Body")
-	switch {
-	case e.Fault != nil:
-		f := xmlutil.New(NS, "Fault")
-		// faultcode/faultstring are unqualified per SOAP 1.1.
-		f.Add(xmlutil.NewText("", "faultcode", "soap:"+e.Fault.Code))
-		f.Add(xmlutil.NewText("", "faultstring", e.Fault.Reason))
-		if e.Fault.Actor != "" {
-			f.Add(xmlutil.NewText("", "faultactor", e.Fault.Actor))
-		}
-		if e.Fault.Detail != nil {
-			f.Add(xmlutil.New("", "detail").Add(keep(e.Fault.Detail)))
-		}
-		body.Add(f)
-	case e.Body != nil:
-		body.Add(keep(e.Body))
+	if c := e.bodyChild(); c != nil {
+		body.Add(c.Clone())
 	}
-	env.Add(body)
-	return env
+	return env.Add(body)
 }
 
-// Marshal serializes the envelope to bytes.
-func (e *Envelope) Marshal() []byte { return e.element(false).Marshal() }
+// bodyChild returns the one element the Body carries: the fault
+// rendered as an element, the payload, or nil for an empty body.
+func (e *Envelope) bodyChild() *xmlutil.Element {
+	if e.Fault == nil {
+		return e.Body
+	}
+	f := xmlutil.New(NS, "Fault")
+	// faultcode/faultstring are unqualified per SOAP 1.1.
+	f.Add(xmlutil.NewText("", "faultcode", "soap:"+e.Fault.Code))
+	f.Add(xmlutil.NewText("", "faultstring", e.Fault.Reason))
+	if e.Fault.Actor != "" {
+		f.Add(xmlutil.NewText("", "faultactor", e.Fault.Actor))
+	}
+	if e.Fault.Detail != nil {
+		f.Add(xmlutil.New("", "detail").Add(e.Fault.Detail))
+	}
+	return f
+}
 
-// MarshalTo streams the envelope's serialization into w — same bytes
-// as Marshal, no intermediate copy. The delivery paths use this to
-// render straight into pooled wire buffers.
-func (e *Envelope) MarshalTo(w xmlutil.Writer) { e.element(false).MarshalTo(w) }
+// frame is the Envelope/Header/Body scaffolding MarshalTo wraps around
+// an envelope's own header and body elements. Frames are pooled and
+// wired once, so framing a message allocates nothing; the header and
+// body trees are borrowed for one serialization and dropped before the
+// frame goes back.
+type frame struct {
+	env, header, body xmlutil.Element
+	parts             [2]*xmlutil.Element // &header, &body
+	payload           [1]*xmlutil.Element
+}
+
+var framePool = sync.Pool{New: func() any {
+	f := &frame{}
+	f.env.Name = xml.Name{Space: NS, Local: "Envelope"}
+	f.header.Name = xml.Name{Space: NS, Local: "Header"}
+	f.body.Name = xml.Name{Space: NS, Local: "Body"}
+	f.parts = [2]*xmlutil.Element{&f.header, &f.body}
+	return f
+}}
+
+// Marshal serializes the envelope to bytes.
+func (e *Envelope) Marshal() []byte {
+	var b bytes.Buffer
+	e.MarshalTo(&b)
+	return b.Bytes()
+}
+
+// MarshalTo appends the envelope's serialization to b — same bytes as
+// Marshal, no intermediate copy. The delivery paths use this to render
+// straight into pooled wire buffers.
+func (e *Envelope) MarshalTo(b *bytes.Buffer) {
+	f := framePool.Get().(*frame)
+	f.env.Children = f.parts[:]
+	if len(e.Headers) == 0 {
+		f.env.Children = f.parts[1:]
+	}
+	f.header.Children = e.Headers
+	f.body.Children = nil
+	if c := e.bodyChild(); c != nil {
+		f.payload[0] = c
+		f.body.Children = f.payload[:]
+	}
+	f.env.MarshalTo(b)
+	f.header.Children, f.payload[0] = nil, nil
+	framePool.Put(f)
+}
 
 // Parse decodes a SOAP envelope from bytes.
 func Parse(data []byte) (*Envelope, error) {
@@ -179,7 +215,7 @@ func FromElement(root *xmlutil.Element) (*Envelope, error) {
 func (e *Envelope) MustUnderstandNames() []string {
 	var out []string
 	for _, h := range e.Headers {
-		if v, ok := h.Attr(NS, "mustUnderstand"); ok && (v == "1" || v == "true") {
+		if mustUnderstand(h) {
 			out = append(out, h.Name.Space+" "+h.Name.Local)
 		}
 	}
@@ -187,13 +223,22 @@ func (e *Envelope) MustUnderstandNames() []string {
 }
 
 // CheckMustUnderstand faults unless every mustUnderstand header's name
-// appears in understood (formatted "namespace local").
-func (e *Envelope) CheckMustUnderstand(understood map[string]bool) error {
-	for _, name := range e.MustUnderstandNames() {
-		if !understood[name] {
+// (formatted "namespace local") appears in one of the understood sets.
+func (e *Envelope) CheckMustUnderstand(understood ...map[string]bool) error {
+	for _, h := range e.Headers {
+		if !mustUnderstand(h) {
+			continue
+		}
+		name := h.Name.Space + " " + h.Name.Local
+		if !slices.ContainsFunc(understood, func(set map[string]bool) bool { return set[name] }) {
 			return &Fault{Code: FaultMustUnderstand,
 				Reason: fmt.Sprintf("header %s not understood", name)}
 		}
 	}
 	return nil
+}
+
+func mustUnderstand(h *xmlutil.Element) bool {
+	v, ok := h.Attr(NS, "mustUnderstand")
+	return ok && (v == "1" || v == "true")
 }

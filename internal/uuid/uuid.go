@@ -29,16 +29,31 @@ func New() UUID {
 }
 
 // String renders the UUID in canonical 8-4-4-4-12 hexadecimal form.
-func (u UUID) String() string {
-	return fmt.Sprintf("%x-%x-%x-%x-%x", u[0:4], u[4:6], u[6:8], u[8:10], u[10:16])
-}
+func (u UUID) String() string { return u.URN()[len(urnPrefix):] }
 
 // NewString is shorthand for New().String().
 func NewString() string { return New().String() }
 
+const urnPrefix = "urn:uuid:"
+
 // URN renders the UUID as a urn:uuid IRI, the form used for
-// WS-Addressing MessageID headers.
-func (u UUID) URN() string { return "urn:uuid:" + u.String() }
+// WS-Addressing MessageID headers. Every message mints one, so the
+// string is built in a single allocation.
+func (u UUID) URN() string {
+	var b [len(urnPrefix) + 36]byte
+	copy(b[:], urnPrefix)
+	dst := b[len(urnPrefix):]
+	hex.Encode(dst[0:8], u[0:4])
+	dst[8] = '-'
+	hex.Encode(dst[9:13], u[4:6])
+	dst[13] = '-'
+	hex.Encode(dst[14:18], u[6:8])
+	dst[18] = '-'
+	hex.Encode(dst[19:23], u[8:10])
+	dst[23] = '-'
+	hex.Encode(dst[24:36], u[10:16])
+	return string(b[:])
+}
 
 // Parse decodes a canonical-form UUID string (as produced by String).
 func Parse(s string) (UUID, error) {

@@ -14,9 +14,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/xml"
-	"fmt"
-	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -214,56 +213,97 @@ var wellKnownPrefixes = map[string]string{
 	"http://www.w3.org/2000/09/xmldsig#":                                                 "ds",
 }
 
-// nsContext tracks URI→prefix assignments during serialization. The
-// used set is the reverse (prefix-side) index, so collision checks are
-// a map probe instead of a scan over every assignment so far.
-type nsContext struct {
-	prefix map[string]string
-	used   map[string]bool
-	order  []string
-	next   int
+// encoder is the pooled state of one serialization: the namespace
+// prefixes assigned so far and canonical mode's scratch. A document
+// uses a handful of namespaces, so a prefix lookup is a short scan of
+// two parallel slices, cheaper than hashing the URI into a map once per
+// element and attribute.
+type encoder struct {
+	uris      []string // in declaration order
+	prefixes  []string // prefixes[i] is bound to uris[i]
+	next      int
+	canonical bool
+	sorted    []string   // canonical: the distinct URIs, sorted
+	attrs     []xml.Attr // canonical: one element's attributes, sorted
 }
 
-func newNSContext() *nsContext {
-	return &nsContext{prefix: map[string]string{}, used: map[string]bool{}}
+// encPool recycles encoders between serializations: the signature path
+// canonicalizes several message parts per request, and fresh state for
+// each was a measurable share of the signed round trip's allocations.
+var encPool = sync.Pool{New: func() any { return new(encoder) }}
+
+// reset clears every string the encoder holds, so a pooled encoder
+// cannot pin the last document's URIs (which may alias its parse
+// input), and readies it for the next document.
+func (enc *encoder) reset() {
+	clear(enc.uris)
+	clear(enc.prefixes)
+	clear(enc.sorted)
+	clear(enc.attrs[:cap(enc.attrs)])
+	enc.uris, enc.prefixes, enc.sorted, enc.attrs = enc.uris[:0], enc.prefixes[:0], enc.sorted[:0], enc.attrs[:0]
+	enc.next = 0
+	enc.canonical = false
 }
 
-// reset readies a recycled context for a new document, keeping the map
-// buckets and order slice capacity.
-func (c *nsContext) reset() {
-	if c.prefix == nil {
-		c.prefix = map[string]string{}
-		c.used = map[string]bool{}
-	}
-	clear(c.prefix)
-	clear(c.used)
-	c.order = c.order[:0]
-	c.next = 0
-}
-
-func (c *nsContext) get(uri string) string {
+// prefix returns the prefix bound to uri, or "" for no namespace.
+func (enc *encoder) prefix(uri string) string {
 	if uri == "" {
 		return ""
 	}
-	if p, ok := c.prefix[uri]; ok {
-		return p
-	}
-	p, ok := wellKnownPrefixes[uri]
-	if !ok || c.taken(p) {
-		c.next++
-		p = genPrefix(c.next)
-		for c.taken(p) {
-			c.next++
-			p = genPrefix(c.next)
+	for i, u := range enc.uris {
+		if u == uri {
+			return enc.prefixes[i]
 		}
 	}
-	c.prefix[uri] = p
-	c.used[p] = true
-	c.order = append(c.order, uri)
-	return p
+	return ""
 }
 
-func (c *nsContext) taken(p string) bool { return c.used[p] }
+// bind assigns uri a prefix on first use: its well-known prefix when
+// that is free, else the next generated one.
+func (enc *encoder) bind(uri string) {
+	if uri == "" || enc.prefix(uri) != "" {
+		return
+	}
+	p, ok := wellKnownPrefixes[uri]
+	if !ok || slices.Contains(enc.prefixes, p) {
+		enc.next++
+		p = genPrefix(enc.next)
+		for slices.Contains(enc.prefixes, p) {
+			enc.next++
+			p = genPrefix(enc.next)
+		}
+	}
+	enc.uris = append(enc.uris, uri)
+	enc.prefixes = append(enc.prefixes, p)
+}
+
+// bindTree binds every namespace e's subtree uses, in preorder first-use
+// order, so declarations are stable.
+func (enc *encoder) bindTree(e *Element) {
+	enc.bind(e.Name.Space)
+	for _, a := range e.Attrs {
+		enc.bind(a.Name.Space)
+	}
+	for _, c := range e.Children {
+		enc.bindTree(c)
+	}
+}
+
+// collect gathers the distinct namespace URIs of e's subtree.
+func (enc *encoder) collect(e *Element) {
+	add := func(uri string) {
+		if uri != "" && !slices.Contains(enc.sorted, uri) {
+			enc.sorted = append(enc.sorted, uri)
+		}
+	}
+	add(e.Name.Space)
+	for _, a := range e.Attrs {
+		add(a.Name.Space)
+	}
+	for _, c := range e.Children {
+		enc.collect(c)
+	}
+}
 
 // genPrefixes interns the generated prefixes every document reuses, so
 // prefix assignment allocates nothing in the common case.
@@ -274,7 +314,7 @@ func genPrefix(n int) string {
 	if n >= 0 && n < len(genPrefixes) {
 		return genPrefixes[n]
 	}
-	return fmt.Sprintf("ns%d", n)
+	return "ns" + strconv.Itoa(n)
 }
 
 // bufPool recycles serialization buffers. Marshal is the single
@@ -283,17 +323,6 @@ func genPrefix(n int) string {
 // working buffer must not be reallocated per message.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// Writer is the sink a streamed serialization renders into: an
-// io.Writer with the byte- and string-granular methods the serializer
-// emits through. *bytes.Buffer and *bufio.Writer both satisfy it.
-// MarshalTo ignores write errors, so sinks must be sticky-error
-// (buffered) writers whose failure surfaces at flush time.
-type Writer interface {
-	io.Writer
-	WriteByte(byte) error
-	WriteString(string) (int, error)
-}
-
 // Marshal serializes the element tree to XML. All namespaces used in
 // the subtree are declared on the root element; prefixes are assigned
 // deterministically in preorder first-use order, so output for a given
@@ -301,55 +330,24 @@ type Writer interface {
 func (e *Element) Marshal() []byte {
 	b := bufPool.Get().(*bytes.Buffer)
 	b.Reset()
-	marshalInto(b, e)
+	e.MarshalTo(b)
 	out := make([]byte, b.Len())
 	copy(out, b.Bytes())
 	bufPool.Put(b)
 	return out
 }
 
-// MarshalTo streams the same serialization Marshal produces directly
-// into w, with no intermediate []byte. The wire paths (HTTP
-// request/response bodies, TCP event frames) marshal straight into
-// their pooled transmit buffers through this.
-func (e *Element) MarshalTo(w Writer) { marshalInto(w, e) }
-
-// marshalInto is the shared core of Marshal and MarshalTo. It is
-// generic over the sink so the dominant caller (Marshal's
-// *bytes.Buffer) keeps direct, inlinable method calls instead of
-// paying interface dispatch per emitted token.
-func marshalInto[W Writer](w W, e *Element) {
-	ctx := ctxPool.Get().(*nsContext)
-	ctx.reset()
-	// Pre-assign prefixes in preorder so declarations are stable.
-	e.Walk(func(el *Element) bool {
-		ctx.get(el.Name.Space)
-		for _, a := range el.Attrs {
-			if a.Name.Space != "" {
-				ctx.get(a.Name.Space)
-			}
-		}
-		return true
-	})
-	writeElement(w, e, ctx, true, false)
-	ctxPool.Put(ctx)
+// MarshalTo appends the same serialization Marshal produces to b, with
+// no intermediate []byte. The wire paths (HTTP request/response
+// bodies, TCP event frames) marshal straight into their pooled
+// transmit buffers through this.
+func (e *Element) MarshalTo(b *bytes.Buffer) {
+	enc := encPool.Get().(*encoder)
+	enc.bindTree(e)
+	enc.writeElement(b, e, true)
+	enc.reset()
+	encPool.Put(enc)
 }
-
-// ctxPool and canonPool recycle the namespace-assignment state between
-// serializations: the signature path canonicalizes several message
-// parts per request, and fresh maps for each were a measurable share
-// of the signed round trip's allocations.
-var ctxPool = sync.Pool{New: func() any { return newNSContext() }}
-
-type canonState struct {
-	ctx    nsContext
-	uris   map[string]bool
-	sorted []string
-}
-
-var canonPool = sync.Pool{New: func() any {
-	return &canonState{uris: map[string]bool{}}
-}}
 
 // Canonical serializes the element tree in a normalized form suitable
 // for digesting and signing: same prefix discipline as Marshal, but
@@ -358,9 +356,6 @@ var canonPool = sync.Pool{New: func() any {
 // layer; as long as signer and verifier share the algorithm, signatures
 // are stable, which is the property the paper's X.509 experiments need.
 func (e *Element) Canonical() []byte {
-	// Prefixes are assigned in sorted-URI order so the canonical form is
-	// invariant under attribute reordering (prefix assignment must not
-	// depend on document order, which reordering perturbs).
 	var out []byte
 	e.withCanonicalBuffer(func(b *bytes.Buffer) {
 		out = make([]byte, b.Len())
@@ -384,97 +379,87 @@ func (e *Element) CanonicalSum256() [sha256.Size]byte {
 // withCanonicalBuffer renders the canonical form into pooled state and
 // hands the buffer to fn. Both pooled values go back to their pools
 // when fn returns — the Get/Put span begins and ends in this function,
-// so fn must copy or digest the bytes, never retain them. (The
-// previous shape returned the pooled pair to the caller, which is
-// exactly the escape ogsalint/poolescape exists to forbid.)
+// so fn must copy or digest the bytes, never retain them.
 func (e *Element) withCanonicalBuffer(fn func(b *bytes.Buffer)) {
-	st := canonPool.Get().(*canonState)
-	st.ctx.reset()
-	clear(st.uris)
-	st.sorted = st.sorted[:0]
-	e.Walk(func(el *Element) bool {
-		st.uris[el.Name.Space] = true
-		for _, a := range el.Attrs {
-			if a.Name.Space != "" {
-				st.uris[a.Name.Space] = true
-			}
-		}
-		return true
-	})
-	for u := range st.uris {
-		if u != "" {
-			st.sorted = append(st.sorted, u)
-		}
-	}
-	sort.Strings(st.sorted)
-	for _, u := range st.sorted {
-		st.ctx.get(u)
+	enc := encPool.Get().(*encoder)
+	enc.canonical = true
+	// Prefixes are assigned in sorted-URI order so the canonical form is
+	// invariant under attribute reordering (prefix assignment must not
+	// depend on document order, which reordering perturbs).
+	enc.collect(e)
+	slices.Sort(enc.sorted)
+	for _, u := range enc.sorted {
+		enc.bind(u)
 	}
 	b := bufPool.Get().(*bytes.Buffer)
 	b.Reset()
-	writeElement(b, e, &st.ctx, true, true)
+	enc.writeElement(b, e, true)
 	fn(b)
 	bufPool.Put(b)
-	canonPool.Put(st)
+	enc.reset()
+	encPool.Put(enc)
 }
 
-func writeElement[W Writer](w W, e *Element, ctx *nsContext, root, canonical bool) {
-	name := e.qname(ctx)
-	w.WriteByte('<')
-	w.WriteString(name)
+// compareAttrs orders attributes by namespace URI, then local name.
+func compareAttrs(a, b xml.Attr) int {
+	if c := strings.Compare(a.Name.Space, b.Name.Space); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Name.Local, b.Name.Local)
+}
+
+// writeName writes prefix:local, or local alone for no prefix.
+func writeName(b *bytes.Buffer, prefix, local string) {
+	if prefix != "" {
+		b.WriteString(prefix)
+		b.WriteByte(':')
+	}
+	b.WriteString(local)
+}
+
+func (enc *encoder) writeElement(b *bytes.Buffer, e *Element, root bool) {
+	prefix := enc.prefix(e.Name.Space)
+	b.WriteByte('<')
+	writeName(b, prefix, e.Name.Local)
 	if root {
-		for _, uri := range ctx.order {
-			w.WriteString(` xmlns:`)
-			w.WriteString(ctx.prefix[uri])
-			w.WriteString(`="`)
-			escapeInto(w, uri)
-			w.WriteString(`"`)
+		for i, uri := range enc.uris {
+			b.WriteString(` xmlns:`)
+			b.WriteString(enc.prefixes[i])
+			b.WriteString(`="`)
+			escapeInto(b, uri)
+			b.WriteByte('"')
 		}
 	}
 	attrs := e.Attrs
-	if canonical && len(attrs) > 1 {
-		attrs = append([]xml.Attr(nil), attrs...)
-		sort.Slice(attrs, func(i, j int) bool {
-			if attrs[i].Name.Space != attrs[j].Name.Space {
-				return attrs[i].Name.Space < attrs[j].Name.Space
-			}
-			return attrs[i].Name.Local < attrs[j].Name.Local
-		})
+	if enc.canonical && len(attrs) > 1 {
+		// The scratch is free again before any child is written.
+		enc.attrs = append(enc.attrs[:0], attrs...)
+		slices.SortFunc(enc.attrs, compareAttrs)
+		attrs = enc.attrs
 	}
 	for _, a := range attrs {
-		w.WriteByte(' ')
-		if a.Name.Space != "" {
-			w.WriteString(ctx.prefix[a.Name.Space])
-			w.WriteByte(':')
-		}
-		w.WriteString(a.Name.Local)
-		w.WriteString(`="`)
-		escapeInto(w, a.Value)
-		w.WriteString(`"`)
+		b.WriteByte(' ')
+		writeName(b, enc.prefix(a.Name.Space), a.Name.Local)
+		b.WriteString(`="`)
+		escapeInto(b, a.Value)
+		b.WriteByte('"')
 	}
 	text := e.Text
-	if canonical {
+	if enc.canonical {
 		text = strings.TrimSpace(text)
 	}
 	if text == "" && len(e.Children) == 0 {
-		w.WriteString("/>")
+		b.WriteString("/>")
 		return
 	}
-	w.WriteByte('>')
-	escapeInto(w, text)
+	b.WriteByte('>')
+	escapeInto(b, text)
 	for _, c := range e.Children {
-		writeElement(w, c, ctx, false, canonical)
+		enc.writeElement(b, c, false)
 	}
-	w.WriteString("</")
-	w.WriteString(name)
-	w.WriteByte('>')
-}
-
-func (e *Element) qname(ctx *nsContext) string {
-	if e.Name.Space == "" {
-		return e.Name.Local
-	}
-	return ctx.prefix[e.Name.Space] + ":" + e.Name.Local
+	b.WriteString("</")
+	writeName(b, prefix, e.Name.Local)
+	b.WriteByte('>')
 }
 
 // escapeNeeded lists every byte escapeInto rewrites; all are ASCII, so
@@ -483,25 +468,25 @@ func (e *Element) qname(ctx *nsContext) string {
 // then the whole string is a single WriteString.
 const escapeNeeded = "&<>\"'"
 
-func escapeInto[W Writer](w W, s string) {
+func escapeInto(b *bytes.Buffer, s string) {
 	for {
 		i := strings.IndexAny(s, escapeNeeded)
 		if i < 0 {
-			w.WriteString(s)
+			b.WriteString(s)
 			return
 		}
-		w.WriteString(s[:i])
+		b.WriteString(s[:i])
 		switch s[i] {
 		case '&':
-			w.WriteString("&amp;")
+			b.WriteString("&amp;")
 		case '<':
-			w.WriteString("&lt;")
+			b.WriteString("&lt;")
 		case '>':
-			w.WriteString("&gt;")
+			b.WriteString("&gt;")
 		case '"':
-			w.WriteString("&quot;")
+			b.WriteString("&quot;")
 		case '\'':
-			w.WriteString("&apos;")
+			b.WriteString("&apos;")
 		}
 		s = s[i+1:]
 	}

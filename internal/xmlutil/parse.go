@@ -31,7 +31,8 @@ var (
 // inbound counterpart of the pooled serializer. Every request,
 // notification delivery, and database read funnels through it, so it
 // avoids the per-token allocation of encoding/xml: parser state is
-// pooled, elements and attributes are block-allocated, and text spans
+// pooled, each document's elements, attributes and child lists come
+// from that document's own arena (one block each), and text spans
 // without entity references alias a single upfront copy of the input
 // (the one copy that makes the result independent of the caller's
 // buffer, which the container recycles). ParseReader remains the
@@ -41,7 +42,7 @@ func Parse(data []byte) (*Element, error) {
 	parseTotal.Inc()
 	parseBytesTotal.Add(int64(len(data)))
 	p := parserPool.Get().(*parser)
-	p.s = string(data)
+	p.begin(string(data))
 	root, err := p.parse()
 	p.release()
 	parserPool.Put(p)
@@ -135,24 +136,41 @@ func errParse(format string, args ...any) error {
 	return fmt.Errorf("xmlutil: parse: "+format, args...)
 }
 
-// elemSlabSize is how many Elements (and attributes) are allocated per
-// block. Handed-out entries escape with the document; only the unused
-// tail is retained for the next parse.
-const elemSlabSize = 64
+// Arena blocks are sized from what is left of the input: every start
+// tag still to come is one of the '<' not yet consumed, and every
+// attribute one of the '=' not yet given a slot. Counting '<' is one
+// vectorized pass, where counting end tags ("</") would be a search per
+// tag. In a well-formed document every start tag that does not
+// self-close pairs with an end tag's '<', so a document's first block
+// of elements (and of child links) takes half the '<' left plus room
+// for selfClosing self-closing tags; a document with more gets a
+// second block sized by the plain bound. maxBlock caps every block,
+// since markup-like text in comments and CDATA inflates the bounds; a
+// document that outgrows a capped block gets another of its own.
+const (
+	selfClosing = 4 // a signed envelope's Signature has four
+	maxBlock    = 1024
+)
 
 type rawAttr struct {
 	prefix, local, value string
 }
 
+// frame is one open element. The marks are int32 so the frame stays
+// five words, which append copies with plain stores.
 type frame struct {
 	el      *Element
 	rawName string // name as written, for end-tag matching
-	nsMark  int    // namespace binding stack depth at open
+	nsMark  int32  // namespace binding stack depth at open
+	kidMark int32  // kids stack length at open
 }
 
-// parser is the reusable state of one Parse call. Everything except
-// the element/attribute slabs (whose handed-out entries belong to the
-// returned document) survives in a sync.Pool between calls.
+// parser is the reusable state of one Parse call. Its stacks survive in
+// a sync.Pool between calls; its arena (elems, attrs, children) belongs
+// to the document being parsed and is dropped by release, so no block
+// holds entries of two documents. An element kept past its document's
+// lifetime (the xmldb cache keeps thousands) therefore pins that
+// document alone, never the documents parsed after it.
 type parser struct {
 	s    string
 	pos  int
@@ -162,55 +180,95 @@ type parser struct {
 	nsPrefix []string // parallel binding stacks; "" prefix = default ns
 	nsURI    []string
 	scratch  []rawAttr
+	kids     []*Element // children of the open elements, one run per frame
 
-	elemSlab []Element
-	attrSlab []xml.Attr
+	// The document's arena, and the '<' and '=' left to size its blocks
+	// (eqs is counted when the first attribute needs a slot).
+	elems    []Element
+	attrs    []xml.Attr
+	children []*Element
+	lts, eqs int
 }
 
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
 
+func (p *parser) begin(s string) {
+	p.s = s
+	p.lts = strings.Count(s, "<")
+}
+
 // release drops every reference into the parsed document so pooled
-// state cannot pin it (or its backing input string) in memory.
+// state cannot pin it (or its backing input string) in memory, and
+// drops the arena so the next document starts blocks of its own.
 func (p *parser) release() {
 	p.s = ""
 	p.pos = 0
 	p.root = nil
-	frames := p.frames[:cap(p.frames)]
-	for i := range frames {
-		frames[i] = frame{}
-	}
-	p.frames = p.frames[:0]
-	pre, uri := p.nsPrefix[:cap(p.nsPrefix)], p.nsURI[:cap(p.nsURI)]
-	for i := range pre {
-		pre[i] = ""
-	}
-	for i := range uri {
-		uri[i] = ""
-	}
-	p.nsPrefix, p.nsURI = p.nsPrefix[:0], p.nsURI[:0]
-	scratch := p.scratch[:cap(p.scratch)]
-	for i := range scratch {
-		scratch[i] = rawAttr{}
-	}
-	p.scratch = p.scratch[:0]
+	clear(p.frames[:cap(p.frames)])
+	clear(p.nsPrefix[:cap(p.nsPrefix)])
+	clear(p.nsURI[:cap(p.nsURI)])
+	clear(p.scratch[:cap(p.scratch)])
+	// Runs of kids are cleared as their element closes (the stack can
+	// grow as wide as the widest document), so only an aborted parse
+	// leaves entries, all below the length.
+	clear(p.kids)
+	p.frames, p.nsPrefix, p.nsURI = p.frames[:0], p.nsPrefix[:0], p.nsURI[:0]
+	p.scratch, p.kids = p.scratch[:0], p.kids[:0]
+	p.elems, p.attrs, p.children = nil, nil, nil
 }
 
-func (p *parser) newElement() *Element {
-	if len(p.elemSlab) == 0 {
-		p.elemSlab = make([]Element, elemSlabSize)
+// startsLeft is how many start tags still to come a new block makes
+// room for: the estimate for a document's first block, the bound after
+// it. (Each of those tags, and the end tags of every element still
+// open, is one of the '<' left.)
+func (p *parser) startsLeft(first bool) int {
+	if first {
+		return (p.lts + selfClosing) / 2
 	}
-	el := &p.elemSlab[0]
-	p.elemSlab = p.elemSlab[1:]
+	return p.lts
+}
+
+// blockSize is the length of a new block that must hold n entries
+// when about want more are expected.
+func blockSize(n, want int) int { return max(n, min(want, maxBlock)) }
+
+func (p *parser) newElement() *Element {
+	if len(p.elems) == 0 {
+		// The current start tag's '<' is already consumed.
+		p.elems = make([]Element, blockSize(1, 1+p.startsLeft(p.elems == nil)))
+	}
+	el := &p.elems[0]
+	p.elems = p.elems[1:]
 	return el
 }
 
 func (p *parser) newAttrs(n int) []xml.Attr {
-	if len(p.attrSlab) < n {
-		p.attrSlab = make([]xml.Attr, max(elemSlabSize, n))
+	if len(p.attrs) < n {
+		if p.attrs == nil {
+			// Counted from here on, past the namespace declarations
+			// that usually crowd the root.
+			p.eqs = n + strings.Count(p.s[p.pos:], "=")
+		}
+		p.attrs = make([]xml.Attr, blockSize(n, p.eqs))
 	}
-	a := p.attrSlab[:n:n]
-	p.attrSlab = p.attrSlab[n:]
+	a := p.attrs[:n:n]
+	p.attrs = p.attrs[n:]
+	p.eqs -= n
 	return a
+}
+
+// newChildren moves a closing element's children from the kids stack
+// into the arena. Every child link still to be placed is on the kids
+// stack already or belongs to a start tag still to come.
+func (p *parser) newChildren(kids []*Element) []*Element {
+	n := len(kids)
+	if len(p.children) < n {
+		p.children = make([]*Element, blockSize(n, len(p.kids)+p.startsLeft(p.children == nil)))
+	}
+	c := p.children[:n:n]
+	copy(c, kids)
+	p.children = p.children[n:]
+	return c
 }
 
 func (p *parser) parse() (*Element, error) {
@@ -235,6 +293,7 @@ func (p *parser) parse() (*Element, error) {
 		if p.pos+1 >= len(s) {
 			return nil, errParse("unexpected EOF")
 		}
+		p.lts--
 		var err error
 		switch s[p.pos+1] {
 		case '/':
@@ -444,9 +503,8 @@ func (p *parser) startTag() error {
 		}
 		el.Attrs = attrs
 	}
-	if n := len(p.frames); n > 0 {
-		parent := p.frames[n-1].el
-		parent.Children = append(parent.Children, el)
+	if len(p.frames) > 0 {
+		p.kids = append(p.kids, el)
 	} else {
 		if p.root != nil {
 			return errParse("multiple root elements")
@@ -456,7 +514,7 @@ func (p *parser) startTag() error {
 	if selfClose {
 		p.popNS(nsMark)
 	} else {
-		p.frames = append(p.frames, frame{el: el, rawName: raw, nsMark: nsMark})
+		p.frames = append(p.frames, frame{el: el, rawName: raw, nsMark: int32(nsMark), kidMark: int32(len(p.kids))})
 	}
 	return nil
 }
@@ -481,11 +539,16 @@ func (p *parser) endTag() error {
 		return errParse("element <%s> closed by </%s>", f.rawName, raw)
 	}
 	p.frames = p.frames[:n-1]
-	// Drop insignificant whitespace in container elements.
-	if len(f.el.Children) > 0 && strings.TrimSpace(f.el.Text) == "" {
-		f.el.Text = ""
+	if kids := p.kids[f.kidMark:]; len(kids) > 0 {
+		f.el.Children = p.newChildren(kids)
+		clear(kids)
+		p.kids = p.kids[:f.kidMark]
+		// Drop insignificant whitespace in container elements.
+		if strings.TrimSpace(f.el.Text) == "" {
+			f.el.Text = ""
+		}
 	}
-	p.popNS(f.nsMark)
+	p.popNS(int(f.nsMark))
 	return nil
 }
 
