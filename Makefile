@@ -48,13 +48,14 @@ check-race:
 
 race: check-race
 
-# The delivery-robustness packages (retry/eviction fan-out paths and
-# the fault-injection harness) re-run race-pinned and named explicitly:
-# their semantics — exactly-once eviction, health-ledger locking — are
-# concurrency claims, and this step keeps them from hiding inside the
-# blanket race pass.
+# The delivery-robustness packages re-run race-pinned and named
+# explicitly: the shared delivery engine (internal/fanout: health-ledger
+# locking, exactly-once eviction accounting), the two stacks driving it,
+# and the fault-injection harness. Their semantics are concurrency
+# claims, and this step keeps them from hiding inside the blanket race
+# pass.
 race-delivery:
-	$(GO) test -race -count=1 ./internal/wsn ./internal/wse ./internal/faultinject
+	$(GO) test -race -count=1 ./internal/fanout ./internal/wsn ./internal/wse ./internal/faultinject
 
 # One iteration of every benchmark: exercises the harnesses end to end
 # without asking CI for stable timings.

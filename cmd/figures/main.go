@@ -80,20 +80,21 @@ func main() {
 }
 
 // measureOps times every operation, keeping Prep outside the clock.
-func measureOps(ops []experiments.Op, warmup, n int) (map[string]metrics.Sample, error) {
-	out := map[string]metrics.Sample{}
+func measureOps(ops []experiments.Op, warmup, n int) (map[string]time.Duration, error) {
+	out := map[string]time.Duration{}
 	for _, op := range ops {
-		s, err := measurePrepped(op, warmup, n)
+		mean, err := measurePrepped(op, warmup, n)
 		if err != nil {
 			return nil, err
 		}
-		out[op.Name] = s
+		out[op.Name] = mean
 	}
 	return out, nil
 }
 
-// measurePrepped times only Run, executing Prep outside the clock.
-func measurePrepped(op experiments.Op, warmup, n int) (metrics.Sample, error) {
+// measurePrepped returns the mean time of Run over n iterations after
+// warmup unmeasured ones, executing Prep outside the clock.
+func measurePrepped(op experiments.Op, warmup, n int) (time.Duration, error) {
 	iter := func() (time.Duration, error) {
 		if op.Prep != nil {
 			if err := op.Prep(); err != nil {
@@ -106,29 +107,18 @@ func measurePrepped(op experiments.Op, warmup, n int) (metrics.Sample, error) {
 	}
 	for i := 0; i < warmup; i++ {
 		if _, err := iter(); err != nil {
-			return metrics.Sample{}, fmt.Errorf("%s warmup: %w", op.Name, err)
+			return 0, fmt.Errorf("%s warmup: %w", op.Name, err)
 		}
 	}
-	var durs []time.Duration
+	var total time.Duration
 	for i := 0; i < n; i++ {
 		d, err := iter()
 		if err != nil {
-			return metrics.Sample{}, fmt.Errorf("%s iteration %d: %w", op.Name, i, err)
+			return 0, fmt.Errorf("%s iteration %d: %w", op.Name, i, err)
 		}
-		durs = append(durs, d)
-	}
-	var total time.Duration
-	min, max := durs[0], durs[0]
-	for _, d := range durs {
 		total += d
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
 	}
-	return metrics.Sample{Name: op.Name, N: n, Mean: total / time.Duration(n), Min: min, Max: max}, nil
+	return total / time.Duration(n), nil
 }
 
 func helloFigure(figNum int, sec container.SecurityMode, label string, n, warmup int, runChecks bool) bool {
@@ -145,7 +135,7 @@ func helloFigure(figNum int, sec container.SecurityMode, label string, n, warmup
 		{"distributed WST/WSE", core.StackWST, true},
 		{"distributed WSRF.NET", core.StackWSRF, true},
 	}
-	results := make([]map[string]metrics.Sample, len(all))
+	results := make([]map[string]time.Duration, len(all))
 	for i, s := range all {
 		sc := pickScenario(sec, s.dist)
 		h, err := experiments.NewHello(sc, s.stack, xmldb.XindiceProfile)
@@ -172,7 +162,7 @@ func helloFigure(figNum int, sec container.SecurityMode, label string, n, warmup
 	for row, opName := range helloOps {
 		vals := make([]string, 0, 8)
 		for i := range all {
-			vals = append(vals, metrics.MS(results[i][opName].Mean))
+			vals = append(vals, metrics.MS(results[i][opName]))
 		}
 		for i := 0; i < 4; i++ {
 			vals = append(vals, fmt.Sprintf("%.0f", ref[row][i]))
@@ -184,7 +174,7 @@ func helloFigure(figNum int, sec container.SecurityMode, label string, n, warmup
 	if !runChecks {
 		return true
 	}
-	mean := func(i int, op string) time.Duration { return results[i][op].Mean }
+	mean := func(i int, op string) time.Duration { return results[i][op] }
 	var checks []metrics.Check
 	// Create is the slowest database op in both co-located series.
 	for i := 0; i < 2; i++ {
@@ -236,7 +226,7 @@ func gridFigure(n, warmup int, runChecks bool) bool {
 	fmt.Printf("\n=== Figure 6: Grid-in-a-Box Performance Comparison (X.509-signed) ===\n")
 	sc := core.Scenario{Index: 2, Sec: container.SecuritySign}
 	stacks := []core.Stack{core.StackWST, core.StackWSRF}
-	results := make([]map[string]metrics.Sample, 2)
+	results := make([]map[string]time.Duration, 2)
 	for i, stack := range stacks {
 		dataRoot, err := os.MkdirTemp("", "gridbox-fig6-*")
 		if err != nil {
@@ -265,8 +255,8 @@ func gridFigure(n, warmup int, runChecks bool) bool {
 			note = "WSRF: automatic via resource lifetime"
 		}
 		tab.AddRow(opName, []string{
-			metrics.MS(results[0][opName].Mean),
-			metrics.MS(results[1][opName].Mean),
+			metrics.MS(results[0][opName]),
+			metrics.MS(results[1][opName]),
 			fmt.Sprintf("%.0f", paperGrid[row][0]),
 			fmt.Sprintf("%.0f", paperGrid[row][1]),
 		}, note)
@@ -276,8 +266,8 @@ func gridFigure(n, warmup int, runChecks bool) bool {
 	if !runChecks {
 		return true
 	}
-	wst := func(op string) time.Duration { return results[0][op].Mean }
-	wsrf := func(op string) time.Duration { return results[1][op].Mean }
+	wst := func(op string) time.Duration { return results[0][op] }
+	wsrf := func(op string) time.Duration { return results[1][op] }
 	gap := func(op string) time.Duration {
 		d := wsrf(op) - wst(op)
 		if d < 0 {

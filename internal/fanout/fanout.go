@@ -1,10 +1,14 @@
-// Package fanout is the bounded worker pool shared by the two stacks'
+// Package fanout is the delivery machinery shared by the two stacks'
 // notification dispatch paths (wsn.Producer.Notify and
-// wse.Source.Publish). Both deliver one message to N matched
-// subscribers; delivery is network I/O, so overlapping the deliveries
-// — rather than paying N sequential round trips — is what makes
-// large fan-outs scale (the messaging-layer throughput the DIRAC and
-// EU DataGrid writeups identify as the lifeline of grid middleware).
+// wse.Source.Publish): a bounded worker pool (Do), a batching
+// Coalescer, and the Engine that runs retry, the per-subscription
+// health ledger, eviction, and the delivery counters over them. Both
+// stacks deliver one message to N matched subscribers; delivery is
+// network I/O, so overlapping the deliveries — rather than paying N
+// sequential round trips — is what makes large fan-outs scale (the
+// messaging-layer throughput the DIRAC and EU DataGrid writeups
+// identify as the lifeline of grid middleware). What differs between
+// the stacks is the wire protocol, which stays in each stack.
 package fanout
 
 import (

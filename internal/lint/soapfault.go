@@ -24,11 +24,12 @@ var SoapFault = &Analyzer{
 }
 
 // soapFaultPackages is the handler/delivery surface: the container
-// pipeline, both notification stacks, the service layers built on
-// them, and the SOAP/addressing/security layers that feed the fault
-// mapper.
+// pipeline, both notification stacks and the delivery engine they
+// share, the service layers built on them, and the SOAP/addressing/
+// security layers that feed the fault mapper.
 var soapFaultPackages = map[string]bool{
 	"altstacks/internal/container": true,
+	"altstacks/internal/fanout":    true,
 	"altstacks/internal/soap":      true,
 	"altstacks/internal/wsa":       true,
 	"altstacks/internal/wssec":     true,

@@ -1,65 +1,15 @@
-// Package metrics is the figure-regeneration harness: it times
-// repeated operations the way the paper's evaluation does ("all
-// numbers are in milliseconds for a single request", §4.1.3) and
-// prints paper-vs-measured tables for each figure.
+// Package metrics renders the figure-regeneration output: per-figure
+// paper-vs-measured tables in the unit the paper's evaluation uses
+// ("all numbers are in milliseconds for a single request", §4.1.3)
+// and the shape checks over them. cmd/figures does the timing.
 package metrics
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Sample is the timing summary of one measured operation.
-type Sample struct {
-	Name string
-	N    int
-	Mean time.Duration
-	P50  time.Duration
-	P95  time.Duration
-	Min  time.Duration
-	Max  time.Duration
-}
-
-// Measure runs op n times (after warmup unmeasured runs) and
-// summarizes per-operation latency.
-func Measure(name string, warmup, n int, op func() error) (Sample, error) {
-	for i := 0; i < warmup; i++ {
-		if err := op(); err != nil {
-			return Sample{}, fmt.Errorf("metrics: %s warmup: %w", name, err)
-		}
-	}
-	durs := make([]time.Duration, 0, n)
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		if err := op(); err != nil {
-			return Sample{}, fmt.Errorf("metrics: %s iteration %d: %w", name, i, err)
-		}
-		durs = append(durs, time.Since(t0))
-	}
-	return summarize(name, durs), nil
-}
-
-func summarize(name string, durs []time.Duration) Sample {
-	s := Sample{Name: name, N: len(durs)}
-	if len(durs) == 0 {
-		return s
-	}
-	sorted := append([]time.Duration(nil), durs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var total time.Duration
-	for _, d := range sorted {
-		total += d
-	}
-	s.Mean = total / time.Duration(len(sorted))
-	s.P50 = sorted[len(sorted)/2]
-	s.P95 = sorted[(len(sorted)*95)/100]
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	return s
-}
 
 // MS renders a duration as milliseconds with one decimal, the unit the
 // paper's figures use.

@@ -2,42 +2,10 @@ package metrics
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 	"time"
 )
-
-func TestMeasureSummarizes(t *testing.T) {
-	calls := 0
-	s, err := Measure("op", 2, 10, func() error {
-		calls++
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 12 {
-		t.Fatalf("calls = %d, want 12 (2 warmup + 10)", calls)
-	}
-	if s.N != 10 || s.Mean < time.Millisecond || s.P50 < time.Millisecond {
-		t.Fatalf("sample = %+v", s)
-	}
-	if s.Min > s.P50 || s.P50 > s.P95 || s.P95 > s.Max {
-		t.Fatalf("ordering violated: %+v", s)
-	}
-}
-
-func TestMeasurePropagatesErrors(t *testing.T) {
-	boom := errors.New("boom")
-	if _, err := Measure("op", 0, 3, func() error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := Measure("op", 1, 3, func() error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("warmup err = %v", err)
-	}
-}
 
 func TestMS(t *testing.T) {
 	if got := MS(1500 * time.Microsecond); got != "1.5" {

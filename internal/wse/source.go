@@ -3,7 +3,6 @@ package wse
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,34 +28,25 @@ const (
 	DefaultEvictAfter  = 3
 )
 
-// Registry mirrors of the delivery counters, aggregated across every
-// Source instance; DeliveryStats stays the per-instance view.
+// Registry counters, aggregated across every Source instance;
+// DeliveryStats stays the per-instance view. wseDelivery holds the
+// ogsa_wse_* delivery families both stacks share.
 var (
-	wseAttemptsTotal = obs.NewCounter("ogsa_wse_delivery_attempts_total", "",
-		"wse delivery attempts, retries included")
-	wseRetriesTotal = obs.NewCounter("ogsa_wse_retries_total", "",
-		"wse delivery attempts beyond the first per delivery")
-	wseDeliveriesTotal = obs.NewCounter("ogsa_wse_deliveries_total", "",
-		"wse events that reached a subscriber")
-	wseFailuresTotal = obs.NewCounter("ogsa_wse_delivery_failures_total", "",
-		"wse deliveries whose attempts were exhausted")
-	wseFilterErrorsTotal = obs.NewCounter("ogsa_wse_filter_errors_total", "",
-		"wse subscriptions skipped by a failing filter evaluation")
-	wseEvictionsTotal = obs.NewCounter("ogsa_wse_evictions_total", "",
-		"wse subscriptions canceled for delivery failure")
-	wseStateWriteErrorsTotal = obs.NewCounter("ogsa_wse_state_write_errors_total", "",
-		"failed writes of wse source persistence")
+	wseDelivery             = fanout.NewCounters("wse")
 	wseEndNoticeErrorsTotal = obs.NewCounter("ogsa_wse_end_notice_errors_total", "",
 		"SubscriptionEnd notices that could not be delivered")
-	wseMessagesSentTotal = obs.NewCounter("ogsa_wse_messages_sent_total", "",
-		"event messages sent by wse sources")
 	wseSinkDroppedTotal = obs.NewCounter("ogsa_wse_sink_dropped_total", "",
 		"events dropped by saturated HTTP/TCP sinks")
-	wseCoalescedTotal = obs.NewCounter("ogsa_wse_coalesced_batches_total", "",
-		"wse deliveries that carried more than one coalesced event")
 )
 
 // Source is an Event Source Service plus its Subscription Manager.
+//
+// The delivery knobs — Workers, DeliveryTimeout, Retry, EvictAfter,
+// MaxBatch, MaxBatchDelay — are fanout.Knobs fields, promoted from the
+// embedded knobs. EvictAfter cancels the subscription with one
+// SubscriptionEnd (StatusDeliveryFailure) to its EndTo; MaxBatch
+// coalesces EnqueuePublish'd events into one exchange per subscriber
+// (a multi-frame TCP write, or one EventBatch POST).
 type Source struct {
 	// Store holds the subscription list (Plumbwork's flat XML file).
 	Store *Store
@@ -70,226 +60,95 @@ type Source struct {
 	TCP *TCPDeliverer
 	// Now is the clock, overridable in tests.
 	Now func() time.Time
-	// Workers bounds the Publish delivery worker pool; 0 selects
-	// GOMAXPROCS. Width 1 forces the pre-overhaul sequential dispatch.
-	Workers int
-	// DeliveryTimeout caps each outbound delivery attempt (HTTP
-	// exchange or TCP frame write) so one slow sink cannot stall a
-	// fan-out batch; 0 means no per-attempt cap.
-	DeliveryTimeout time.Duration
-	// Retry governs per-subscriber delivery attempts within one
-	// Publish: exponential backoff with jitter between attempts. The
-	// zero policy performs a single attempt.
-	Retry retry.Policy
-	// EvictAfter cancels a subscription after this many consecutive
-	// failed publishes (each one already retried per Retry), sending
-	// SubscriptionEnd with StatusDeliveryFailure to its EndTo. 0
-	// disables eviction.
-	EvictAfter int
-	// MaxBatch and MaxBatchDelay tune coalescing on the EnqueuePublish
-	// path: up to MaxBatch pending events flush to each subscriber as
-	// one exchange (a multi-frame TCP write, or one EventBatch POST),
-	// the first waiting at most MaxBatchDelay for the batch to fill.
-	// MaxBatch below 2 disables coalescing. Set both before the first
-	// EnqueuePublish; the synchronous Publish path ignores them.
-	MaxBatch      int
-	MaxBatchDelay time.Duration
+	knobs
 
-	coalesceOnce sync.Once
-	coalescer    *fanout.Coalescer[topicEvent]
-
-	sent atomic.Int64
-
-	// Per-subscription delivery health, authoritative while the source
-	// runs; transitions write through to the store so a restart resumes
-	// the count.
-	healthMu sync.Mutex
-	health   map[string]*SubscriptionHealth
-
-	stats deliveryCounters
+	// eng runs delivery: retry, the health ledger (written through to
+	// the store on transitions, so a restart resumes the count),
+	// eviction, coalescing, and the shared counters.
+	eng             *fanout.Engine[*Subscription, topicEvent]
+	endNoticeErrors atomic.Int64
 }
 
-// DeliveryStats is a snapshot of a source's delivery counters.
+type knobs = fanout.Knobs
+
+// DeliveryStats is a snapshot of a source's delivery counters: the
+// shared fanout.Stats plus EndNoticeErrors.
 type DeliveryStats struct {
-	// Attempts counts individual delivery attempts, retries included.
-	Attempts int64
-	// Retries counts attempts beyond the first per delivery.
-	Retries int64
-	// Deliveries counts publishes that reached a subscriber.
-	Deliveries int64
-	// Failures counts deliveries whose attempts were exhausted.
-	Failures int64
-	// FilterErrors counts subscriptions skipped by a failing filter
-	// evaluation — a delivery fault, not a silent non-match.
-	FilterErrors int64
-	// Evictions counts subscriptions cancelled for delivery failure.
-	Evictions int64
-	// StateWriteErrors counts failed health write-backs to the store.
-	// The in-memory ledger stays authoritative; the count signals the
-	// flat file is shedding state that would matter after a restart.
-	StateWriteErrors int64
+	stats
 	// EndNoticeErrors counts SubscriptionEnd notices that could not be
 	// delivered. The subscription is already gone either way; the count
 	// records how many EndTo endpoints never learned it.
 	EndNoticeErrors int64
-	// CoalescedBatches counts deliveries that carried more than one
-	// event in a single exchange (the EnqueuePublish path's batching at
-	// work). Deliveries still counts exchanges, MessagesSent events.
-	CoalescedBatches int64
 }
 
-type deliveryCounters struct {
-	attempts, retries, deliveries, failures, filterErrors, evictions,
-	stateWriteErrors, endNoticeErrors, coalesced atomic.Int64
-}
+type stats = fanout.Stats
 
 // NewSource builds an event source with the default retry and
 // eviction policy (3 attempts per delivery, eviction after 3
 // consecutive failed publishes).
 func NewSource(store *Store, managerEndpoint func() string, httpClient *container.Client) *Source {
-	return &Source{
+	s := &Source{
 		Store:           store,
 		ManagerEndpoint: managerEndpoint,
 		HTTP:            httpClient,
 		TCP:             NewTCPDeliverer(),
-		Retry: retry.Policy{
-			MaxAttempts: DefaultMaxAttempts,
-			BaseBackoff: DefaultBaseBackoff,
-			MaxBackoff:  DefaultMaxBackoff,
+		knobs: knobs{
+			Retry: retry.Policy{
+				MaxAttempts: DefaultMaxAttempts,
+				BaseBackoff: DefaultBaseBackoff,
+				MaxBackoff:  DefaultMaxBackoff,
+			},
+			EvictAfter: DefaultEvictAfter,
 		},
-		EvictAfter: DefaultEvictAfter,
 	}
+	s.eng = fanout.NewEngine(&s.knobs, fanout.Stack[*Subscription, topicEvent]{
+		Name:     "wse",
+		Counters: wseDelivery,
+		ID:       func(sub *Subscription) string { return sub.ID },
+		Match:    matches,
+		Annotate: func(sub *Subscription, sp *obs.Span) { sp.SetAttr("mode", sub.Mode) },
+		Evict: func(sub *Subscription, cause error) bool {
+			return s.cancel(s.endClient(), sub, StatusDeliveryFailure, cause.Error())
+		},
+		LoadHealth: func(id string) SubscriptionHealth {
+			h, _ := s.Store.GetHealth(id)
+			return h
+		},
+		StoreHealth: s.Store.SetHealth,
+		Publish:     s.publishBatch,
+		Now:         s.now,
+	})
+	return s
 }
 
 // MessagesSent reports events pushed, for the benchmark harness.
-func (s *Source) MessagesSent() int64 { return s.sent.Load() }
+func (s *Source) MessagesSent() int64 { return s.eng.MessagesSent() }
 
 // DeliveryStats snapshots the source's delivery counters.
 func (s *Source) DeliveryStats() DeliveryStats {
-	return DeliveryStats{
-		Attempts:         s.stats.attempts.Load(),
-		Retries:          s.stats.retries.Load(),
-		Deliveries:       s.stats.deliveries.Load(),
-		Failures:         s.stats.failures.Load(),
-		FilterErrors:     s.stats.filterErrors.Load(),
-		Evictions:        s.stats.evictions.Load(),
-		StateWriteErrors: s.stats.stateWriteErrors.Load(),
-		EndNoticeErrors:  s.stats.endNoticeErrors.Load(),
-		CoalescedBatches: s.stats.coalesced.Load(),
-	}
-}
-
-// noteStateWriteError accounts a failed health write-back; the caller
-// keeps going on the in-memory record. The (non-nil) error is taken
-// for call-site clarity; only the count is kept.
-func (s *Source) noteStateWriteError(error) {
-	s.stats.stateWriteErrors.Add(1)
-	wseStateWriteErrorsTotal.Inc()
-}
-
-// noteEndNoticeError accounts a SubscriptionEnd notice that never
-// reached its EndTo endpoint.
-func (s *Source) noteEndNoticeError(error) {
-	s.stats.endNoticeErrors.Add(1)
-	wseEndNoticeErrorsTotal.Inc()
+	return DeliveryStats{stats: s.eng.Stats(), EndNoticeErrors: s.endNoticeErrors.Load()}
 }
 
 // Health returns the current delivery-health record for a
 // subscription (zero record for unknown or never-delivered ids).
-func (s *Source) Health(id string) SubscriptionHealth {
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	if h, ok := s.health[id]; ok {
-		return *h
-	}
-	if h, ok := s.Store.GetHealth(id); ok {
-		return h
-	}
-	return SubscriptionHealth{}
-}
+func (s *Source) Health(id string) SubscriptionHealth { return s.eng.Health(id) }
 
-// healthEntry returns (seeding from the store if needed) the mutable
-// health record for id. Callers hold healthMu.
-func (s *Source) healthEntry(id string) *SubscriptionHealth {
-	if s.health == nil {
-		s.health = map[string]*SubscriptionHealth{}
+// remove deletes a subscription from the store and releases its ledger
+// entry and TCP channel. It reports whether this call removed it: the
+// store delete is the exactly-once gate, so racing evictions, cancels,
+// and sweeps act once between them. A failed flat-file write has still
+// removed the subscription from memory, so the cleanup runs anyway and
+// the write error is counted (and returned).
+func (s *Source) remove(sub *Subscription) (bool, error) {
+	ok, err := s.Store.Delete(sub.ID)
+	if err != nil {
+		s.eng.NoteStateWriteError(err)
 	}
-	h, ok := s.health[id]
-	if !ok {
-		seed, _ := s.Store.GetHealth(id)
-		h = &seed
-		s.health[id] = h
+	if ok {
+		s.eng.DropHealth(sub.ID)
+		s.dropChannel(sub)
 	}
-	return h
-}
-
-func (s *Source) dropHealth(id string) {
-	s.healthMu.Lock()
-	delete(s.health, id)
-	s.healthMu.Unlock()
-}
-
-// recordSuccess resets the consecutive-failure count; the write-back
-// to the store happens only on a transition (a recovery), so healthy
-// steady-state publishing never rewrites the flat file.
-func (s *Source) recordSuccess(sub *Subscription) {
-	now := s.now()
-	s.healthMu.Lock()
-	h := s.healthEntry(sub.ID)
-	recovered := h.ConsecutiveFailures != 0 || h.LastError != ""
-	h.ConsecutiveFailures = 0
-	h.LastError = ""
-	h.LastSuccess = now
-	snap := *h
-	s.healthMu.Unlock()
-	if recovered {
-		if err := s.Store.SetHealth(sub.ID, snap); err != nil {
-			s.noteStateWriteError(err)
-		}
-	}
-}
-
-// recordFault counts one failed publish against the subscription and
-// evicts it once the consecutive-failure count reaches EvictAfter.
-func (s *Source) recordFault(sub *Subscription, cause error) {
-	now := s.now()
-	s.healthMu.Lock()
-	h := s.healthEntry(sub.ID)
-	h.ConsecutiveFailures++
-	h.LastError = cause.Error()
-	h.LastFailure = now
-	evict := s.EvictAfter > 0 && h.ConsecutiveFailures >= s.EvictAfter
-	snap := *h
-	s.healthMu.Unlock()
-	obs.RecordEvent("wse.delivery_fault",
-		obs.Attr{K: "subscription", V: sub.ID},
-		obs.Attr{K: "consecutive", V: fmt.Sprint(snap.ConsecutiveFailures)},
-		obs.Attr{K: "err", V: cause.Error()})
-	if err := s.Store.SetHealth(sub.ID, snap); err != nil {
-		s.noteStateWriteError(err)
-	}
-	if evict {
-		s.evict(sub, cause)
-	}
-}
-
-// evict cancels a dead subscription. The store delete is the
-// exactly-once gate: whichever caller removes the subscription sends
-// the single SubscriptionEnd; racing evictors and explicit cancels
-// find it already gone and do nothing.
-func (s *Source) evict(sub *Subscription, cause error) {
-	ok, _ := s.Store.Delete(sub.ID)
-	if !ok {
-		return
-	}
-	s.dropHealth(sub.ID)
-	s.dropChannel(sub)
-	s.stats.evictions.Add(1)
-	wseEvictionsTotal.Inc()
-	obs.RecordEvent("wse.evict",
-		obs.Attr{K: "subscription", V: sub.ID},
-		obs.Attr{K: "cause", V: cause.Error()})
-	s.sendEnd(s.endClient(), sub, StatusDeliveryFailure, cause.Error())
+	return ok, err
 }
 
 // dropChannel releases a TCP subscription's cached delivery channel
@@ -441,11 +300,9 @@ func (s *Source) unsubscribe(ctx *container.Ctx) (*xmlutil.Element, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.Store.Delete(sub.ID); err != nil {
+	if _, err := s.remove(sub); err != nil {
 		return nil, err
 	}
-	s.dropHealth(sub.ID)
-	s.dropChannel(sub)
 	return xmlutil.New(NS, "UnsubscribeResponse"), nil
 }
 
@@ -489,67 +346,15 @@ type topicEvent struct {
 // through DeliveryStats and the health ledger, as on the synchronous
 // path. Call Flush to wait the queue out.
 func (s *Source) EnqueuePublish(topic string, message *xmlutil.Element) {
-	s.coalesceOnce.Do(s.initCoalescer)
-	s.coalescer.Add(topicEvent{Topic: topic, Message: message})
+	s.eng.Enqueue(topicEvent{Topic: topic, Message: message})
 }
 
 // Flush blocks until every event queued by EnqueuePublish before the
 // call has been delivered (or exhausted its retries).
-func (s *Source) Flush() {
-	s.coalesceOnce.Do(s.initCoalescer)
-	s.coalescer.Drain()
-}
+func (s *Source) Flush() { s.eng.Flush() }
 
-func (s *Source) initCoalescer() {
-	s.coalescer = &fanout.Coalescer[topicEvent]{
-		MaxBatch:      s.MaxBatch,
-		MaxBatchDelay: s.MaxBatchDelay,
-		Flush: func(batch []topicEvent) {
-			// Enqueued delivery is detached from any request by design —
-			// the enqueueing request completes before delivery runs.
-			//lint:ignore ogsalint/soapfault no caller remains for an async flush; per-subscriber outcomes land in DeliveryStats and the health ledger
-			s.publishBatch(context.Background(), batch)
-		},
-	}
-}
-
-// sameEvents reports whether subset is the whole events slice (the
-// all-filters-matched fast path, detected by identity).
-func sameEvents(subset, events []topicEvent) bool {
-	return len(subset) == len(events) && (len(events) == 0 || &subset[0] == &events[0])
-}
-
-// matchSubset returns the events sub's filter accepts. The
-// everything-matched case (by far the common one) returns events
-// itself, so steady-state fan-out allocates no per-subscriber slices.
-func (s *Source) matchSubset(sub *Subscription, events []topicEvent) ([]topicEvent, error) {
-	var subset []topicEvent
-	allSoFar := true
-	for i, e := range events {
-		ok, err := s.filterMatches(sub.Filter, e.Topic, e.Message)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if !allSoFar {
-				subset = append(subset, e)
-			}
-		} else if allSoFar {
-			allSoFar = false
-			subset = append(subset, events[:i]...)
-		}
-	}
-	if allSoFar {
-		return events, nil
-	}
-	return subset, nil
-}
-
-// deliveryPlan is one subscriber's share of a publish batch.
-type deliveryPlan struct {
-	sub    *Subscription
-	subset []topicEvent
-}
+// plan is one subscriber's share of a publish batch.
+type plan = fanout.Plan[*Subscription, topicEvent]
 
 // publishBatch is the shared fan-out core behind PublishContext (one
 // event) and the EnqueuePublish coalescer (a batch). Matching runs per
@@ -566,24 +371,7 @@ func (s *Source) publishBatch(ctx context.Context, events []topicEvent) (int, er
 		pspan.SetAttr("batch", fmt.Sprint(len(events)))
 	}
 	defer pspan.End()
-	now := s.now()
-	var matched []deliveryPlan
-	for _, sub := range s.Store.All() {
-		if sub.Expired(now) {
-			continue
-		}
-		subset, err := s.matchSubset(sub, events)
-		if err != nil {
-			s.stats.filterErrors.Add(1)
-			wseFilterErrorsTotal.Inc()
-			s.recordFault(sub, fmt.Errorf("wse: filter evaluation for subscription %s: %w", sub.ID, err))
-			continue
-		}
-		if len(subset) == 0 {
-			continue
-		}
-		matched = append(matched, deliveryPlan{sub: sub, subset: subset})
-	}
+	matched := s.eng.Match(s.live(), events)
 	if len(matched) == 0 {
 		return 0, nil
 	}
@@ -591,92 +379,42 @@ func (s *Source) publishBatch(ctx context.Context, events []topicEvent) (int, er
 	// Both channels serialize fresh envelopes per delivery from shared
 	// bodies: soap.Envelope shares the body tree at marshal time, so one
 	// tree serves every subscriber and the old clone-per-subscriber is
-	// avoided.
-	pspan.SetAttr("matched", fmt.Sprint(len(matched)))
-	// Push delivery is always pooled — the persistent connections are
+	// avoided. Push delivery is always pooled — the persistent connections are
 	// the stack's paper-era behavior — and rides ForDelivery so dials
 	// versus reuses show up in the shared delivery metrics.
 	httpClient := s.HTTP.ForDelivery(container.DeliveryPooled).WithTimeout(s.DeliveryTimeout)
-	errs := make([]error, len(matched))
-	fanout.Do(len(matched), s.Workers, func(i int) {
-		pl := matched[i]
-		if err := s.deliverWithRetry(ctx, httpClient, pl); err != nil {
-			errs[i] = err
-			s.stats.failures.Add(1)
-			wseFailuresTotal.Inc()
-			s.recordFault(pl.sub, err)
-		} else {
-			s.stats.deliveries.Add(1)
-			wseDeliveriesTotal.Inc()
-			s.recordSuccess(pl.sub)
-		}
+	return s.eng.Deliver(ctx, matched, func(ctx context.Context, pl plan) error {
+		return s.deliverOnce(ctx, httpClient, pl)
 	})
-	delivered := 0
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		delivered++
-	}
-	return delivered, firstErr
 }
 
-func (s *Source) filterMatches(f Filter, topic string, message *xmlutil.Element) (bool, error) {
+// live returns the unexpired subscriptions, in id order.
+func (s *Source) live() []*Subscription {
+	now := s.now()
+	all := s.Store.All()
+	live := all[:0]
+	for _, sub := range all {
+		if !sub.Expired(now) {
+			live = append(live, sub)
+		}
+	}
+	return live
+}
+
+// matches applies sub's filter to one event.
+func matches(sub *Subscription, e topicEvent) (bool, error) {
+	f := sub.Filter
 	if f.IsZero() {
 		return true, nil
 	}
 	switch f.Dialect {
 	case DialectTopic:
-		return matchTopic(f.Expr, topic), nil
+		return matchTopic(f.Expr, e.Topic), nil
 	case DialectXPath:
-		return xpathlite.Matches(message, f.Expr)
+		return xpathlite.Matches(e.Message, f.Expr)
 	default:
 		return false, fmt.Errorf("wse: unknown filter dialect %q", f.Dialect)
 	}
-}
-
-// deliverWithRetry runs one subscriber's delivery under the retry
-// policy, counting attempts and retries. sent counts once per event
-// message (not per attempt or per exchange) so MessagesSent keeps
-// measuring fan-out amplification across coalesced batches, not retry
-// noise.
-func (s *Source) deliverWithRetry(ctx context.Context, client *container.Client, pl deliveryPlan) error {
-	n := int64(len(pl.subset))
-	s.sent.Add(n)
-	wseMessagesSentTotal.Add(n)
-	obs.DeliveryBatchSize.ObserveValue(float64(n))
-	if n > 1 {
-		s.stats.coalesced.Add(1)
-		wseCoalescedTotal.Inc()
-	}
-	t0 := obs.Start()
-	dctx, dspan := obs.StartSpan(ctx, "wse.deliver")
-	dspan.SetAttr("subscription", pl.sub.ID)
-	dspan.SetAttr("mode", string(pl.sub.Mode))
-	if n > 1 {
-		dspan.SetAttr("batch", fmt.Sprint(n))
-	}
-	attempts, err := retry.Do(dctx, s.Retry, func(actx context.Context) error {
-		return s.deliverOnce(actx, client, pl)
-	})
-	obs.StageDeliver.ObserveSinceSpan(t0, dspan)
-	s.stats.attempts.Add(int64(attempts))
-	wseAttemptsTotal.Add(int64(attempts))
-	if attempts > 1 {
-		s.stats.retries.Add(int64(attempts - 1))
-		wseRetriesTotal.Add(int64(attempts - 1))
-		dspan.Annotate(fmt.Sprintf("retried: %d attempts", attempts))
-		obs.RecordEventCtx(dctx, "wse.retry",
-			obs.Attr{K: "subscription", V: pl.sub.ID},
-			obs.Attr{K: "attempts", V: fmt.Sprint(attempts)})
-	}
-	dspan.Fail(err)
-	dspan.End()
-	return err
 }
 
 // eventEnvelope frames one event for the TCP channel: the payload as
@@ -690,56 +428,55 @@ func eventEnvelope(e topicEvent) *soap.Envelope {
 	return env
 }
 
-func (s *Source) deliverOnce(ctx context.Context, client *container.Client, pl deliveryPlan) error {
-	switch pl.sub.Mode {
+func (s *Source) deliverOnce(ctx context.Context, client *container.Client, pl plan) error {
+	switch pl.Sub.Mode {
 	case DeliveryModeTCP:
 		// The frame writes are bounded by the channel's write deadline;
 		// the attempt context bounds the dial, so a black-holed sink
 		// fails the attempt instead of hanging a fan-out worker in
 		// connect. A batch goes out as consecutive frames in one write —
 		// the sink's frame loop needs no batch awareness.
-		if len(pl.subset) == 1 {
-			return s.TCP.DeliverContext(ctx, pl.sub.NotifyTo.Address, eventEnvelope(pl.subset[0]), s.DeliveryTimeout)
+		if len(pl.Subset) == 1 {
+			return s.TCP.DeliverContext(ctx, pl.Sub.NotifyTo.Address, eventEnvelope(pl.Subset[0]), s.DeliveryTimeout)
 		}
-		envs := make([]*soap.Envelope, len(pl.subset))
-		for i, e := range pl.subset {
+		envs := make([]*soap.Envelope, len(pl.Subset))
+		for i, e := range pl.Subset {
 			envs[i] = eventEnvelope(e)
 		}
-		return s.TCP.DeliverBatch(ctx, pl.sub.NotifyTo.Address, envs, s.DeliveryTimeout)
+		return s.TCP.DeliverBatch(ctx, pl.Sub.NotifyTo.Address, envs, s.DeliveryTimeout)
 	default:
 		// Push over HTTP: a normal one-way SOAP POST to the sink, with
 		// the topic riding in a header block. A batch posts once as an
 		// EventBatch body carrying every event; single events keep the
 		// historical wire format.
-		if len(pl.subset) == 1 {
-			e := pl.subset[0]
-			_, err := client.CallWithHeadersContext(ctx, pl.sub.NotifyTo, ActionEvent,
+		if len(pl.Subset) == 1 {
+			e := pl.Subset[0]
+			_, err := client.CallWithHeadersContext(ctx, pl.Sub.NotifyTo, ActionEvent,
 				[]*xmlutil.Element{xmlutil.NewText(NS, "Topic", e.Topic)}, e.Message)
 			return err
 		}
 		batch := xmlutil.New(NS, "EventBatch")
-		for _, e := range pl.subset {
+		for _, e := range pl.Subset {
 			batch.Add(xmlutil.New(NS, "Event").Add(
 				xmlutil.NewText(NS, "Topic", e.Topic),
 				xmlutil.New(NS, "Message").Add(e.Message),
 			))
 		}
-		_, err := client.CallContext(ctx, pl.sub.NotifyTo, ActionEventBatch, batch)
+		_, err := client.CallContext(ctx, pl.Sub.NotifyTo, ActionEventBatch, batch)
 		return err
 	}
 }
 
 // cancel removes a subscription and notifies its EndTo endpoint over
-// the given (timeout-bounded) client. The store delete gates the end
-// notice, so concurrent cancels and evictions send at most one.
-func (s *Source) cancel(client *container.Client, sub *Subscription, status, reason string) {
-	ok, _ := s.Store.Delete(sub.ID)
-	if !ok {
-		return
+// the given (timeout-bounded) client, reporting whether this call
+// removed it. The store delete gates the end notice, so concurrent
+// cancels and evictions send at most one.
+func (s *Source) cancel(client *container.Client, sub *Subscription, status, reason string) bool {
+	ok, _ := s.remove(sub)
+	if ok {
+		s.sendEnd(client, sub, status, reason)
 	}
-	s.dropHealth(sub.ID)
-	s.dropChannel(sub)
-	s.sendEnd(client, sub, status, reason)
+	return ok
 }
 
 func (s *Source) sendEnd(client *container.Client, sub *Subscription, status, reason string) {
@@ -756,6 +493,13 @@ func (s *Source) sendEnd(client *container.Client, sub *Subscription, status, re
 	if _, err := client.Call(sub.EndTo, ActionSubscriptionEnd, end); err != nil {
 		s.noteEndNoticeError(err)
 	}
+}
+
+// noteEndNoticeError accounts a SubscriptionEnd notice that never
+// reached its EndTo endpoint; only the count is kept.
+func (s *Source) noteEndNoticeError(error) {
+	s.endNoticeErrors.Add(1)
+	wseEndNoticeErrorsTotal.Inc()
 }
 
 // endClient bounds end-notice deliveries with the per-delivery
@@ -783,9 +527,7 @@ func (s *Source) Shutdown() {
 func (s *Source) SweepExpired() int {
 	n := 0
 	for _, sub := range s.Store.Expired(s.now()) {
-		if ok, _ := s.Store.Delete(sub.ID); ok {
-			s.dropHealth(sub.ID)
-			s.dropChannel(sub)
+		if ok, _ := s.remove(sub); ok {
 			n++
 		}
 	}

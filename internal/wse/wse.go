@@ -24,10 +24,10 @@ package wse
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
+	"altstacks/internal/fanout"
 	"altstacks/internal/wsa"
 	"altstacks/internal/xmlutil"
 )
@@ -115,25 +115,9 @@ func matchTopic(pattern, topic string) bool {
 }
 
 // SubscriptionHealth is the delivery-health record kept per
-// subscription: how many publishes in a row have failed to reach the
-// consumer, what the last failure looked like, and when delivery last
-// worked. It is persisted with the subscription (on transitions, not
-// on every success) so a restarted source resumes counting toward
-// eviction instead of granting a dead subscriber a fresh allowance.
-type SubscriptionHealth struct {
-	// ConsecutiveFailures counts failed publishes since the last
-	// successful delivery; any success resets it to zero.
-	ConsecutiveFailures int
-	LastError           string
-	LastSuccess         time.Time
-	LastFailure         time.Time
-}
-
-// IsZero reports a never-touched health record.
-func (h SubscriptionHealth) IsZero() bool {
-	return h.ConsecutiveFailures == 0 && h.LastError == "" &&
-		h.LastSuccess.IsZero() && h.LastFailure.IsZero()
-}
+// subscription (see fanout.Health). It is persisted with the
+// subscription in the flat file.
+type SubscriptionHealth = fanout.Health
 
 // Subscription is one registered event consumer.
 type Subscription struct {
@@ -170,18 +154,7 @@ func (s *Subscription) encode() *xmlutil.Element {
 		el.Add(xmlutil.NewText(NS, "Expires", s.Expires.UTC().Format(time.RFC3339Nano)))
 	}
 	if !s.Health.IsZero() {
-		h := xmlutil.New(NS, "Health")
-		h.Add(xmlutil.NewText(NS, "ConsecutiveFailures", strconv.Itoa(s.Health.ConsecutiveFailures)))
-		if s.Health.LastError != "" {
-			h.Add(xmlutil.NewText(NS, "LastError", s.Health.LastError))
-		}
-		if !s.Health.LastSuccess.IsZero() {
-			h.Add(xmlutil.NewText(NS, "LastSuccess", s.Health.LastSuccess.UTC().Format(time.RFC3339Nano)))
-		}
-		if !s.Health.LastFailure.IsZero() {
-			h.Add(xmlutil.NewText(NS, "LastFailure", s.Health.LastFailure.UTC().Format(time.RFC3339Nano)))
-		}
-		el.Add(h)
+		el.Add(fanout.EncodeHealth(s.Health, NS, "Health"))
 	}
 	return el
 }
@@ -217,14 +190,7 @@ func decodeSubscription(el *xmlutil.Element) (*Subscription, error) {
 		s.Expires = t
 	}
 	if h := el.Child(NS, "Health"); h != nil {
-		s.Health.ConsecutiveFailures, _ = strconv.Atoi(h.ChildText(NS, "ConsecutiveFailures"))
-		s.Health.LastError = h.ChildText(NS, "LastError")
-		if v := h.ChildText(NS, "LastSuccess"); v != "" {
-			s.Health.LastSuccess, _ = time.Parse(time.RFC3339Nano, v)
-		}
-		if v := h.ChildText(NS, "LastFailure"); v != "" {
-			s.Health.LastFailure, _ = time.Parse(time.RFC3339Nano, v)
-		}
+		s.Health = fanout.DecodeHealth(h, NS)
 	}
 	return s, nil
 }

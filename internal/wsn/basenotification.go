@@ -102,6 +102,13 @@ func decodeSubscription(r *wsrf.Resource) (*Subscription, error) {
 // it serves Subscribe on the producer service, manages subscription
 // resources on a manager service, and pushes notifications to
 // subscribers over HTTP.
+//
+// The delivery knobs — Workers, DeliveryTimeout, Retry, EvictAfter,
+// MaxBatch, MaxBatchDelay — are fanout.Knobs fields, promoted from the
+// embedded knobs. EvictAfter destroys the subscription resource (the
+// producer-side termination WS-BaseNotification expresses through the
+// subscription's lifetime path); MaxBatch coalesces Enqueue'd messages
+// into one multi-NotificationMessage envelope per subscriber.
 type Producer struct {
 	// Subs holds the subscription WS-Resources.
 	Subs *wsrf.Home
@@ -121,39 +128,12 @@ type Producer struct {
 	// (subscribe, pause, resume, destroy). The broker uses it to drive
 	// demand-based publishing.
 	OnChange func()
-	// Workers bounds the Notify delivery worker pool; 0 selects
-	// GOMAXPROCS. Width 1 forces the pre-overhaul sequential dispatch.
-	Workers int
-	// DeliveryTimeout caps each outbound delivery attempt so one slow
-	// consumer cannot stall a fan-out batch; 0 means no per-attempt cap.
-	DeliveryTimeout time.Duration
-	// Retry governs per-consumer delivery attempts within one Notify:
-	// exponential backoff with jitter between attempts. The zero policy
-	// performs a single attempt.
-	Retry retry.Policy
-	// EvictAfter destroys a subscription resource after this many
-	// consecutive failed publishes (each already retried per Retry) —
-	// the producer-side termination WS-BaseNotification expresses
-	// through the subscription's lifetime path. 0 disables eviction.
-	EvictAfter int
-	// MaxBatch and MaxBatchDelay tune coalescing on the Enqueue path:
-	// up to MaxBatch pending notifications flush to each subscriber as
-	// one multi-NotificationMessage envelope (one exchange, one
-	// signature), the first waiting at most MaxBatchDelay for the batch
-	// to fill. MaxBatch below 2 disables coalescing. Set both before
-	// the first Enqueue; the synchronous Notify path ignores them.
-	MaxBatch      int
-	MaxBatchDelay time.Duration
+	knobs
 
-	coalesceOnce sync.Once
-	coalescer    *fanout.Coalescer[topicMessage]
-
-	sent atomic.Int64
-	// Per-subscription delivery health; transitions persist to the
-	// "<collection>-health" sibling collection (see delivery.go).
-	healthMu sync.Mutex
-	health   map[string]*SubscriptionHealth
-	stats    deliveryCounters
+	// eng runs delivery: retry, the health ledger (persisted to the
+	// "<collection>-health" sibling collection, see delivery.go),
+	// eviction, coalescing, and the counters.
+	eng *fanout.Engine[*Subscription, topicMessage]
 	// lastMessage caches the most recent message per topic for the
 	// spec's GetCurrentMessage operation.
 	lastMu      sync.Mutex
@@ -173,6 +153,8 @@ type Producer struct {
 	subCacheOK  bool
 }
 
+type knobs = fanout.Knobs
+
 // NewProducer builds a producer whose subscription resources live in
 // the given collection and are addressed via the manager endpoint.
 func NewProducer(db *xmldb.DB, collection string, managerEndpoint func() string, deliver *container.Client) *Producer {
@@ -189,13 +171,26 @@ func NewProducer(db *xmldb.DB, collection string, managerEndpoint func() string,
 		// pooled fast path and the paper-faithful per-message behavior
 		// (one-shot consumer HTTP servers, §4.1.3) without rewiring.
 		Deliver: deliver,
-		Retry: retry.Policy{
-			MaxAttempts: DefaultMaxAttempts,
-			BaseBackoff: DefaultBaseBackoff,
-			MaxBackoff:  DefaultMaxBackoff,
+		knobs: knobs{
+			Retry: retry.Policy{
+				MaxAttempts: DefaultMaxAttempts,
+				BaseBackoff: DefaultBaseBackoff,
+				MaxBackoff:  DefaultMaxBackoff,
+			},
+			EvictAfter: DefaultEvictAfter,
 		},
-		EvictAfter: DefaultEvictAfter,
 	}
+	p.eng = fanout.NewEngine(&p.knobs, fanout.Stack[*Subscription, topicMessage]{
+		Name:        "wsn",
+		Counters:    wsnDelivery,
+		ID:          func(s *Subscription) string { return s.ID },
+		Match:       p.matches,
+		Evict:       p.evict,
+		LoadHealth:  p.loadHealth,
+		StoreHealth: p.persistHealth,
+		Publish:     p.notifyBatch,
+		Now:         time.Now,
+	})
 	// Unsubscribe (Destroy through the manager) must also recompute
 	// demand-based publishing state and drop the delivery ledger.
 	p.Subs.AfterDestroy = func(id string) {
@@ -204,11 +199,6 @@ func NewProducer(db *xmldb.DB, collection string, managerEndpoint func() string,
 	}
 	return p
 }
-
-// MessagesSent reports how many notification messages this producer
-// has pushed — the instrument behind the demand-publishing
-// amplification test.
-func (p *Producer) MessagesSent() int64 { return p.sent.Load() }
 
 // ProducerPortType exposes Subscribe on the producer's own service.
 func (p *Producer) ProducerPortType() wsrf.PortType { return producerPT{p} }
@@ -461,35 +451,12 @@ type topicMessage struct {
 // outcomes surface through DeliveryStats and the health ledger, as on
 // the synchronous path. Call Flush to wait the queue out.
 func (p *Producer) Enqueue(topic string, message *xmlutil.Element) {
-	p.coalesceOnce.Do(p.initCoalescer)
-	p.coalescer.Add(topicMessage{Topic: topic, Message: message})
+	p.eng.Enqueue(topicMessage{Topic: topic, Message: message})
 }
 
 // Flush blocks until every notification queued by Enqueue before the
 // call has been delivered (or exhausted its retries).
-func (p *Producer) Flush() {
-	p.coalesceOnce.Do(p.initCoalescer)
-	p.coalescer.Drain()
-}
-
-func (p *Producer) initCoalescer() {
-	p.coalescer = &fanout.Coalescer[topicMessage]{
-		MaxBatch:      p.MaxBatch,
-		MaxBatchDelay: p.MaxBatchDelay,
-		Flush: func(batch []topicMessage) {
-			// Enqueued delivery is detached from any request by design —
-			// the enqueueing request completes before delivery runs.
-			//lint:ignore ogsalint/soapfault no caller remains for an async flush; per-subscriber outcomes land in DeliveryStats and the health ledger
-			p.notifyBatch(context.Background(), batch)
-		},
-	}
-}
-
-// sameMessages reports whether subset is the whole msgs slice (the
-// all-filters-matched fast path, detected by identity, not comparison).
-func sameMessages(subset, msgs []topicMessage) bool {
-	return len(subset) == len(msgs) && (len(msgs) == 0 || &subset[0] == &msgs[0])
-}
+func (p *Producer) Flush() { p.eng.Flush() }
 
 // buildNotify wraps messages as one wsnt:Notify body, one
 // NotificationMessage child per message. With a single message the
@@ -507,39 +474,8 @@ func buildNotify(msgs []topicMessage) *xmlutil.Element {
 	return n
 }
 
-// matchSubset returns the messages sub's filters accept. The
-// everything-matched case (by far the common one) returns msgs itself,
-// so steady-state fan-out allocates no per-subscriber slices.
-func (p *Producer) matchSubset(sub *Subscription, msgs []topicMessage) ([]topicMessage, error) {
-	var subset []topicMessage
-	allSoFar := true
-	for i, m := range msgs {
-		ok, err := p.matches(sub, m.Topic, m.Message)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if !allSoFar {
-				subset = append(subset, m)
-			}
-		} else if allSoFar {
-			allSoFar = false
-			subset = append(subset, msgs[:i]...)
-		}
-	}
-	if allSoFar {
-		return msgs, nil
-	}
-	return subset, nil
-}
-
-// deliveryPlan is one subscriber's share of a notify batch.
-type deliveryPlan struct {
-	sub    *Subscription
-	subset []topicMessage
-	// wrapped is the prebuilt Notify body for subset (nil in raw mode).
-	wrapped *xmlutil.Element
-}
+// plan is one subscriber's share of a notify batch.
+type plan = fanout.Plan[*Subscription, topicMessage]
 
 // notifyBatch is the shared fan-out core behind NotifyContext (one
 // message) and the Enqueue coalescer (a batch). Matching runs per
@@ -570,20 +506,7 @@ func (p *Producer) notifyBatch(ctx context.Context, msgs []topicMessage) (int, e
 	if err != nil {
 		return 0, err
 	}
-	var matched []deliveryPlan
-	for _, sub := range subs {
-		subset, err := p.matchSubset(sub, msgs)
-		if err != nil {
-			p.stats.filterErrors.Add(1)
-			wsnFilterErrorsTotal.Inc()
-			p.recordFault(sub.ID, fmt.Errorf("wsn: filter evaluation for subscription %s: %w", sub.ID, err))
-			continue
-		}
-		if len(subset) == 0 {
-			continue
-		}
-		matched = append(matched, deliveryPlan{sub: sub, subset: subset})
-	}
+	matched := p.eng.Match(subs, msgs)
 	if len(matched) == 0 {
 		return 0, nil
 	}
@@ -603,7 +526,7 @@ func (p *Producer) notifyBatch(ctx context.Context, msgs []topicMessage) (int, e
 		// lands on the newest delivered one.
 		used := map[*xmlutil.Element]bool{}
 		for _, pl := range matched {
-			for _, m := range pl.subset {
+			for _, m := range pl.Subset {
 				used[m.Message] = true
 			}
 		}
@@ -621,49 +544,20 @@ func (p *Producer) notifyBatch(ctx context.Context, msgs []topicMessage) (int, e
 	// clone-per-subscriber is pure waste. Partial matches get their own
 	// subset body.
 	var wrappedAll *xmlutil.Element
-	for i := range matched {
-		pl := &matched[i]
-		if pl.sub.UseRaw {
-			continue
-		}
-		if sameMessages(pl.subset, msgs) {
-			if wrappedAll == nil {
-				wrappedAll = buildNotify(msgs)
-			}
-			pl.wrapped = wrappedAll
-		} else {
-			pl.wrapped = buildNotify(pl.subset)
+	for _, pl := range matched {
+		if len(pl.Subset) == len(msgs) && !pl.Sub.UseRaw {
+			wrappedAll = buildNotify(msgs)
+			break
 		}
 	}
 	client := p.Deliver.ForDelivery(p.Mode).WithTimeout(p.DeliveryTimeout)
-
-	nspan.SetAttr("matched", fmt.Sprint(len(matched)))
-	errs := make([]error, len(matched))
-	fanout.Do(len(matched), p.Workers, func(i int) {
-		pl := matched[i]
-		if err := p.deliverWithRetry(ctx, client, pl); err != nil {
-			errs[i] = err
-			p.stats.failures.Add(1)
-			wsnFailuresTotal.Inc()
-			p.recordFault(pl.sub.ID, err)
-			return
+	return p.eng.Deliver(ctx, matched, func(ctx context.Context, pl plan) error {
+		body := wrappedAll
+		if len(pl.Subset) < len(msgs) && !pl.Sub.UseRaw {
+			body = buildNotify(pl.Subset)
 		}
-		p.stats.deliveries.Add(1)
-		wsnDeliveriesTotal.Inc()
-		p.recordSuccess(pl.sub.ID)
+		return p.deliverOnce(ctx, client, pl, body)
 	})
-	delivered := 0
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		delivered++
-	}
-	return delivered, firstErr
 }
 
 // currentCollection is where per-topic current messages persist,
@@ -687,7 +581,7 @@ func (p *Producer) storeCurrentMessage(topic string, message *xmlutil.Element) {
 	// across a restart, so it is accounted rather than failing the
 	// publish.
 	if err := p.Subs.DB.Put(p.currentCollection(), topicDocID(topic), doc); err != nil {
-		p.noteStateWriteError(err)
+		p.eng.NoteStateWriteError(err)
 	}
 }
 
@@ -706,18 +600,18 @@ func (p *Producer) loadCurrentMessage(topic string) *xmlutil.Element {
 	return m.Children[0]
 }
 
-func (p *Producer) matches(sub *Subscription, topic string, message *xmlutil.Element) (bool, error) {
+func (p *Producer) matches(sub *Subscription, m topicMessage) (bool, error) {
 	if sub.Paused {
 		return false, nil
 	}
 	if sub.Topic.Expr != "" {
-		ok, err := sub.Topic.Matches(topic)
+		ok, err := sub.Topic.Matches(m.Topic)
 		if err != nil || !ok {
 			return false, err
 		}
 	}
 	if sub.MessageContent != "" {
-		ok, err := xpathlite.Matches(message, sub.MessageContent)
+		ok, err := xpathlite.Matches(m.Message, sub.MessageContent)
 		if err != nil || !ok {
 			return false, err
 		}
@@ -734,61 +628,23 @@ func (p *Producer) matches(sub *Subscription, topic string, message *xmlutil.Ele
 	return true, nil
 }
 
-// deliverWithRetry runs one subscriber's delivery under the producer's
-// retry policy. The sent counter moves once per notification message
-// (not per attempt or per exchange), preserving the
-// message-amplification semantics of MessagesSent across coalesced
-// batches; attempts and retries are accounted separately in the
-// delivery stats.
-func (p *Producer) deliverWithRetry(ctx context.Context, client *container.Client, pl deliveryPlan) error {
-	n := int64(len(pl.subset))
-	p.sent.Add(n)
-	wsnMessagesSentTotal.Add(n)
-	obs.DeliveryBatchSize.ObserveValue(float64(n))
-	if n > 1 {
-		p.stats.coalesced.Add(1)
-		wsnCoalescedTotal.Inc()
-	}
-	t0 := obs.Start()
-	dctx, dspan := obs.StartSpan(ctx, "wsn.deliver")
-	dspan.SetAttr("subscription", pl.sub.ID)
-	if n > 1 {
-		dspan.SetAttr("batch", fmt.Sprint(n))
-	}
-	attempts, err := retry.Do(dctx, p.Retry, func(actx context.Context) error {
-		return p.deliverOnce(actx, client, pl)
-	})
-	obs.StageDeliver.ObserveSinceSpan(t0, dspan)
-	p.stats.attempts.Add(int64(attempts))
-	wsnAttemptsTotal.Add(int64(attempts))
-	if attempts > 1 {
-		p.stats.retries.Add(int64(attempts - 1))
-		wsnRetriesTotal.Add(int64(attempts - 1))
-		dspan.Annotate(fmt.Sprintf("retried: %d attempts", attempts))
-		obs.RecordEventCtx(dctx, "wsn.retry",
-			obs.Attr{K: "subscription", V: pl.sub.ID},
-			obs.Attr{K: "attempts", V: fmt.Sprint(attempts)})
-	}
-	dspan.Fail(err)
-	dspan.End()
-	return err
-}
-
-func (p *Producer) deliverOnce(ctx context.Context, client *container.Client, pl deliveryPlan) error {
-	if pl.sub.UseRaw {
+// deliverOnce makes one delivery attempt of pl, sending body unless
+// the subscriber asked for raw delivery.
+func (p *Producer) deliverOnce(ctx context.Context, client *container.Client, pl plan, body *xmlutil.Element) error {
+	if pl.Sub.UseRaw {
 		// Raw delivery: each payload is posted bare, one exchange per
 		// message — there is no envelope to carry a batch in. The paper
 		// flags this mode as an interoperability hazard ("the information
 		// passed with a notification … is not well-defined", §3.1); it is
 		// provided for completeness.
-		for _, m := range pl.subset {
-			if _, err := client.CallContext(ctx, pl.sub.Consumer, ActionNotify, m.Message); err != nil {
+		for _, m := range pl.Subset {
+			if _, err := client.CallContext(ctx, pl.Sub.Consumer, ActionNotify, m.Message); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	_, err := client.CallContext(ctx, pl.sub.Consumer, ActionNotify, pl.wrapped)
+	_, err := client.CallContext(ctx, pl.Sub.Consumer, ActionNotify, body)
 	return err
 }
 

@@ -1,5 +1,6 @@
-// Delivery robustness for the WS-Notification producer: per-subscription
-// health tracking, retry accounting, and dead-subscriber eviction.
+// Delivery robustness for the WS-Notification producer: the stack's
+// side of the shared fanout.Engine, which runs retry, the
+// per-subscription health ledger, and dead-subscriber eviction.
 //
 // WS-BaseNotification has no SubscriptionEnd message; a producer that
 // gives up on a subscriber terminates the subscription through its
@@ -13,186 +14,51 @@ package wsn
 
 import (
 	"errors"
-	"strconv"
-	"sync/atomic"
-	"time"
 
-	"altstacks/internal/obs"
+	"altstacks/internal/fanout"
 	"altstacks/internal/xmldb"
-	"altstacks/internal/xmlutil"
 )
 
-// Registry mirrors of the delivery counters, aggregated across every
-// Producer instance; DeliveryStats stays the per-instance view.
-var (
-	wsnAttemptsTotal = obs.NewCounter("ogsa_wsn_delivery_attempts_total", "",
-		"wsn delivery attempts, retries included")
-	wsnRetriesTotal = obs.NewCounter("ogsa_wsn_retries_total", "",
-		"wsn delivery attempts beyond the first per delivery")
-	wsnDeliveriesTotal = obs.NewCounter("ogsa_wsn_deliveries_total", "",
-		"wsn notifications that reached a consumer")
-	wsnFailuresTotal = obs.NewCounter("ogsa_wsn_delivery_failures_total", "",
-		"wsn deliveries whose attempts were exhausted")
-	wsnFilterErrorsTotal = obs.NewCounter("ogsa_wsn_filter_errors_total", "",
-		"wsn subscriptions skipped by a failing filter evaluation")
-	wsnEvictionsTotal = obs.NewCounter("ogsa_wsn_evictions_total", "",
-		"wsn subscriptions destroyed for delivery failure")
-	wsnStateWriteErrorsTotal = obs.NewCounter("ogsa_wsn_state_write_errors_total", "",
-		"failed writes of wsn producer persistence")
-	wsnMessagesSentTotal = obs.NewCounter("ogsa_wsn_messages_sent_total", "",
-		"notification messages sent by wsn producers")
-	wsnCoalescedTotal = obs.NewCounter("ogsa_wsn_coalesced_batches_total", "",
-		"wsn deliveries that carried more than one coalesced message")
-)
+// wsnDelivery registers the ogsa_wsn_* delivery families, aggregated
+// across every Producer instance; DeliveryStats stays the per-instance
+// view.
+var wsnDelivery = fanout.NewCounters("wsn")
 
-// SubscriptionHealth is the per-subscription delivery ledger:
-// consecutive failed publishes (retries exhausted), the last error,
-// and the last success/failure instants. Any successful delivery
-// resets the failure count, so a flaky-but-recovering consumer is
-// never evicted.
-type SubscriptionHealth struct {
-	ConsecutiveFailures int
-	LastError           string
-	LastSuccess         time.Time
-	LastFailure         time.Time
-}
+// SubscriptionHealth is the per-subscription delivery ledger (see
+// fanout.Health).
+type SubscriptionHealth = fanout.Health
 
-// DeliveryStats is a snapshot of a producer's delivery counters.
-type DeliveryStats struct {
-	// Attempts counts individual delivery attempts, retries included.
-	Attempts int64
-	// Retries counts attempts beyond the first per delivery.
-	Retries int64
-	// Deliveries counts notifications that reached a consumer.
-	Deliveries int64
-	// Failures counts deliveries whose attempts were exhausted.
-	Failures int64
-	// FilterErrors counts subscriptions skipped by a failing filter
-	// evaluation — previously a silent vanish from the fan-out, now a
-	// counted delivery fault.
-	FilterErrors int64
-	// Evictions counts subscriptions destroyed for delivery failure.
-	Evictions int64
-	// StateWriteErrors counts failed writes of producer persistence —
-	// health records and per-topic current messages. The in-memory
-	// state stays authoritative when the backing store misbehaves, so
-	// these do not fail the triggering publish; they surface here (and
-	// feed back into recovery behavior after a restart).
-	StateWriteErrors int64
-	// CoalescedBatches counts deliveries that carried more than one
-	// message in a single exchange (the Enqueue path's batching at
-	// work). Deliveries still counts exchanges, MessagesSent messages.
-	CoalescedBatches int64
-}
-
-type deliveryCounters struct {
-	attempts, retries, deliveries, failures, filterErrors, evictions, stateWriteErrors, coalesced atomic.Int64
-}
+// DeliveryStats is a snapshot of a producer's delivery counters (see
+// fanout.Stats). StateWriteErrors also counts failed current-message
+// write-throughs.
+type DeliveryStats = fanout.Stats
 
 // DeliveryStats snapshots the producer's delivery counters.
-func (p *Producer) DeliveryStats() DeliveryStats {
-	return DeliveryStats{
-		Attempts:         p.stats.attempts.Load(),
-		Retries:          p.stats.retries.Load(),
-		Deliveries:       p.stats.deliveries.Load(),
-		Failures:         p.stats.failures.Load(),
-		FilterErrors:     p.stats.filterErrors.Load(),
-		Evictions:        p.stats.evictions.Load(),
-		StateWriteErrors: p.stats.stateWriteErrors.Load(),
-		CoalescedBatches: p.stats.coalesced.Load(),
-	}
-}
+func (p *Producer) DeliveryStats() DeliveryStats { return p.eng.Stats() }
 
-// noteStateWriteError accounts a failed persistence write. The write
-// targets a cache of in-memory state, so the caller's operation
-// proceeds; the count is the signal that the xmldb backend is dropping
-// producer state. Callers pass the (non-nil) error for call-site
-// clarity; only the count is kept.
-func (p *Producer) noteStateWriteError(error) {
-	p.stats.stateWriteErrors.Add(1)
-	wsnStateWriteErrorsTotal.Inc()
-}
+// MessagesSent reports how many notification messages this producer
+// has pushed — the instrument behind the demand-publishing
+// amplification test.
+func (p *Producer) MessagesSent() int64 { return p.eng.MessagesSent() }
 
 // Health returns the current delivery-health record for a
 // subscription (zero record for unknown or never-delivered ids).
-func (p *Producer) Health(id string) SubscriptionHealth {
-	p.healthMu.Lock()
-	defer p.healthMu.Unlock()
-	return *p.healthEntry(id)
-}
+func (p *Producer) Health(id string) SubscriptionHealth { return p.eng.Health(id) }
 
 // healthCollection is where health records persist, beside the
 // subscription collection (like the "-current" message collection).
 func (p *Producer) healthCollection() string { return p.Subs.Collection + "-health" }
 
-// healthEntry returns (seeding from the database if a persisted record
-// exists) the mutable health record for id. Callers hold healthMu.
-func (p *Producer) healthEntry(id string) *SubscriptionHealth {
-	if p.health == nil {
-		p.health = map[string]*SubscriptionHealth{}
-	}
-	h, ok := p.health[id]
-	if !ok {
-		seed := p.loadHealth(id)
-		h = &seed
-		p.health[id] = h
-	}
-	return h
-}
-
 // dropHealth forgets a subscription's ledger in memory and on disk;
 // wired to AfterDestroy so unsubscribes and evictions both clean up.
 func (p *Producer) dropHealth(id string) {
-	p.healthMu.Lock()
-	delete(p.health, id)
-	p.healthMu.Unlock()
+	p.eng.DropHealth(id)
 	if p.Subs != nil && p.Subs.DB != nil {
 		// A subscription whose health was never persisted has nothing to
 		// delete; only real backend failures count.
 		if err := p.Subs.DB.Delete(p.healthCollection(), id); err != nil && !errors.Is(err, xmldb.ErrNotFound) {
-			p.noteStateWriteError(err)
+			p.eng.NoteStateWriteError(err)
 		}
-	}
-}
-
-// recordSuccess resets the failure count; persistence happens only on
-// a recovery transition, so healthy steady-state Notify performs no
-// health writes.
-func (p *Producer) recordSuccess(id string) {
-	now := time.Now()
-	p.healthMu.Lock()
-	h := p.healthEntry(id)
-	recovered := h.ConsecutiveFailures != 0 || h.LastError != ""
-	h.ConsecutiveFailures = 0
-	h.LastError = ""
-	h.LastSuccess = now
-	snap := *h
-	p.healthMu.Unlock()
-	if recovered {
-		p.persistHealth(id, snap)
-	}
-}
-
-// recordFault counts one failed publish (delivery exhaustion or filter
-// evaluation error) against the subscription and evicts it once the
-// consecutive-failure count reaches EvictAfter.
-func (p *Producer) recordFault(id string, cause error) {
-	now := time.Now()
-	p.healthMu.Lock()
-	h := p.healthEntry(id)
-	h.ConsecutiveFailures++
-	h.LastError = cause.Error()
-	h.LastFailure = now
-	evict := p.EvictAfter > 0 && h.ConsecutiveFailures >= p.EvictAfter
-	snap := *h
-	p.healthMu.Unlock()
-	obs.RecordEvent("wsn.delivery_fault",
-		obs.Attr{K: "subscription", V: id},
-		obs.Attr{K: "consecutive", V: strconv.Itoa(snap.ConsecutiveFailures)},
-		obs.Attr{K: "err", V: cause.Error()})
-	p.persistHealth(id, snap)
-	if evict {
-		p.evict(id)
 	}
 }
 
@@ -200,54 +66,31 @@ func (p *Producer) recordFault(id string, cause error) {
 // Destroy on the subscription WS-Resource. Destroy's not-found error
 // is the exactly-once gate — whichever caller actually removes the
 // resource counts the eviction; racing evictors and explicit
-// unsubscribes find it gone and do nothing. AfterDestroy invalidates
-// the subscription cache, so the next Notify no longer scans the
-// evicted consumer.
-func (p *Producer) evict(id string) {
-	if err := p.Subs.Destroy(id); err != nil {
-		return
+// unsubscribes find it gone and do nothing. Any other Destroy error is
+// a failed state write. AfterDestroy invalidates the subscription
+// cache, so the next Notify no longer scans the evicted consumer.
+func (p *Producer) evict(sub *Subscription, _ error) bool {
+	err := p.Subs.Destroy(sub.ID)
+	if err != nil && !errors.Is(err, xmldb.ErrNotFound) {
+		p.eng.NoteStateWriteError(err)
 	}
-	p.stats.evictions.Add(1)
-	wsnEvictionsTotal.Inc()
-	obs.RecordEvent("wsn.evict", obs.Attr{K: "subscription", V: id})
+	return err == nil
 }
 
-func (p *Producer) persistHealth(id string, h SubscriptionHealth) {
+func (p *Producer) persistHealth(id string, h SubscriptionHealth) error {
 	if p.Subs == nil || p.Subs.DB == nil {
-		return
+		return nil
 	}
-	doc := xmlutil.New(NSNT, "SubscriptionHealth").Add(
-		xmlutil.NewText(NSNT, "ConsecutiveFailures", strconv.Itoa(h.ConsecutiveFailures)))
-	if h.LastError != "" {
-		doc.Add(xmlutil.NewText(NSNT, "LastError", h.LastError))
-	}
-	if !h.LastSuccess.IsZero() {
-		doc.Add(xmlutil.NewText(NSNT, "LastSuccess", h.LastSuccess.UTC().Format(time.RFC3339Nano)))
-	}
-	if !h.LastFailure.IsZero() {
-		doc.Add(xmlutil.NewText(NSNT, "LastFailure", h.LastFailure.UTC().Format(time.RFC3339Nano)))
-	}
-	if err := p.Subs.DB.Put(p.healthCollection(), id, doc); err != nil {
-		p.noteStateWriteError(err)
-	}
+	return p.Subs.DB.Put(p.healthCollection(), id, fanout.EncodeHealth(h, NSNT, "SubscriptionHealth"))
 }
 
 func (p *Producer) loadHealth(id string) SubscriptionHealth {
-	var h SubscriptionHealth
 	if p.Subs == nil || p.Subs.DB == nil {
-		return h
+		return SubscriptionHealth{}
 	}
 	doc, err := p.Subs.DB.Get(p.healthCollection(), id)
 	if err != nil {
-		return h
+		return SubscriptionHealth{}
 	}
-	h.ConsecutiveFailures, _ = strconv.Atoi(doc.ChildText(NSNT, "ConsecutiveFailures"))
-	h.LastError = doc.ChildText(NSNT, "LastError")
-	if v := doc.ChildText(NSNT, "LastSuccess"); v != "" {
-		h.LastSuccess, _ = time.Parse(time.RFC3339Nano, v)
-	}
-	if v := doc.ChildText(NSNT, "LastFailure"); v != "" {
-		h.LastFailure, _ = time.Parse(time.RFC3339Nano, v)
-	}
-	return h
+	return fanout.DecodeHealth(doc, NSNT)
 }

@@ -168,16 +168,14 @@ type DB struct {
 	backend Backend
 	cost    CostModel
 
-	creates, reads, updates, deletes, queries, parses atomic.Int64
-
 	perCol sync.Map // collection → *colStats
 
 	docs  *docCache
 	paths *pathCache
 }
 
-// colStats is the per-collection mirror of Stats, atomic so counting
-// never takes a lock.
+// colStats is one collection's operation counters, atomic so counting
+// never takes a lock. DB.Stats is their sum.
 type colStats struct {
 	creates, reads, updates, deletes, queries, parses atomic.Int64
 }
@@ -212,16 +210,21 @@ func newWithCacheCaps(backend Backend, cost CostModel, docCap, pathCap int) *DB 
 // NewMemory returns a database over a fresh in-memory backend.
 func NewMemory(cost CostModel) *DB { return New(NewMemoryBackend(), cost) }
 
-// Stats returns a snapshot of the operation counters.
+// Stats returns a snapshot of the operation counters, summed over
+// the per-collection blocks.
 func (db *DB) Stats() Stats {
-	return Stats{
-		Creates: db.creates.Load(),
-		Reads:   db.reads.Load(),
-		Updates: db.updates.Load(),
-		Deletes: db.deletes.Load(),
-		Queries: db.queries.Load(),
-		Parses:  db.parses.Load(),
-	}
+	var sum Stats
+	db.perCol.Range(func(_, v any) bool {
+		c := v.(*colStats).snapshot()
+		sum.Creates += c.Creates
+		sum.Reads += c.Reads
+		sum.Updates += c.Updates
+		sum.Deletes += c.Deletes
+		sum.Queries += c.Queries
+		sum.Parses += c.Parses
+		return true
+	})
+	return sum
 }
 
 // CollectionStats returns the operation counters for one collection —
@@ -275,7 +278,6 @@ func (db *DB) loadDoc(collection, id string) (*xmlutil.Element, bool, error) {
 	if err != nil {
 		return nil, true, fmt.Errorf("xmldb: corrupt document %s/%s: %w", collection, id, err)
 	}
-	db.parses.Add(1)
 	parsesTotal.Inc()
 	db.col(collection).parses.Add(1)
 
@@ -302,7 +304,6 @@ func (db *DB) compile(expr string) (*xpathlite.Path, error) {
 // already present.
 func (db *DB) Create(collection, id string, doc *xmlutil.Element) error {
 	pause(db.cost.Create)
-	db.creates.Add(1)
 	opCreates.Inc()
 	db.col(collection).creates.Add(1)
 	stored, err := db.backend.CondPut(collection, id, doc.Marshal(), false)
@@ -319,7 +320,6 @@ func (db *DB) Create(collection, id string, doc *xmlutil.Element) error {
 // Get loads and parses a document; ErrNotFound when absent.
 func (db *DB) Get(collection, id string) (*xmlutil.Element, error) {
 	pause(db.cost.Read)
-	db.reads.Add(1)
 	opReads.Inc()
 	db.col(collection).reads.Add(1)
 	doc, ok, err := db.loadDoc(collection, id)
@@ -335,7 +335,6 @@ func (db *DB) Get(collection, id string) (*xmlutil.Element, error) {
 // Update replaces an existing document; ErrNotFound when absent.
 func (db *DB) Update(collection, id string, doc *xmlutil.Element) error {
 	pause(db.cost.Update)
-	db.updates.Add(1)
 	opUpdates.Inc()
 	db.col(collection).updates.Add(1)
 	stored, err := db.backend.CondPut(collection, id, doc.Marshal(), true)
@@ -355,7 +354,6 @@ func (db *DB) Update(collection, id string, doc *xmlutil.Element) error {
 // not added by calling Create()").
 func (db *DB) Put(collection, id string, doc *xmlutil.Element) error {
 	pause(db.cost.Update)
-	db.updates.Add(1)
 	opUpdates.Inc()
 	db.col(collection).updates.Add(1)
 	if err := db.backend.Put(collection, id, doc.Marshal()); err != nil {
@@ -368,7 +366,6 @@ func (db *DB) Put(collection, id string, doc *xmlutil.Element) error {
 // Delete removes a document; ErrNotFound when absent.
 func (db *DB) Delete(collection, id string) error {
 	pause(db.cost.Delete)
-	db.deletes.Add(1)
 	opDeletes.Inc()
 	db.col(collection).deletes.Add(1)
 	removed, err := db.backend.CondDelete(collection, id)
@@ -387,7 +384,6 @@ func (db *DB) Delete(collection, id string) error {
 // bytes; others fall back to a full Get.
 func (db *DB) Exists(collection, id string) (bool, error) {
 	pause(db.cost.Read)
-	db.reads.Add(1)
 	opReads.Inc()
 	db.col(collection).reads.Add(1)
 	return backendHas(db.backend, collection, id)
@@ -396,7 +392,6 @@ func (db *DB) Exists(collection, id string) (bool, error) {
 // IDs lists document ids in a collection, sorted.
 func (db *DB) IDs(collection string) ([]string, error) {
 	pause(db.cost.Read)
-	db.reads.Add(1)
 	opReads.Inc()
 	db.col(collection).reads.Add(1)
 	return db.backend.IDs(collection)
@@ -433,7 +428,6 @@ func (db *DB) Query(collection, expr string) ([]QueryHit, error) {
 		return nil, err
 	}
 	pause(db.cost.Query)
-	db.queries.Add(1)
 	opQueries.Inc()
 	db.col(collection).queries.Add(1)
 	ids, err := db.backend.IDs(collection)
