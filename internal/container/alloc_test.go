@@ -25,10 +25,17 @@ func notifyBody() *xmlutil.Element {
 }
 
 // TestDeliveryRequestAllocs pins the per-delivery cost of building and
-// serializing one request, as callEnvelope does for every subscriber
-// of a fan-out: the envelope, its addressing headers (a fresh
-// MessageID and a consumer reference property) and the wire bytes.
+// serializing one request, as exchange does for every subscriber of a
+// fan-out: the envelope, its addressing headers (a fresh MessageID and
+// a consumer reference property) and the wire bytes. The addressing
+// elements are one block, so the five allocations are the envelope,
+// the MessageID string, the block, the header list and the cloned
+// reference property.
 func TestDeliveryRequestAllocs(t *testing.T) {
+	limit := 5.0
+	if raceEnabled {
+		limit = 16 // sync.Pool drops pooled frames at random under -race
+	}
 	body := notifyBody()
 	consumer := wsa.NewEPR("http://127.0.0.1:8080/consumer").WithProperty("urn:svc", "SubID", "s-42")
 	var buf bytes.Buffer
@@ -38,14 +45,19 @@ func TestDeliveryRequestAllocs(t *testing.T) {
 		buf.Reset()
 		env.MarshalTo(&buf)
 	})
-	if allocs > 16 {
-		t.Fatalf("delivery request build+marshal = %.0f allocs, want <= 16", allocs)
+	if allocs > limit {
+		t.Fatalf("delivery request build+marshal = %.0f allocs, want <= %.0f", allocs, limit)
 	}
 }
 
 // TestReplyAllocs pins the same for the reply dispatch stamps onto a
-// handler's response body.
+// handler's response body: the envelope, the MessageID string, the
+// block of addressing elements and the header list.
 func TestReplyAllocs(t *testing.T) {
+	limit := 4.0
+	if raceEnabled {
+		limit = 13
+	}
 	body := xmlutil.New(nsNT, "NotifyResponse")
 	var buf bytes.Buffer
 	allocs := testing.AllocsPerRun(100, func() {
@@ -54,7 +66,7 @@ func TestReplyAllocs(t *testing.T) {
 		buf.Reset()
 		env.MarshalTo(&buf)
 	})
-	if allocs > 13 {
-		t.Fatalf("reply build+marshal = %.0f allocs, want <= 13", allocs)
+	if allocs > limit {
+		t.Fatalf("reply build+marshal = %.0f allocs, want <= %.0f", allocs, limit)
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"context"
 	"crypto/tls"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptrace"
+	"net/url"
+	"strings"
 	"time"
 
 	"altstacks/internal/netlat"
@@ -28,9 +29,11 @@ import (
 // service — via a Web service proxy object" (§4.1.3); Client is that
 // proxy object, shared by both stacks.
 type Client struct {
-	// HTTP performs the exchanges; connections are pooled, which is
-	// what makes the HTTPS scenario fast ("due to socket caching,
-	// HTTPS performance is much faster", §4.1.3).
+	// HTTP supplies the exchanges' Transport and Timeout; SOAP follows
+	// no redirects and keeps no cookies, so its other fields go unused.
+	// Connections are pooled, which is what makes the HTTPS scenario
+	// fast ("due to socket caching, HTTPS performance is much faster",
+	// §4.1.3).
 	HTTP *http.Client
 	// Signer signs requests (X.509 scenarios); nil otherwise.
 	Signer *wssec.Signer
@@ -114,87 +117,45 @@ func (c *Client) CallContext(ctx context.Context, epr wsa.EPR, action string, bo
 	return env.Body, nil
 }
 
-// CallWithHeaders is Call with extra application header blocks (for
-// example the wse:Topic header on event deliveries).
-func (c *Client) CallWithHeaders(epr wsa.EPR, action string, headers []*xmlutil.Element, body *xmlutil.Element) (*xmlutil.Element, error) {
-	return c.CallWithHeadersContext(context.Background(), epr, action, headers, body)
-}
-
-// CallWithHeadersContext is CallWithHeaders bounded by ctx.
-func (c *Client) CallWithHeadersContext(ctx context.Context, epr wsa.EPR, action string, headers []*xmlutil.Element, body *xmlutil.Element) (*xmlutil.Element, error) {
-	env, err := c.callEnvelope(ctx, epr, action, headers, body)
-	if err != nil {
-		return nil, err
-	}
-	return env.Body, nil
-}
-
 // CallEnvelope is Call but returns the whole response envelope, for
 // callers that need response headers.
 func (c *Client) CallEnvelope(epr wsa.EPR, action string, body *xmlutil.Element) (*soap.Envelope, error) {
 	return c.callEnvelope(context.Background(), epr, action, nil, body)
 }
 
-func (c *Client) callEnvelope(ctx context.Context, epr wsa.EPR, action string, headers []*xmlutil.Element, body *xmlutil.Element) (*soap.Envelope, error) {
-	if epr.Address == "" {
-		return nil, fmt.Errorf("container: call to empty EPR address")
+// Deliver sends a one-way message (a notification, an event, a
+// subscription-end notice) with optional extra header blocks, and
+// reports only whether the consumer acknowledged it: a SOAP fault comes
+// back as a *soap.Fault error, as from Call. The acknowledgement
+// carries nothing else the sender uses, so when the client verifies no
+// responses (every ForDelivery client) it is checked in place, without
+// building an envelope that outlives the call. With a Verifier the
+// exchange is Call's.
+func (c *Client) Deliver(ctx context.Context, epr wsa.EPR, action string, headers []*xmlutil.Element, body *xmlutil.Element) error {
+	if c.Verifier != nil {
+		_, err := c.callEnvelope(ctx, epr, action, headers, body)
+		return err
 	}
-	env := soap.New(body)
-	env.AddHeader(headers...)
-	mid := wsa.Stamp(env, epr, action)
-	// Record the outbound MessageID on the calling span (a deliver span
-	// during notification fan-out, a handler span for nested calls): the
-	// receiving container's dispatch root records the same ID, which is
-	// how obs.Stitch joins the two process-local traces.
 	span := obs.SpanFromContext(ctx)
-	span.SetMessageID(mid)
-	if c.Signer != nil {
-		if err := c.Signer.Sign(env); err != nil {
-			return nil, err
+	return c.exchange(ctx, span, epr, action, headers, body, func(resp []byte, status int) error {
+		return checkAck(resp, status, span)
+	})
+}
+
+func (c *Client) callEnvelope(ctx context.Context, epr wsa.EPR, action string, headers []*xmlutil.Element, body *xmlutil.Element) (*soap.Envelope, error) {
+	span := obs.SpanFromContext(ctx)
+	var respEnv *soap.Envelope
+	err := c.exchange(ctx, span, epr, action, headers, body, func(resp []byte, status int) error {
+		// soap.Parse copies what it keeps.
+		env, err := soap.Parse(resp)
+		if err != nil {
+			return fmt.Errorf("container: response (HTTP %d): %w", status, err)
 		}
-	}
-	if c.traceConns {
-		ctx = withDeliveryTrace(ctx)
-	}
-	// The request marshals straight into a pooled buffer; bytes.NewReader
-	// gives the transport a rewindable view of it (GetBody for retries).
-	buf := bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	env.MarshalTo(buf)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, epr.Address, bytes.NewReader(buf.Bytes()))
+		respEnv = env
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("container: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "text/xml; charset=utf-8")
-	req.Header.Set("SOAPAction", action)
-	req.ContentLength = int64(buf.Len())
-	httpResp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("container: %s: %w", action, err)
-	}
-	defer httpResp.Body.Close()
-	// The response is read into a second pooled buffer; soap.Parse
-	// copies what it keeps, so that buffer is free once Parse returns.
-	respBuf := bodyPool.Get().(*bytes.Buffer)
-	respBuf.Reset()
-	if _, err := respBuf.ReadFrom(io.LimitReader(httpResp.Body, maxRequestBody)); err != nil {
-		return nil, fmt.Errorf("container: read response: %w", err)
-	}
-	// A fully read response means the exchange completed and the
-	// transport is done with the request body, so the buffer can be
-	// recycled. The error paths above deliberately leak it to the GC: a
-	// failed exchange can leave the transport's write loop still holding
-	// the reader, and reusing the bytes under it would corrupt a later
-	// request.
-	if buf.Cap() <= maxPooledBody {
-		bodyPool.Put(buf)
-	}
-	respEnv, err := soap.Parse(respBuf.Bytes())
-	if respBuf.Cap() <= maxPooledBody {
-		bodyPool.Put(respBuf)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("container: response (HTTP %d): %w", httpResp.StatusCode, err)
+		return nil, err
 	}
 	if span != nil {
 		span.SetRelatesTo(wsa.Extract(respEnv).RelatesTo)
@@ -208,6 +169,118 @@ func (c *Client) callEnvelope(ctx context.Context, epr wsa.EPR, action string, h
 		}
 	}
 	return respEnv, nil
+}
+
+// checkAck reads a one-way exchange's acknowledgement in place: parsed
+// over the response buffer into the parser's reused arena, with only a
+// fault and the RelatesTo for the deliver span copied out before the
+// tree is dropped. Errors read as callEnvelope's.
+func checkAck(data []byte, status int, span *obs.Span) error {
+	var fault *soap.Fault
+	var envErr error
+	err := xmlutil.ParseInPlace(data, func(root *xmlutil.Element) {
+		env, err := soap.FromElement(root)
+		if err != nil {
+			envErr = err // formatted, so it aliases nothing
+			return
+		}
+		if h := env.Header(wsa.NS, "RelatesTo"); span != nil && h != nil {
+			span.SetRelatesTo(strings.Clone(h.TrimText()))
+		}
+		if f := env.Fault; f != nil {
+			fault = &soap.Fault{Code: strings.Clone(f.Code), Reason: strings.Clone(f.Reason), Actor: strings.Clone(f.Actor)}
+			if f.Detail != nil {
+				// Marshal → Parse reproduces any tree Parse accepts
+				// (FuzzParse), and Parse copies its input.
+				fault.Detail, envErr = xmlutil.Parse(f.Detail.Marshal())
+			}
+		}
+	})
+	if err != nil {
+		err = fmt.Errorf("soap: %w", err)
+	} else {
+		err = envErr
+	}
+	if err != nil {
+		return fmt.Errorf("container: response (HTTP %d): %w", status, err)
+	}
+	if fault != nil {
+		return fault
+	}
+	return nil
+}
+
+// exchange stamps and sends one request, reads the whole response into
+// a pooled buffer, and returns what read makes of it; the buffer is
+// reused once read returns.
+func (c *Client) exchange(ctx context.Context, span *obs.Span, epr wsa.EPR, action string, headers []*xmlutil.Element, body *xmlutil.Element,
+	read func(resp []byte, status int) error) error {
+	if epr.Address == "" {
+		return fmt.Errorf("container: call to empty EPR address")
+	}
+	env := soap.New(body)
+	env.AddHeader(headers...)
+	// Record the outbound MessageID on the calling span (a deliver span
+	// during notification fan-out, a handler span for nested calls): the
+	// receiving container's dispatch root records the same ID, which is
+	// how obs.Stitch joins the two process-local traces.
+	span.SetMessageID(wsa.Stamp(env, epr, action))
+	if c.Signer != nil {
+		if err := c.Signer.Sign(env); err != nil {
+			return err
+		}
+	}
+	hc := c.httpClient()
+	if hc.Timeout > 0 {
+		// What http.Client does with Timeout, for the transport call
+		// below: the deadline covers the exchange and the body read.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
+		defer cancel()
+	}
+	if c.traceConns {
+		ctx = withDeliveryTrace(ctx)
+	}
+	// The request marshals straight into a pooled buffer; bytes.NewReader
+	// gives the transport a rewindable view of it (GetBody for retries).
+	buf := bodyPool.Get().(*wireBuf)
+	buf.Reset()
+	env.MarshalTo(&buf.Buffer)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, epr.Address, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		return fmt.Errorf("container: build request: %w", err)
+	}
+	// Keys already canonical, as Header.Set would make them.
+	req.Header["Content-Type"] = xmlContentType
+	req.Header["Soapaction"] = []string{action}
+	req.ContentLength = int64(buf.Len())
+	// SOAP follows no redirects, so the transport is called directly:
+	// http.Client.Do would copy the headers for redirect handling on
+	// every call. The error reads as Do's.
+	rt := hc.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	httpResp, err := rt.RoundTrip(req)
+	if err != nil {
+		return fmt.Errorf("container: %s: %w", action, &url.Error{Op: "Post", URL: req.URL.String(), Err: err})
+	}
+	defer httpResp.Body.Close()
+	resp := bodyPool.Get().(*wireBuf)
+	resp.Reset()
+	if err := resp.readFrom(httpResp.Body); err != nil {
+		return fmt.Errorf("container: read response: %w", err)
+	}
+	// A fully read response means the exchange completed and the
+	// transport is done with the request body, so the buffer can be
+	// recycled. The error paths above deliberately leak it to the GC: a
+	// failed exchange can leave the transport's write loop still holding
+	// the reader, and reusing the bytes under it would corrupt a later
+	// request.
+	buf.release()
+	err = read(resp.Bytes(), httpResp.StatusCode)
+	resp.release()
+	return err
 }
 
 func (c *Client) httpClient() *http.Client {

@@ -228,7 +228,33 @@ const (
 // reads (soap.Parse copies the bytes it keeps, so the buffer can be
 // reused as soon as the parse returns) and response serialization
 // (net/http copies on Write, so the buffer is free once Write returns).
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var bodyPool = sync.Pool{New: func() any { return new(wireBuf) }}
+
+// wireBuf is a pooled message buffer with the bounded reader that
+// fills it, so a read allocates no io.LimitReader.
+type wireBuf struct {
+	bytes.Buffer
+	lim io.LimitedReader
+}
+
+func (b *wireBuf) release() {
+	if b.Cap() <= maxPooledBody {
+		bodyPool.Put(b)
+	}
+}
+
+// readFrom reads r to EOF, keeping at most maxRequestBody bytes.
+func (b *wireBuf) readFrom(r io.Reader) error {
+	b.lim = io.LimitedReader{R: r, N: maxRequestBody}
+	_, err := b.ReadFrom(&b.lim)
+	b.lim.R = nil
+	return err
+}
+
+// xmlContentType is the Content-Type of every message, in the form
+// http.Header stores: net/http only reads header values, so every
+// request and response head shares this one slice.
+var xmlContentType = []string{"text/xml; charset=utf-8"}
 
 func (c *Container) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	c.mu.RLock()
@@ -253,14 +279,10 @@ func (c *Container) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		obs.StageDispatch.ObserveSinceSpan(t0, span)
 		span.End()
 	}()
-	buf := bodyPool.Get().(*bytes.Buffer)
+	buf := bodyPool.Get().(*wireBuf)
 	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			bodyPool.Put(buf)
-		}
-	}()
-	if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxRequestBody)); err != nil {
+	defer buf.release()
+	if err := buf.readFrom(r.Body); err != nil {
 		http.Error(w, "read error", http.StatusBadRequest)
 		return
 	}
@@ -365,23 +387,23 @@ func (c *Container) writeFault(ctx context.Context, w http.ResponseWriter, relat
 func (c *Container) writeResponse(ctx context.Context, w http.ResponseWriter, status int, env *soap.Envelope) {
 	st := obs.Start()
 	sspan := obs.ChildSpan(ctx, "xmlutil.serialize")
-	buf := bodyPool.Get().(*bytes.Buffer)
+	buf := bodyPool.Get().(*wireBuf)
 	buf.Reset()
-	env.MarshalTo(buf)
+	env.MarshalTo(&buf.Buffer)
 	obs.StageSerialize.ObserveSinceSpan(st, sspan)
 	size := strconv.Itoa(buf.Len())
 	sspan.SetAttr("bytes", size)
 	sspan.End()
-	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	w.Header().Set("Content-Length", size)
+	// Keys already canonical, as Header.Set would make them.
+	h := w.Header()
+	h["Content-Type"] = xmlContentType
+	h["Content-Length"] = []string{size}
 	w.WriteHeader(status)
 	// A failed response write means the client hung up: there is no one
 	// left to fault to, and the ResponseWriter has no ledger.
 	//lint:ignore ogsalint/soapfault client disconnects are benign; no recipient remains for a fault
 	w.Write(buf.Bytes()) //nolint:errcheck // client disconnects are benign
-	if buf.Cap() <= maxPooledBody {
-		bodyPool.Put(buf)
-	}
+	buf.release()
 }
 
 // faultOf coerces an error into a SOAP fault, preserving explicit faults.

@@ -255,6 +255,8 @@ func deliveryCall(info *types.Info, call *ast.CallExpr) string {
 	switch {
 	case calleeIsMethod(info, call, "net/http", "Client", "Do"):
 		return "http.Client.Do"
+	case calleeIsMethod(info, call, "net/http", "RoundTripper", "RoundTrip"):
+		return "http.RoundTripper.RoundTrip"
 	case calleeIsFunc(info, call, "altstacks/internal/retry", "Do"):
 		return "retry.Do"
 	case calleeIsFunc(info, call, "altstacks/internal/fanout", "Do"):
@@ -262,7 +264,7 @@ func deliveryCall(info *types.Info, call *ast.CallExpr) string {
 	case calleeIsMethod(info, call, "altstacks/internal/wse", "TCPDeliverer", "Deliver"):
 		return "TCPDeliverer.Deliver"
 	}
-	for _, m := range [...]string{"Call", "CallWithHeaders", "CallEnvelope", "CallContext", "CallWithHeadersContext", "callEnvelope"} {
+	for _, m := range [...]string{"Call", "CallEnvelope", "CallContext", "Deliver", "callEnvelope", "exchange"} {
 		if calleeIsMethod(info, call, "altstacks/internal/container", "Client", m) {
 			return "container client " + m
 		}

@@ -36,6 +36,14 @@ func badHTTPUnderLock(c *http.Client, req *http.Request, mu *sync.Mutex) {
 	mu.Unlock()
 }
 
+// badRoundTripUnderLock is the container client's direct transport
+// call, which SOAP exchanges make in place of http.Client.Do.
+func badRoundTripUnderLock(rt http.RoundTripper, req *http.Request, mu *sync.Mutex) {
+	mu.Lock()
+	_, _ = rt.RoundTrip(req) // want `http.RoundTripper.RoundTrip while mutex mu is held`
+	mu.Unlock()
+}
+
 func badSendUnderLock(events chan<- string, mu *sync.Mutex) {
 	mu.Lock()
 	events <- "subscription-end" // want `channel send while mutex mu is held`

@@ -175,21 +175,30 @@ func Parse(data []byte) (*Envelope, error) {
 }
 
 // FromElement interprets an already-parsed element tree as an envelope.
+// It inlines, so a caller that only reads the envelope keeps it on its
+// stack.
 func FromElement(root *xmlutil.Element) (*Envelope, error) {
+	env := new(Envelope)
+	if err := env.decode(root); err != nil {
+		return nil, err
+	}
+	return env, nil
+}
+
+func (env *Envelope) decode(root *xmlutil.Element) error {
 	if root.Name.Local != "Envelope" {
-		return nil, fmt.Errorf("soap: root element is %s, not Envelope", root.Name.Local)
+		return fmt.Errorf("soap: root element is %s, not Envelope", root.Name.Local)
 	}
 	if root.Name.Space != NS {
-		return nil, &Fault{Code: FaultVersionMismatch,
+		return &Fault{Code: FaultVersionMismatch,
 			Reason: fmt.Sprintf("unsupported envelope namespace %q", root.Name.Space)}
 	}
-	env := &Envelope{}
 	if hdr := root.Child(NS, "Header"); hdr != nil {
 		env.Headers = hdr.Children
 	}
 	body := root.Child(NS, "Body")
 	if body == nil {
-		return nil, fmt.Errorf("soap: envelope has no Body")
+		return fmt.Errorf("soap: envelope has no Body")
 	}
 	if f := body.Child(NS, "Fault"); f != nil {
 		fault := &Fault{
@@ -201,12 +210,12 @@ func FromElement(root *xmlutil.Element) (*Envelope, error) {
 			fault.Detail = d.Children[0]
 		}
 		env.Fault = fault
-		return env, nil
+		return nil
 	}
 	if len(body.Children) > 0 {
 		env.Body = body.Children[0]
 	}
-	return env, nil
+	return nil
 }
 
 // MustUnderstandNames returns the names of header blocks flagged

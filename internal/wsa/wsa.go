@@ -12,7 +12,9 @@
 package wsa
 
 import (
+	"encoding/xml"
 	"fmt"
+	"slices"
 
 	"altstacks/internal/soap"
 	"altstacks/internal/uuid"
@@ -139,33 +141,60 @@ type Info struct {
 // and parameters as first-class SOAP headers (the SOAP binding of the
 // WS-Resource Access Pattern). A fresh MessageID is minted. The
 // generated MessageID is returned so callers can correlate replies.
+//
+// Every message is stamped, so the addressing elements are built in
+// one block and env.Headers grows once.
 func Stamp(env *soap.Envelope, epr EPR, action string) string {
 	mid := uuid.New().URN()
-	env.AddHeader(
-		xmlutil.NewText(NS, "To", epr.Address),
-		xmlutil.NewText(NS, "Action", action),
-		xmlutil.NewText(NS, "MessageID", mid),
-		EPR{Address: Anonymous}.Element(NS, "ReplyTo"),
-	)
+	h := &requestHeaders{
+		to:        header("To", epr.Address),
+		action:    header("Action", action),
+		messageID: header("MessageID", mid),
+		replyTo:   header("ReplyTo", ""),
+		address:   header("Address", Anonymous),
+	}
+	h.replyToKids[0] = &h.address
+	h.replyTo.Children = h.replyToKids[:]
+	env.Headers = slices.Grow(env.Headers, 4+len(epr.ReferenceProperties)+len(epr.ReferenceParameters))
+	env.Headers = append(env.Headers, &h.to, &h.action, &h.messageID, &h.replyTo)
 	for _, p := range epr.ReferenceProperties {
-		env.AddHeader(p.Clone())
+		env.Headers = append(env.Headers, p.Clone())
 	}
 	for _, p := range epr.ReferenceParameters {
-		env.AddHeader(p.Clone())
+		env.Headers = append(env.Headers, p.Clone())
 	}
 	return mid
 }
 
+// requestHeaders is the block Stamp builds in: To, Action, MessageID,
+// and a ReplyTo holding the anonymous Address.
+type requestHeaders struct {
+	to, action, messageID, replyTo, address xmlutil.Element
+	replyToKids                             [1]*xmlutil.Element
+}
+
 // StampReply adds response message information headers relating the
-// reply to the request's MessageID.
+// reply to the request's MessageID, built in one block like Stamp's.
 func StampReply(env *soap.Envelope, requestID, action string) {
-	env.AddHeader(
-		xmlutil.NewText(NS, "Action", action),
-		xmlutil.NewText(NS, "MessageID", uuid.New().URN()),
-	)
-	if requestID != "" {
-		env.AddHeader(xmlutil.NewText(NS, "RelatesTo", requestID))
+	h := &replyHeaders{
+		action:    header("Action", action),
+		messageID: header("MessageID", uuid.New().URN()),
+		relatesTo: header("RelatesTo", requestID),
 	}
+	env.Headers = append(slices.Grow(env.Headers, 3), &h.action, &h.messageID)
+	if requestID != "" {
+		env.Headers = append(env.Headers, &h.relatesTo)
+	}
+}
+
+// replyHeaders is the block StampReply builds in.
+type replyHeaders struct {
+	action, messageID, relatesTo xmlutil.Element
+}
+
+// header returns a WS-Addressing element carrying text.
+func header(local, text string) xmlutil.Element {
+	return xmlutil.Element{Name: xml.Name{Space: NS, Local: local}, Text: text}
 }
 
 // Extract reads the message information headers from an envelope.

@@ -451,9 +451,8 @@ func (s *Source) deliverOnce(ctx context.Context, client *container.Client, pl p
 		// historical wire format.
 		if len(pl.Subset) == 1 {
 			e := pl.Subset[0]
-			_, err := client.CallWithHeadersContext(ctx, pl.Sub.NotifyTo, ActionEvent,
+			return client.Deliver(ctx, pl.Sub.NotifyTo, ActionEvent,
 				[]*xmlutil.Element{xmlutil.NewText(NS, "Topic", e.Topic)}, e.Message)
-			return err
 		}
 		batch := xmlutil.New(NS, "EventBatch")
 		for _, e := range pl.Subset {
@@ -462,8 +461,7 @@ func (s *Source) deliverOnce(ctx context.Context, client *container.Client, pl p
 				xmlutil.New(NS, "Message").Add(e.Message),
 			))
 		}
-		_, err := client.CallContext(ctx, pl.Sub.NotifyTo, ActionEventBatch, batch)
-		return err
+		return client.Deliver(ctx, pl.Sub.NotifyTo, ActionEventBatch, nil, batch)
 	}
 }
 
@@ -490,7 +488,7 @@ func (s *Source) sendEnd(client *container.Client, sub *Subscription, status, re
 	// The subscription is already removed; an undeliverable end notice
 	// is counted, not retried — its EndTo is usually as dead as the
 	// consumer that got the subscription evicted.
-	if _, err := client.Call(sub.EndTo, ActionSubscriptionEnd, end); err != nil {
+	if err := client.Deliver(context.Background(), sub.EndTo, ActionSubscriptionEnd, nil, end); err != nil {
 		s.noteEndNoticeError(err)
 	}
 }

@@ -638,14 +638,13 @@ func (p *Producer) deliverOnce(ctx context.Context, client *container.Client, pl
 		// passed with a notification … is not well-defined", §3.1); it is
 		// provided for completeness.
 		for _, m := range pl.Subset {
-			if _, err := client.CallContext(ctx, pl.Sub.Consumer, ActionNotify, m.Message); err != nil {
+			if err := client.Deliver(ctx, pl.Sub.Consumer, ActionNotify, nil, m.Message); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	_, err := client.CallContext(ctx, pl.Sub.Consumer, ActionNotify, body)
-	return err
+	return client.Deliver(ctx, pl.Sub.Consumer, ActionNotify, nil, body)
 }
 
 // SubscribeOptions parameterizes a client-side Subscribe call.

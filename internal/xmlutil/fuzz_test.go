@@ -5,12 +5,17 @@ import (
 	"testing"
 )
 
-// FuzzParse drives the hand-rolled parser with adversarial input. Two
+// FuzzParse drives the hand-rolled parser with adversarial input. Three
 // invariants, checked on every input the fuzzer invents:
 //
 //  1. Parse never panics — the container feeds it raw network bytes.
-//  2. Anything Parse accepts survives Marshal → Parse unchanged
+//  2. ParseInPlace, the entry without an input copy that reuses its
+//     arena, accepts exactly what Parse accepts and builds the same tree.
+//  3. Anything Parse accepts survives Marshal → Parse unchanged
 //     (serializer and parser agree on the document model).
+//
+// The seeds are the differential corpus (its expected outcomes pinned
+// by TestParseDifferential) plus the tokenizer corners below.
 //
 // Differential agreement with encoding/xml is pinned separately by
 // TestParseDifferential over the curated corpus; re-running the
@@ -47,8 +52,16 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		el, err := Parse(data) // must not panic
+		same := false
+		inErr := ParseInPlace(data, func(root *Element) { same = el != nil && equalStrict(el, root) })
+		if (err == nil) != (inErr == nil) {
+			t.Fatalf("Parse and ParseInPlace disagree: %v vs %v\ninput: %q", err, inErr, data)
+		}
 		if err != nil {
 			return
+		}
+		if !same {
+			t.Fatalf("ParseInPlace built a different tree\ninput: %q", data)
 		}
 		re, err := Parse(el.Marshal())
 		if err != nil {

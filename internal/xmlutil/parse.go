@@ -3,11 +3,11 @@ package xmlutil
 import (
 	"encoding/xml"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 
 	"altstacks/internal/obs"
 )
@@ -35,9 +35,8 @@ var (
 // from that document's own arena (one block each), and text spans
 // without entity references alias a single upfront copy of the input
 // (the one copy that makes the result independent of the caller's
-// buffer, which the container recycles). ParseReader remains the
-// encoding/xml-based reference implementation; TestParseDifferential
-// pins the two to identical output.
+// buffer, which the container recycles). The tests pin it to an
+// encoding/xml-based reference implementation on a differential corpus.
 func Parse(data []byte) (*Element, error) {
 	parseTotal.Inc()
 	parseBytesTotal.Add(int64(len(data)))
@@ -52,66 +51,29 @@ func Parse(data []byte) (*Element, error) {
 	return root, nil
 }
 
-// ParseReader decodes one XML document from r via encoding/xml. It is
-// the reference implementation Parse is differentially tested against;
-// the two accept the same documents and produce identical trees.
-func ParseReader(r io.Reader) (*Element, error) {
-	dec := xml.NewDecoder(r)
-	var root *Element
-	var stack []*Element
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmlutil: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			el := &Element{Name: t.Name}
-			for _, a := range t.Attr {
-				if isNamespaceDecl(a.Name) {
-					continue
-				}
-				el.Attrs = append(el.Attrs, a)
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmlutil: parse: multiple root elements")
-				}
-				root = el
-			} else {
-				parent := stack[len(stack)-1]
-				parent.Children = append(parent.Children, el)
-			}
-			stack = append(stack, el)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmlutil: parse: unbalanced end element %s", t.Name.Local)
-			}
-			done := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			// Drop insignificant whitespace in container elements.
-			if len(done.Children) > 0 && strings.TrimSpace(done.Text) == "" {
-				done.Text = ""
-			}
-		case xml.CharData:
-			if len(stack) > 0 {
-				stack[len(stack)-1].Text += string(t)
-			}
-		case xml.Comment, xml.ProcInst, xml.Directive:
-			// Ignored: comments and processing instructions carry no
-			// message semantics in any of the WS-* specifications.
-		}
+// ParseInPlace parses data as Parse does and hands the tree to fn,
+// which must keep no part of it: the tree's strings alias data (there
+// is no input copy) and its elements, attributes and child lists live
+// in an arena the parser reuses once fn returns. It is for a caller
+// that reads a document and drops it, such as a one-way delivery
+// checking the consumer's acknowledgement; a small document then parses
+// without allocating. fn runs only if data parses.
+func ParseInPlace(data []byte, fn func(root *Element)) error {
+	parseTotal.Inc()
+	parseBytesTotal.Add(int64(len(data)))
+	p := parserPool.Get().(*parser)
+	p.begin(unsafe.String(unsafe.SliceData(data), len(data)))
+	held := p.reuseArena()
+	root, err := p.parse()
+	if err == nil {
+		fn(root)
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmlutil: parse: unexpected EOF inside %s", stack[len(stack)-1].Name.Local)
+	if held {
+		p.clearArena()
 	}
-	if root == nil {
-		return nil, fmt.Errorf("xmlutil: parse: empty document")
-	}
-	return root, nil
+	p.release()
+	parserPool.Put(p)
+	return err
 }
 
 // MustParse is Parse for static document literals in tests and
@@ -122,10 +84,6 @@ func MustParse(data string) *Element {
 		panic(err)
 	}
 	return e
-}
-
-func isNamespaceDecl(n xml.Name) bool {
-	return n.Space == "xmlns" || (n.Space == "" && n.Local == "xmlns")
 }
 
 // xmlNamespaceURI is the namespace the reserved "xml" prefix is bound
@@ -188,6 +146,14 @@ type parser struct {
 	attrs    []xml.Attr
 	children []*Element
 	lts, eqs int
+
+	// The arena ParseInPlace reuses: blocks that outlive the document,
+	// cleared after each one.
+	held struct {
+		elems    []Element
+		attrs    []xml.Attr
+		children []*Element
+	}
 }
 
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
@@ -215,6 +181,41 @@ func (p *parser) release() {
 	p.frames, p.nsPrefix, p.nsURI = p.frames[:0], p.nsPrefix[:0], p.nsURI[:0]
 	p.scratch, p.kids = p.scratch[:0], p.kids[:0]
 	p.elems, p.attrs, p.children = nil, nil, nil
+}
+
+// maxHeld bounds the reused arena: a document whose bounds exceed it
+// parses into fresh blocks, so one large document cannot leave every
+// later parse clearing a large arena.
+const maxHeld = 64
+
+// reuseArena hands the held blocks to an in-place parse, first growing
+// them to the document's bounds ('<' for elements and child links, '='
+// for attributes) so the whole document fits. It reports false, and
+// leaves the parse to fresh blocks, when the bounds exceed maxHeld.
+func (p *parser) reuseArena() bool {
+	eqs := strings.Count(p.s, "=")
+	if p.lts > maxHeld || eqs > maxHeld {
+		return false
+	}
+	h := &p.held
+	if len(h.elems) < p.lts {
+		h.elems = make([]Element, p.lts)
+		h.children = make([]*Element, p.lts)
+	}
+	if len(h.attrs) < eqs {
+		h.attrs = make([]xml.Attr, eqs)
+	}
+	p.elems, p.attrs, p.children = h.elems, h.attrs, h.children
+	return true
+}
+
+// clearArena zeroes the held entries the document used, which are the
+// blocks' prefixes ahead of what is still free.
+func (p *parser) clearArena() {
+	h := &p.held
+	clear(h.elems[:len(h.elems)-len(p.elems)])
+	clear(h.attrs[:len(h.attrs)-len(p.attrs)])
+	clear(h.children[:len(h.children)-len(p.children)])
 }
 
 // startsLeft is how many start tags still to come a new block makes
@@ -378,16 +379,20 @@ func (p *parser) name() (string, error) {
 
 // splitName separates an optional namespace prefix. A leading or
 // trailing colon is kept as part of the local name (as the reference
-// decoder does); more than one interior colon is rejected.
+// decoder does). More than one interior colon is rejected, and so is a
+// local part that cannot start a name: Namespaces in XML requires an
+// NCName there, and "p:0" would otherwise serialize as "<0/>" wherever
+// p is bound to no namespace.
 func splitName(n string) (prefix, local string, err error) {
 	i := strings.IndexByte(n, ':')
 	if i <= 0 || i == len(n)-1 {
 		return "", n, nil
 	}
-	if strings.IndexByte(n[i+1:], ':') >= 0 {
+	local = n[i+1:]
+	if strings.IndexByte(local, ':') >= 0 || local[0] < utf8.RuneSelf && !nameStartByte[local[0]] {
 		return "", "", errParse("invalid XML name %s", n)
 	}
-	return n[:i], n[i+1:], nil
+	return n[:i], local, nil
 }
 
 func (p *parser) pushNS(prefix, uri string) {
@@ -520,17 +525,31 @@ func (p *parser) startTag() error {
 }
 
 func (p *parser) endTag() error {
+	s := p.s
 	p.pos += 2 // "</"
-	raw, err := p.name()
-	if err != nil {
-		return err
+	n := len(p.frames)
+	// An end tag nearly always repeats the open element's name as
+	// written, which was scanned once already: match it in place when
+	// the byte after it cannot continue a name.
+	var raw string
+	if n > 0 {
+		open := p.frames[n-1].rawName
+		if end := p.pos + len(open); end < len(s) && s[end] < utf8.RuneSelf && !nameByte[s[end]] &&
+			s[p.pos:end] == open {
+			raw, p.pos = open, end
+		}
+	}
+	if raw == "" {
+		var err error
+		if raw, err = p.name(); err != nil {
+			return err
+		}
 	}
 	p.skipSpace()
-	if p.pos >= len(p.s) || p.s[p.pos] != '>' {
+	if p.pos >= len(s) || s[p.pos] != '>' {
 		return errParse("invalid characters between </%s and >", raw)
 	}
 	p.pos++
-	n := len(p.frames)
 	if n == 0 {
 		return errParse("unbalanced end element %s", raw)
 	}
@@ -715,7 +734,17 @@ func init() {
 // decodeText validates a character-data or attribute-value span and
 // resolves entity references and CR/CRLF normalization. Spans needing
 // neither are returned as-is — a zero-copy alias of the input string.
+// Nearly every span is plain ASCII, and one pass that ORs the byte
+// classes (tcPlain is zero) proves it before any byte is looked at
+// twice.
 func decodeText(span string, cdataEndIllegal bool) (string, error) {
+	var classes byte
+	for i := 0; i < len(span); i++ {
+		classes |= textClass[span[i]]
+	}
+	if classes == tcPlain {
+		return span, nil
+	}
 	needs := false
 	for i := 0; i < len(span); i++ {
 		switch textClass[span[i]] {

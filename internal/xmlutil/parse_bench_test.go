@@ -1,6 +1,9 @@
 package xmlutil
 
-import "testing"
+import (
+	"os"
+	"testing"
+)
 
 // BenchmarkParse measures the inbound hot path: every request,
 // response, notification, and database read funnels one document
@@ -31,5 +34,26 @@ func BenchmarkParseEscapeHeavy(b *testing.B) {
 		if _, err := Parse(data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkParseGolden parses two of the SOAP golden files: the
+// delivery request every consumer reads and the reply every caller
+// reads.
+func BenchmarkParseGolden(b *testing.B) {
+	for _, name := range []string{"delivery-request", "reply"} {
+		data, err := os.ReadFile("../soap/testdata/" + name + ".xml")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Parse(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
