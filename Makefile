@@ -51,11 +51,12 @@ race: check-race
 # The delivery-robustness packages re-run race-pinned and named
 # explicitly: the shared delivery engine (internal/fanout: health-ledger
 # locking, exactly-once eviction accounting), the two stacks driving it,
-# and the fault-injection harness. Their semantics are concurrency
-# claims, and this step keeps them from hiding inside the blanket race
-# pass.
+# the fault-injection harness, and the container's client transport
+# (internal/container: the connection pool every fan-out worker shares).
+# Their semantics are concurrency claims, and this step keeps them from
+# hiding inside the blanket race pass.
 race-delivery:
-	$(GO) test -race -count=1 ./internal/fanout ./internal/wsn ./internal/wse ./internal/faultinject
+	$(GO) test -race -count=1 ./internal/fanout ./internal/wsn ./internal/wse ./internal/faultinject ./internal/container
 
 # One iteration of every benchmark: exercises the harnesses end to end
 # without asking CI for stable timings.
@@ -106,11 +107,14 @@ soak-smoke:
 	$(GO) run ./cmd/loadgen -soak -stack both -duration 10s
 
 # Short fuzz passes over the network-boundary decoders that must never
-# panic on adversarial bytes: the hand-rolled XML parser, and a peer's
-# metrics snapshot through decode, merge, render, and quantiles.
+# panic on adversarial bytes: the hand-rolled XML parser, a peer's
+# metrics snapshot through decode, merge, render, and quantiles, and a
+# peer's HTTP reply through the container's client transport (which
+# must also never pool a connection after an incomplete reply).
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s ./internal/xmlutil/
 	$(GO) test -run NONE -fuzz FuzzDecodeSnapshot -fuzztime 10s ./internal/obs/
+	$(GO) test -run NONE -fuzz FuzzTransportResponse -fuzztime 10s ./internal/container/
 
 # End-to-end check of the observability surface: counterd -admin must
 # come up, `gridctl metrics` must expose every migrated counter family

@@ -58,6 +58,12 @@ func main() {
 	warmup := flag.Int("warmup", 3, "unmeasured warmup iterations per operation")
 	runChecks := flag.Bool("checks", true, "evaluate shape assertions against the paper")
 	flag.Parse()
+	switch *fig {
+	case "all", "2", "3", "4", "6":
+	default:
+		fmt.Fprintf(os.Stderr, "figures: unknown -fig %q; want all, 2, 3, 4, or 6\n", *fig)
+		os.Exit(2)
+	}
 
 	run := func(f string) bool { return *fig == "all" || *fig == f }
 	ok := true

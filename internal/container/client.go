@@ -31,9 +31,10 @@ import (
 type Client struct {
 	// HTTP supplies the exchanges' Transport and Timeout; SOAP follows
 	// no redirects and keeps no cookies, so its other fields go unused.
-	// Connections are pooled, which is what makes the HTTPS scenario
-	// fast ("due to socket caching, HTTPS performance is much faster",
-	// §4.1.3).
+	// NewClient installs the container's own HTTP/1.1 transport, whose
+	// pooled connections are what makes the HTTPS scenario fast ("due to
+	// socket caching, HTTPS performance is much faster", §4.1.3); a nil
+	// HTTP or Transport uses a shared one.
 	HTTP *http.Client
 	// Signer signs requests (X.509 scenarios); nil otherwise.
 	Signer *wssec.Signer
@@ -82,15 +83,9 @@ func NewClient(cfg ClientConfig) *Client {
 		tlsCfg = tlsCfg.Clone()
 		tlsCfg.ClientSessionCache = tls.NewLRUClientSessionCache(2 * pool)
 	}
-	base := &http.Transport{
-		TLSClientConfig: tlsCfg,
-		// MaxIdleConns stays 0 (unlimited): the per-host knob governs,
-		// and a global cap below width × hosts would silently close
-		// pooled connections mid-fan-out.
-		MaxIdleConnsPerHost: pool,
-		IdleConnTimeout:     90 * time.Second,
-	}
-	c := &Client{HTTP: &http.Client{Transport: cfg.Link.Transport(base)}}
+	// The pool is bounded per host only: a global cap below width × hosts
+	// would close pooled connections mid-fan-out.
+	c := &Client{HTTP: &http.Client{Transport: cfg.Link.Transport(newTransport(tlsCfg, pool))}}
 	if cfg.Mode == SecuritySign {
 		c.Signer = cfg.Signer
 		c.Verifier = cfg.Verifier
@@ -242,12 +237,13 @@ func (c *Client) exchange(ctx context.Context, span *obs.Span, epr wsa.EPR, acti
 		ctx = withDeliveryTrace(ctx)
 	}
 	// The request marshals straight into a pooled buffer; bytes.NewReader
-	// gives the transport a rewindable view of it (GetBody for retries).
+	// gives the transport a view of it.
 	buf := bodyPool.Get().(*wireBuf)
 	buf.Reset()
 	env.MarshalTo(&buf.Buffer)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, epr.Address, bytes.NewReader(buf.Bytes()))
 	if err != nil {
+		buf.release()
 		return fmt.Errorf("container: build request: %w", err)
 	}
 	// Keys already canonical, as Header.Set would make them.
@@ -259,36 +255,36 @@ func (c *Client) exchange(ctx context.Context, span *obs.Span, epr wsa.EPR, acti
 	// every call. The error reads as Do's.
 	rt := hc.Transport
 	if rt == nil {
-		rt = http.DefaultTransport
+		rt = defaultTransport
 	}
 	httpResp, err := rt.RoundTrip(req)
+	// The transport and its wrappers run the exchange on this goroutine,
+	// so once RoundTrip returns nothing holds the request bytes.
+	buf.release()
 	if err != nil {
 		return fmt.Errorf("container: %s: %w", action, &url.Error{Op: "Post", URL: req.URL.String(), Err: err})
 	}
-	defer httpResp.Body.Close()
 	resp := bodyPool.Get().(*wireBuf)
 	resp.Reset()
-	if err := resp.readFrom(httpResp.Body); err != nil {
+	defer resp.release()
+	err = resp.readFrom(httpResp.Body)
+	// Closing before the reply is read hands the connection back first.
+	httpResp.Body.Close()
+	if err != nil {
 		return fmt.Errorf("container: read response: %w", err)
 	}
-	// A fully read response means the exchange completed and the
-	// transport is done with the request body, so the buffer can be
-	// recycled. The error paths above deliberately leak it to the GC: a
-	// failed exchange can leave the transport's write loop still holding
-	// the reader, and reusing the bytes under it would corrupt a later
-	// request.
-	buf.release()
-	err = read(resp.Bytes(), httpResp.StatusCode)
-	resp.release()
-	return err
+	return read(resp.Bytes(), httpResp.StatusCode)
 }
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
-	return http.DefaultClient
+	return &defaultHTTP
 }
+
+// defaultHTTP is the client of a Client built without NewClient.
+var defaultHTTP = http.Client{Transport: defaultTransport}
 
 // DeliveryMode selects how the notification delivery paths manage
 // connections — the axis the paper's "TCP vs. HTTP issue" (§4.1.3)
@@ -345,17 +341,22 @@ func withDeliveryTrace(ctx context.Context) context.Context {
 // ForDelivery returns a client configured for the outbound
 // notification path in the given mode. Both modes account connection
 // dials and reuses into the shared delivery metrics; DeliveryPooled
-// rides the base client's idle pool, DeliveryPerMessage closes after
-// every exchange (see WithoutKeepAlives). Delivery is one-way: the
-// consumer's acknowledgement carries nothing to verify and is unsigned,
-// so the returned client keeps signing requests but verifies no
-// responses.
+// rides the base client's idle pool, DeliveryPerMessage closes the
+// connection after every exchange. That models the 2005
+// notification-consumer HTTP path: WSRF.NET's "custom HTTP server that
+// clients include" accepts one-shot connections, so every
+// WS-Notification delivery pays connection setup — the "TCP vs. HTTP
+// issue" behind the paper's Notify results (§4.1.3), in contrast to the
+// Plumbwork SoapReceiver's persistent raw-TCP channel. Delivery is
+// one-way: the consumer's acknowledgement carries nothing to verify and
+// is unsigned, so the returned client keeps signing requests but
+// verifies no responses.
 func (c *Client) ForDelivery(mode DeliveryMode) *Client {
 	hc := *c.httpClient()
 	if mode == DeliveryPerMessage {
 		base := hc.Transport
 		if base == nil {
-			base = http.DefaultTransport
+			base = defaultTransport
 		}
 		hc.Transport = closingTransport{base}
 	}
@@ -363,23 +364,6 @@ func (c *Client) ForDelivery(mode DeliveryMode) *Client {
 	cp.HTTP = &hc
 	cp.Verifier = nil
 	cp.traceConns = true
-	return &cp
-}
-
-// WithoutKeepAlives returns a client that closes its connection after
-// every exchange. This models the 2005 notification-consumer HTTP
-// path: WSRF.NET's "custom HTTP server that clients include" accepts
-// one-shot connections, so every WS-Notification delivery pays
-// connection setup — the "TCP vs. HTTP issue" behind the paper's
-// Notify results (§4.1.3), in contrast to the Plumbwork SoapReceiver's
-// persistent raw-TCP channel.
-func (c *Client) WithoutKeepAlives() *Client {
-	base := c.httpClient().Transport
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	cp := *c
-	cp.HTTP = &http.Client{Transport: closingTransport{base}}
 	return &cp
 }
 

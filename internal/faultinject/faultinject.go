@@ -178,13 +178,17 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // WrapClient returns a copy of c whose transport routes through the
 // injector. Wrapping composes with the container client's own
-// decorators (WithTimeout, WithoutKeepAlives), so wrap once before
-// handing the client to a producer or source.
+// decorators (WithTimeout, ForDelivery), so wrap once before handing
+// the client to a producer or source. A client without a transport is
+// given a default-configured container transport to wrap.
 func (in *Injector) WrapClient(c *container.Client) *container.Client {
 	cp := *c
-	hc := http.Client{}
+	var hc http.Client
 	if c.HTTP != nil {
 		hc = *c.HTTP
+	}
+	if hc.Transport == nil {
+		hc.Transport = container.NewClient(container.ClientConfig{}).HTTP.Transport
 	}
 	hc.Transport = in.Transport(hc.Transport)
 	cp.HTTP = &hc
