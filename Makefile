@@ -51,12 +51,14 @@ race: check-race
 # The delivery-robustness packages re-run race-pinned and named
 # explicitly: the shared delivery engine (internal/fanout: health-ledger
 # locking, exactly-once eviction accounting), the two stacks driving it,
-# the fault-injection harness, and the container's client transport
-# (internal/container: the connection pool every fan-out worker shares).
-# Their semantics are concurrency claims, and this step keeps them from
-# hiding inside the blanket race pass.
+# the fault-injection harness, the container's client transport
+# (internal/container: the connection pool every fan-out worker shares),
+# and internal/obs (the registry, trace ring and flight recorder every
+# fan-out worker writes). Their semantics are concurrency claims, and
+# this step keeps them from hiding inside the blanket race pass. Three
+# passes give an interleaving-dependent race three chances to show.
 race-delivery:
-	$(GO) test -race -count=1 ./internal/fanout ./internal/wsn ./internal/wse ./internal/faultinject ./internal/container
+	$(GO) test -race -count=3 ./internal/fanout ./internal/wsn ./internal/wse ./internal/faultinject ./internal/container ./internal/obs/...
 
 # One iteration of every benchmark: exercises the harnesses end to end
 # without asking CI for stable timings.

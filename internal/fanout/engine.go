@@ -34,14 +34,6 @@ type Knobs struct {
 	// lifetime path); wse cancels it with one SubscriptionEnd
 	// (StatusDeliveryFailure) to its EndTo.
 	EvictAfter int
-	// MaxBatch and MaxBatchDelay tune coalescing on the asynchronous
-	// enqueue path: up to MaxBatch pending messages flush to each
-	// subscriber as one exchange (one signature), the first waiting at
-	// most MaxBatchDelay for the batch to fill. MaxBatch below 2
-	// disables coalescing. Set both before the first enqueue; the
-	// synchronous publish path ignores them.
-	MaxBatch      int
-	MaxBatchDelay time.Duration
 }
 
 // Health is the per-subscription delivery ledger: consecutive failed
@@ -111,10 +103,6 @@ type Stats struct {
 	// records, subscription removals, wsn's current messages). The
 	// in-memory state stays authoritative, so the publish goes on.
 	StateWriteErrors int64
-	// CoalescedBatches counts deliveries that carried more than one
-	// message in a single exchange (the enqueue path's batching at
-	// work). Deliveries still counts exchanges, MessagesSent messages.
-	CoalescedBatches int64
 }
 
 // The delivery events an engine counts.
@@ -126,7 +114,6 @@ const (
 	cFilterErrors
 	cEvictions
 	cStateWriteErrors
-	cCoalesced
 	cMessagesSent
 	numCounters
 )
@@ -141,7 +128,6 @@ var counterTable = [numCounters]struct{ family, help string }{
 	cFilterErrors:     {"filter_errors_total", "subscriptions skipped by a failing filter evaluation"},
 	cEvictions:        {"evictions_total", "subscriptions ended for delivery failure"},
 	cStateWriteErrors: {"state_write_errors_total", "delivery-state writes that failed"},
-	cCoalesced:        {"coalesced_batches_total", "deliveries that carried more than one coalesced message"},
 	cMessagesSent:     {"messages_sent_total", "messages sent to subscribers"},
 }
 
@@ -158,14 +144,6 @@ func NewCounters(stack string) *Counters {
 		c[i] = obs.NewCounter("ogsa_"+stack+"_"+row.family, "", stack+" "+row.help)
 	}
 	return &c
-}
-
-// Plan is one subscriber's share of a publish batch. When every
-// message matched, Subset is the batch slice itself; otherwise it is
-// shorter.
-type Plan[S, M any] struct {
-	Sub    S
-	Subset []M
 }
 
 // Stack is what a notification stack plugs into an Engine: the parts
@@ -193,17 +171,16 @@ type Stack[S, M any] struct {
 	// StoreHealth writes one through.
 	LoadHealth  func(id string) Health
 	StoreHealth func(id string, h Health) error
-	// Publish delivers one coalesced batch on the enqueue path.
-	Publish func(context.Context, []M) (int, error)
 	// Now is the ledger's clock.
 	Now func() time.Time
 }
 
 // Engine is the delivery machinery both notification stacks share:
-// per-subscriber matching over a batch, fan-out over the worker pool,
-// retry with backoff, the health ledger, eviction, coalescing, and the
-// delivery counters. The stacks keep subscription storage, filter
-// semantics, wire formats, and where health persists.
+// per-subscriber matching of one message, fan-out over the worker
+// pool, retry with backoff, the health ledger, eviction, and the
+// delivery counters. Its unit of work is one subscription receiving
+// one message. The stacks keep subscription storage, filter semantics,
+// wire formats, and where health persists.
 type Engine[S, M any] struct {
 	knobs *Knobs
 	stack Stack[S, M]
@@ -217,9 +194,6 @@ type Engine[S, M any] struct {
 
 	mu     sync.Mutex
 	health map[string]*Health
-
-	coalesceOnce sync.Once
-	coalescer    *Coalescer[M]
 }
 
 // NewEngine builds an engine reading its knobs (at use time) from
@@ -253,13 +227,12 @@ func (e *Engine[S, M]) Stats() Stats {
 		FilterErrors:     e.counts[cFilterErrors].Load(),
 		Evictions:        e.counts[cEvictions].Load(),
 		StateWriteErrors: e.counts[cStateWriteErrors].Load(),
-		CoalescedBatches: e.counts[cCoalesced].Load(),
 	}
 }
 
-// MessagesSent reports messages pushed: once per message per
-// subscriber, not per attempt or per exchange, so it measures fan-out
-// amplification across coalesced batches rather than retry noise.
+// MessagesSent reports messages pushed: once per matched subscription
+// per publish, not per attempt, so it measures fan-out amplification
+// rather than retry noise.
 func (e *Engine[S, M]) MessagesSent() int64 { return e.counts[cMessagesSent].Load() }
 
 // NoteStateWriteError counts one failed write of stack-held delivery
@@ -268,70 +241,43 @@ func (e *Engine[S, M]) MessagesSent() int64 { return e.counts[cMessagesSent].Loa
 // it; only the count is kept.
 func (e *Engine[S, M]) NoteStateWriteError(error) { e.add(cStateWriteErrors, 1) }
 
-// Match pairs each subscription with the messages its filters accept,
-// dropping subscriptions that accept none. A filter whose evaluation
-// errors does not silently drop its subscriber: it counts as a
-// delivery fault (FilterErrors) against that subscription, feeding the
-// same ledger and eviction threshold as failed deliveries.
-func (e *Engine[S, M]) Match(subs []S, msgs []M) []Plan[S, M] {
-	var matched []Plan[S, M]
+// Match returns the subscriptions whose filters accept m. A filter
+// whose evaluation errors does not silently drop its subscriber: it
+// counts as a delivery fault (FilterErrors) against that subscription,
+// feeding the same ledger and eviction threshold as failed deliveries.
+func (e *Engine[S, M]) Match(subs []S, m M) []S {
+	var matched []S
 	for _, sub := range subs {
-		subset, err := e.subset(sub, msgs)
+		ok, err := e.stack.Match(sub, m)
 		if err != nil {
 			e.add(cFilterErrors, 1)
 			id := e.stack.ID(sub)
 			e.fault(sub, id, fmt.Errorf("%s: filter evaluation for subscription %s: %w", e.stack.Name, id, err))
 			continue
 		}
-		if len(subset) > 0 {
-			matched = append(matched, Plan[S, M]{Sub: sub, Subset: subset})
+		if ok {
+			matched = append(matched, sub)
 		}
 	}
 	return matched
 }
 
-// subset returns the messages sub accepts. The everything-matched case
-// (by far the common one) returns msgs itself, so steady-state fan-out
-// allocates no per-subscriber slices.
-func (e *Engine[S, M]) subset(sub S, msgs []M) ([]M, error) {
-	var subset []M
-	whole := true
-	for i, m := range msgs {
-		ok, err := e.stack.Match(sub, m)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if !whole {
-				subset = append(subset, m)
-			}
-		} else if whole {
-			whole = false
-			subset = append(subset, msgs[:i]...)
-		}
-	}
-	if whole {
-		return msgs, nil
-	}
-	return subset, nil
-}
-
-// Deliver fans the matched plans out over the worker pool. Each plan
-// is delivered under the Retry policy, attempt making one try. A
-// success resets the subscription's ledger; an exhausted delivery
-// counts toward EvictAfter. It returns how many plans were delivered
-// and the first error in plan (subscription) order — the semantics of
-// the sequential dispatch the pool replaced.
-func (e *Engine[S, M]) Deliver(ctx context.Context, matched []Plan[S, M], attempt func(context.Context, Plan[S, M]) error) (int, error) {
+// Deliver fans one message out to the matched subscriptions over the
+// worker pool. Each delivery runs under the Retry policy, attempt
+// making one try. A success resets the subscription's ledger; an
+// exhausted delivery counts toward EvictAfter. It returns how many
+// subscriptions were delivered to and the first error in subscription
+// order — the semantics of the sequential dispatch the pool replaced.
+func (e *Engine[S, M]) Deliver(ctx context.Context, matched []S, attempt func(context.Context, S) error) (int, error) {
 	obs.SpanFromContext(ctx).SetAttr("matched", strconv.Itoa(len(matched)))
 	errs := make([]error, len(matched))
 	Do(len(matched), e.knobs.Workers, func(i int) {
-		pl := matched[i]
-		id := e.stack.ID(pl.Sub)
-		if err := e.deliver(ctx, pl, id, attempt); err != nil {
+		sub := matched[i]
+		id := e.stack.ID(sub)
+		if err := e.deliver(ctx, sub, id, attempt); err != nil {
 			errs[i] = err
 			e.add(cFailures, 1)
-			e.fault(pl.Sub, id, err)
+			e.fault(sub, id, err)
 			return
 		}
 		e.add(cDeliveries, 1)
@@ -349,26 +295,18 @@ func (e *Engine[S, M]) Deliver(ctx context.Context, matched []Plan[S, M], attemp
 	return delivered, firstErr
 }
 
-// deliver runs one plan under the retry policy inside a deliver span,
-// accounting messages, attempts, retries, and coalesced exchanges.
-func (e *Engine[S, M]) deliver(ctx context.Context, pl Plan[S, M], id string, attempt func(context.Context, Plan[S, M]) error) error {
-	n := int64(len(pl.Subset))
-	e.add(cMessagesSent, n)
-	obs.DeliveryBatchSize.ObserveValue(float64(n))
-	if n > 1 {
-		e.add(cCoalesced, 1)
-	}
+// deliver runs one delivery under the retry policy inside a deliver
+// span, accounting the message, attempts, and retries.
+func (e *Engine[S, M]) deliver(ctx context.Context, sub S, id string, attempt func(context.Context, S) error) error {
+	e.add(cMessagesSent, 1)
 	t0 := obs.Start()
 	dctx, dspan := obs.StartSpan(ctx, e.deliverSpan)
 	dspan.SetAttr("subscription", id)
 	if e.stack.Annotate != nil && dspan != nil {
-		e.stack.Annotate(pl.Sub, dspan)
-	}
-	if n > 1 {
-		dspan.SetAttr("batch", fmt.Sprint(n))
+		e.stack.Annotate(sub, dspan)
 	}
 	attempts, err := retry.Do(dctx, e.knobs.Retry, func(actx context.Context) error {
-		return attempt(actx, pl)
+		return attempt(actx, sub)
 	})
 	obs.StageDeliver.ObserveSinceSpan(t0, dspan)
 	e.add(cAttempts, int64(attempts))
@@ -468,29 +406,4 @@ func (e *Engine[S, M]) fault(sub S, id string, cause error) {
 			obs.Attr{K: "subscription", V: id},
 			obs.Attr{K: "cause", V: cause.Error()})
 	}
-}
-
-// Enqueue queues a message for coalesced asynchronous delivery and
-// returns immediately; batches flush through the stack's Publish per
-// the MaxBatch/MaxBatchDelay knobs.
-func (e *Engine[S, M]) Enqueue(m M) { e.coalesce().Add(m) }
-
-// Flush blocks until every message enqueued before the call has been
-// delivered (or exhausted its retries).
-func (e *Engine[S, M]) Flush() { e.coalesce().Drain() }
-
-func (e *Engine[S, M]) coalesce() *Coalescer[M] {
-	e.coalesceOnce.Do(func() {
-		e.coalescer = &Coalescer[M]{
-			MaxBatch:      e.knobs.MaxBatch,
-			MaxBatchDelay: e.knobs.MaxBatchDelay,
-			Flush: func(batch []M) {
-				// Enqueued delivery is detached from any request by design —
-				// the enqueueing request completes before delivery runs.
-				//lint:ignore ogsalint/soapfault no caller remains for an async flush; per-subscriber outcomes land in DeliveryStats and the health ledger
-				e.stack.Publish(context.Background(), batch)
-			},
-		}
-	})
-	return e.coalescer
 }

@@ -73,13 +73,12 @@ func newFakeStack(subs ...*fakeSub) *fakeStack {
 			f.writes++
 			return nil
 		},
-		Publish: f.publish,
-		Now:     time.Now,
+		Now: time.Now,
 	})
 	return f
 }
 
-func (f *fakeStack) publish(ctx context.Context, msgs []string) (int, error) {
+func (f *fakeStack) publish(ctx context.Context, m string) (int, error) {
 	f.mu.Lock()
 	var live []*fakeSub
 	for _, s := range f.subs {
@@ -88,11 +87,11 @@ func (f *fakeStack) publish(ctx context.Context, msgs []string) (int, error) {
 		}
 	}
 	f.mu.Unlock()
-	return f.eng.Deliver(ctx, f.eng.Match(live, msgs), func(ctx context.Context, pl Plan[*fakeSub, string]) error {
-		time.Sleep(pl.Sub.delay)
-		if pl.Sub.failLeft.Load() != 0 {
-			pl.Sub.failLeft.Add(-1)
-			return fmt.Errorf("deliver to %s failed", pl.Sub.id)
+	return f.eng.Deliver(ctx, f.eng.Match(live, m), func(ctx context.Context, s *fakeSub) error {
+		time.Sleep(s.delay)
+		if s.failLeft.Load() != 0 {
+			s.failLeft.Add(-1)
+			return fmt.Errorf("deliver to %s failed", s.id)
 		}
 		return nil
 	})
@@ -111,7 +110,7 @@ func TestEngineSuccessResetsLedger(t *testing.T) {
 	f := newFakeStack(failing("a", 1))
 	f.knobs.EvictAfter = 3
 
-	if n, err := f.publish(context.Background(), []string{"m"}); n != 0 || err == nil {
+	if n, err := f.publish(context.Background(), "m"); n != 0 || err == nil {
 		t.Fatalf("first publish = %d, %v; want 0 and an error", n, err)
 	}
 	if h := f.eng.Health("a"); h.ConsecutiveFailures != 1 || h.LastError == "" || h.LastFailure.IsZero() {
@@ -121,7 +120,7 @@ func TestEngineSuccessResetsLedger(t *testing.T) {
 		t.Fatalf("persisted %+v after %d writes; want the failure, written once", f.stored["a"], f.writes)
 	}
 
-	if n, err := f.publish(context.Background(), []string{"m"}); n != 1 || err != nil {
+	if n, err := f.publish(context.Background(), "m"); n != 1 || err != nil {
 		t.Fatalf("recovery publish = %d, %v", n, err)
 	}
 	h := f.eng.Health("a")
@@ -133,7 +132,7 @@ func TestEngineSuccessResetsLedger(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		if _, err := f.publish(context.Background(), []string{"m"}); err != nil {
+		if _, err := f.publish(context.Background(), "m"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,13 +152,13 @@ func TestEngineEvictsExactlyOnceAtEvictAfter(t *testing.T) {
 	f := newFakeStack(failing("dead", -1), failing("ok", 0))
 	f.knobs.EvictAfter = 2
 
-	if n, _ := f.publish(context.Background(), []string{"m"}); n != 1 {
+	if n, _ := f.publish(context.Background(), "m"); n != 1 {
 		t.Fatalf("first publish delivered %d, want 1", n)
 	}
 	if ev := f.eng.Stats().Evictions; ev != 0 || f.removed["dead"] {
 		t.Fatalf("evicted below EvictAfter (evictions %d)", ev)
 	}
-	if n, _ := f.publish(context.Background(), []string{"m"}); n != 1 {
+	if n, _ := f.publish(context.Background(), "m"); n != 1 {
 		t.Fatalf("second publish delivered %d, want 1", n)
 	}
 	if ev := f.eng.Stats().Evictions; ev != 1 || !f.removed["dead"] || f.ended.Load() != 1 {
@@ -176,7 +175,7 @@ func TestEngineEvictsExactlyOnceAtEvictAfter(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = g.publish(context.Background(), []string{"m"})
+			_, _ = g.publish(context.Background(), "m")
 		}()
 	}
 	wg.Wait()
@@ -186,34 +185,37 @@ func TestEngineEvictsExactlyOnceAtEvictAfter(t *testing.T) {
 }
 
 // TestEngineAccounting pins the counters around retry.Do: attempts
-// include retries, a multi-message exchange counts as one coalesced
-// delivery, MessagesSent counts messages per subscriber, a partial
-// match delivers only its subset, and a filter error is a fault.
+// include retries, MessagesSent counts once per matched subscription,
+// a subscription whose filter rejects the message receives nothing,
+// and a filter error is a fault.
 func TestEngineAccounting(t *testing.T) {
 	all := failing("all", 2)
 	odd := &fakeSub{id: "odd", accept: func(m string) bool { return m == "1" || m == "3" }}
 	f := newFakeStack(all, odd)
 	f.knobs.Retry = retry.Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
 
-	msgs := []string{"1", "2", "3"}
-	plans := f.eng.Match(f.subs, msgs)
-	if len(plans) != 2 || len(plans[0].Subset) != 3 || &plans[0].Subset[0] != &msgs[0] ||
-		strings.Join(plans[1].Subset, ",") != "1,3" {
-		t.Fatalf("plans = %+v; want the whole batch shared, then subset 1,3", plans)
+	if matched := f.eng.Match(f.subs, "2"); len(matched) != 1 || matched[0] != all {
+		t.Fatalf("matched = %v; want only the unfiltered subscription", matched)
 	}
-	if n, err := f.publish(context.Background(), msgs); n != 2 || err != nil {
+	if n, err := f.publish(context.Background(), "1"); n != 2 || err != nil {
 		t.Fatalf("publish = %d, %v; want 2, nil", n, err)
 	}
 	st := f.eng.Stats()
-	want := Stats{Attempts: 4, Retries: 2, Deliveries: 2, CoalescedBatches: 2}
+	want := Stats{Attempts: 4, Retries: 2, Deliveries: 2}
 	if st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
-	if sent := f.eng.MessagesSent(); sent != 5 {
-		t.Fatalf("MessagesSent = %d, want 5 (3 + 2)", sent)
+	if sent := f.eng.MessagesSent(); sent != 2 {
+		t.Fatalf("MessagesSent = %d, want 2 (one per matched subscription)", sent)
+	}
+	if n, err := f.publish(context.Background(), "2"); n != 1 || err != nil {
+		t.Fatalf("non-matching publish = %d, %v; want 1, nil", n, err)
+	}
+	if st, sent := f.eng.Stats(), f.eng.MessagesSent(); st.Attempts != 5 || st.Deliveries != 3 || sent != 3 {
+		t.Fatalf("stats = %+v, sent %d; want the filtered subscription skipped", st, sent)
 	}
 
-	if n, err := f.publish(context.Background(), []string{"bad"}); n != 0 || err != nil {
+	if n, err := f.publish(context.Background(), "bad"); n != 0 || err != nil {
 		t.Fatalf("filter-error publish = %d, %v; want 0, nil", n, err)
 	}
 	if st := f.eng.Stats(); st.FilterErrors != 2 || st.Failures != 0 {
@@ -233,23 +235,8 @@ func TestEngineFirstErrorInSubscriptionOrder(t *testing.T) {
 	f := newFakeStack(failing("a", 0), slow, failing("c", 0), failing("d", -1), failing("e", 0))
 	f.knobs.Workers = 8
 
-	n, err := f.publish(context.Background(), []string{"m"})
+	n, err := f.publish(context.Background(), "m")
 	if n != 3 || err == nil || !strings.Contains(err.Error(), "deliver to b") {
 		t.Fatalf("publish = %d, %v; want 3 delivered and b's error", n, err)
-	}
-}
-
-// TestEngineEnqueueCoalesces pins the enqueue path: messages queued
-// while the batch forms flush through the stack's Publish together.
-func TestEngineEnqueueCoalesces(t *testing.T) {
-	f := newFakeStack(failing("a", 0))
-	f.knobs.MaxBatch = 8
-	f.knobs.MaxBatchDelay = time.Hour // only Flush releases the batch
-	for _, m := range []string{"1", "2", "3"} {
-		f.eng.Enqueue(m)
-	}
-	f.eng.Flush()
-	if st := f.eng.Stats(); st.Deliveries != 1 || st.CoalescedBatches != 1 || f.eng.MessagesSent() != 3 {
-		t.Fatalf("stats = %+v, sent %d; want one coalesced delivery of 3", st, f.eng.MessagesSent())
 	}
 }

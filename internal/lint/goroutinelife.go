@@ -10,9 +10,9 @@ import (
 // reached from a ctx.Done()/stop-channel select case, a `break`, or a
 // terminating call. Without one, the goroutine outlives its owner:
 // Shutdown can't reclaim it, soak runs count it as a leak, and the
-// timer/flusher it drives keeps firing into torn-down state. This is
-// the Coalescer/churn shape — every background loop in the tree pairs
-// with a Stop/Drain/ctx that closes it.
+// timer it drives keeps firing into torn-down state. This is the
+// faultinject.Churn shape — every background loop in the tree pairs
+// with a Stop or ctx that closes it.
 //
 // One-shot goroutines (fire a delivery, post a result, exit) loop
 // nowhere and are not flagged. `for range ch` is not flagged either:

@@ -261,8 +261,8 @@ func deliveryCall(info *types.Info, call *ast.CallExpr) string {
 		return "retry.Do"
 	case calleeIsFunc(info, call, "altstacks/internal/fanout", "Do"):
 		return "fanout.Do"
-	case calleeIsMethod(info, call, "altstacks/internal/wse", "TCPDeliverer", "Deliver"):
-		return "TCPDeliverer.Deliver"
+	case calleeIsMethod(info, call, "altstacks/internal/wse", "TCPDeliverer", "DeliverContext"):
+		return "TCPDeliverer.DeliverContext"
 	}
 	for _, m := range [...]string{"Call", "CallEnvelope", "CallContext", "Deliver", "callEnvelope", "exchange"} {
 		if calleeIsMethod(info, call, "altstacks/internal/container", "Client", m) {

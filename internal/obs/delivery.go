@@ -17,13 +17,3 @@ var (
 	DeliveryConnsReused = NewCounter("ogsa_delivery_conns_reused_total", "",
 		"deliveries that reused a pooled or cached connection")
 )
-
-// batchSizeBuckets cover coalesced-delivery batch sizes: most batches
-// are small (a handful of pending notifications per subscriber), with
-// a tail bounded by the producer's MaxBatch knob.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
-
-// DeliveryBatchSize is the distribution of how many notifications each
-// coalesced delivery exchange carried (1 = no coalescing happened).
-var DeliveryBatchSize = NewValueHistogram("ogsa_delivery_batch_size", "",
-	"notifications carried per coalesced delivery exchange", batchSizeBuckets)

@@ -32,7 +32,8 @@ func roundTrip(t testing.TB, exp *Exposition) *Exposition {
 // the registry renders it in OpenMetrics `# {...}` syntax, and a peer
 // decoding the JSON snapshot recovers trace id, message id, and value.
 func TestExemplarCaptureAndRoundTrip(t *testing.T) {
-	h := NewHistogram("test_exemplar_seconds", "", "exemplar round-trip fixture")
+	h := fixtureHist("test_exemplar_seconds", "exemplar round-trip fixture")
+	r := fixtures(h)
 	withEnabled(t, func() {
 		_, span := StartSpan(context.Background(), "dispatch")
 		span.SetMessageID("urn:msg:exemplar")
@@ -54,14 +55,14 @@ func TestExemplarCaptureAndRoundTrip(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		if err := Default.WritePrometheus(&buf); err != nil {
+		if err := r.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(buf.String(), `# {trace_id="`+span.TraceID()+`"`) {
 			t.Fatal("exposition missing OpenMetrics exemplar suffix")
 		}
 
-		s := roundTrip(t, Default.Snapshot()).Get("test_exemplar_seconds", "")
+		s := roundTrip(t, r.Snapshot()).Get("test_exemplar_seconds", "")
 		if s == nil || s.Hist == nil {
 			t.Fatal("decoded snapshot lost the test histogram")
 		}
@@ -82,7 +83,8 @@ func TestExemplarCaptureAndRoundTrip(t *testing.T) {
 func TestHostileLabelValue(t *testing.T) {
 	hostile := `sink"},evil="1` + "\n" + `back\slash`
 	labels := Label("endpoint", hostile)
-	c := NewCounter("test_hostile_total", labels, "hostile label fixture")
+	c := &Counter{desc: desc{"test_hostile_total", labels, "hostile label fixture", "counter"}}
+	r := fixtures(c)
 	withEnabled(t, func() {
 		c.Add(7)
 
@@ -102,7 +104,7 @@ func TestHostileLabelValue(t *testing.T) {
 			}
 			return found[0]
 		}
-		local := Default.Snapshot()
+		local := r.Snapshot()
 		want := sampleLine(local)
 
 		peer := roundTrip(t, local)
@@ -279,8 +281,8 @@ func TestFederateReportsBadPeers(t *testing.T) {
 // reading one must drop out of the snapshot instead of failing every
 // peer's /metrics.json encode.
 func TestSnapshotSkipsNonFiniteGauge(t *testing.T) {
-	NewGaugeFunc("test_nan_gauge", "", "non-finite gauge fixture", math.NaN)
-	exp := Default.Snapshot()
+	r := fixtures(&GaugeFunc{desc: desc{"test_nan_gauge", "", "non-finite gauge fixture", "gauge"}, fn: math.NaN})
+	exp := r.Snapshot()
 	if f := exp.Family("test_nan_gauge"); f == nil || len(f.Series) != 0 {
 		t.Fatalf("NaN gauge family = %+v, want present with no series", f)
 	}

@@ -39,22 +39,33 @@ func withEnabled(t *testing.T, fn func()) {
 	fn()
 }
 
+// fixtures registers test metrics in a fresh Registry: NewCounter and
+// its kin register fixed names into Default, whose duplicate check
+// panics on the second pass of go test -count=N.
+func fixtures(ms ...metric) *Registry {
+	r := &Registry{}
+	for _, m := range ms {
+		r.register(m)
+	}
+	return r
+}
+
 func TestDisabledIsInert(t *testing.T) {
 	Disable()
 	ResetTraces()
-	c := NewCounter("test_inert_total", "", "inert counter")
+	c := &Counter{desc: desc{"test_inert_total", "", "inert counter", "counter"}}
 	c.Inc()
 	c.Add(41)
 	if got := c.Value(); got != 0 {
 		t.Fatalf("disabled counter advanced to %d", got)
 	}
-	g := NewGauge("test_inert_gauge", "", "inert gauge")
+	g := &Gauge{desc: desc{"test_inert_gauge", "", "inert gauge", "gauge"}}
 	g.Set(7)
 	g.Add(3)
 	if got := g.Value(); got != 0 {
 		t.Fatalf("disabled gauge moved to %d", got)
 	}
-	h := NewHistogram("test_inert_seconds", "", "inert histogram")
+	h := fixtureHist("test_inert_seconds", "inert histogram")
 	if !Start().IsZero() {
 		t.Fatal("Start returned a live time while disabled")
 	}
@@ -84,25 +95,30 @@ func TestDisabledIsInert(t *testing.T) {
 
 func TestPrometheusExposition(t *testing.T) {
 	withEnabled(t, func() {
-		c := NewCounter("test_expo_ops_total", `op="create"`, "ops by kind")
-		c2 := NewCounter("test_expo_ops_total", `op="delete"`, "ops by kind")
+		c := &Counter{desc: desc{"test_expo_ops_total", `op="create"`, "ops by kind", "counter"}}
+		c2 := &Counter{desc: desc{"test_expo_ops_total", `op="delete"`, "ops by kind", "counter"}}
 		c.Add(3)
 		c2.Inc()
-		h := NewHistogram("test_expo_latency_seconds", "", "latency")
+		h := fixtureHist("test_expo_latency_seconds", "latency")
 		h.Observe(200 * time.Microsecond) // bucket le=0.00025
 		h.Observe(30 * time.Millisecond)  // bucket le=0.05
 		h.Observe(20 * time.Second)       // +Inf only
-		big := NewCounter("test_expo_big_total", "", "a count past 1e6")
+		big := &Counter{desc: desc{"test_expo_big_total", "", "a count past 1e6", "counter"}}
 		big.Add(12345678)
+		r := fixtures(c, c2, h, big)
 
+		// The fixtures render from their own registry, the built-in
+		// families from Default.
 		var sb strings.Builder
-		if err := Default.WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
+		for _, reg := range []*Registry{r, Default} {
+			if err := reg.WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
 		}
 		out := sb.String()
 		// /federate renders a merge through the same writer.
 		var fed strings.Builder
-		if err := Merge([]*Exposition{Default.Snapshot()}).Render(&fed); err != nil {
+		if err := Merge([]*Exposition{r.Snapshot()}).Render(&fed); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(fed.String(), "test_expo_big_total 12345678\n") {
@@ -291,9 +307,10 @@ func TestStitchIgnoresEmptyMessageIDs(t *testing.T) {
 // Run under -race.
 func TestConcurrentAccess(t *testing.T) {
 	withEnabled(t, func() {
-		c := NewCounter("test_conc_total", "", "concurrent counter")
-		g := NewGauge("test_conc_gauge", "", "concurrent gauge")
-		h := NewHistogram("test_conc_seconds", "", "concurrent histogram")
+		c := &Counter{desc: desc{"test_conc_total", "", "concurrent counter", "counter"}}
+		g := &Gauge{desc: desc{"test_conc_gauge", "", "concurrent gauge", "gauge"}}
+		h := fixtureHist("test_conc_seconds", "concurrent histogram")
+		r := fixtures(c, g, h)
 		const workers = 8
 		const iters = 200
 		var wg sync.WaitGroup
@@ -320,7 +337,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer close(done)
 			for i := 0; i < 50; i++ {
 				var sb strings.Builder
-				_ = Default.WritePrometheus(&sb)
+				_ = r.WritePrometheus(&sb)
 				_ = Traces()
 			}
 		}()

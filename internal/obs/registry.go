@@ -236,18 +236,11 @@ type Histogram struct {
 // NewHistogram registers a latency histogram with the standard bucket
 // bounds.
 func NewHistogram(name, labels, help string) *Histogram {
-	return NewValueHistogram(name, labels, help, latencyBuckets)
-}
-
-// NewValueHistogram registers a histogram with caller-chosen bucket
-// bounds, for distributions that are not latencies (batch sizes, queue
-// depths). Record into it with ObserveValue.
-func NewValueHistogram(name, labels, help string, bounds []float64) *Histogram {
 	h := &Histogram{
 		desc:      desc{name, labels, help, "histogram"},
-		bounds:    bounds,
-		buckets:   make([]atomic.Int64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
+		bounds:    latencyBuckets,
+		buckets:   make([]atomic.Int64, len(latencyBuckets)+1),
+		exemplars: make([]atomic.Pointer[Exemplar], len(latencyBuckets)+1),
 	}
 	Default.register(h)
 	return h
@@ -266,35 +259,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[i].Add(1)
 	satAdd(&h.sumNanos, d.Nanoseconds())
 	h.count.Add(1)
-}
-
-// ObserveValue records one dimensionless value when enabled. The sum
-// shares the duration path's fixed-point representation (units of
-// 1e-9), so mixed use of Observe and ObserveValue on one histogram
-// still exposes a consistent _sum. Values too large for that
-// representation (v*1e9 past int64 range — cumulative queue depths
-// can get there) saturate instead of wrapping negative; negative and
-// NaN values are dropped.
-func (h *Histogram) ObserveValue(v float64) {
-	if !enabled.Load() || v < 0 || v != v {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	satAdd(&h.sumNanos, fixedPointNanos(v))
-	h.count.Add(1)
-}
-
-// fixedPointNanos converts v to the sum's 1e-9 fixed-point unit,
-// saturating at MaxInt64: the float-to-int conversion of an
-// out-of-range value is otherwise unspecified (on amd64 it produces
-// MinInt64, flipping _sum negative in one observation).
-func fixedPointNanos(v float64) int64 {
-	f := v * 1e9
-	if f >= float64(math.MaxInt64) {
-		return math.MaxInt64
-	}
-	return int64(f)
 }
 
 // satAdd adds n (>= 0) to a, pinning at MaxInt64 instead of wrapping.

@@ -11,10 +11,19 @@ import (
 // don't trip the Default registry's duplicate-name panic.
 func newTestHist(bounds []float64) *Histogram {
 	return &Histogram{
-		desc:    desc{name: "test_hist"},
-		bounds:  bounds,
-		buckets: make([]atomic.Int64, len(bounds)+1),
+		desc:      desc{name: "test_hist"},
+		bounds:    bounds,
+		buckets:   make([]atomic.Int64, len(bounds)+1),
+		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
 	}
+}
+
+// fixtureHist is an unregistered latency histogram, for registering
+// into a fixtures registry.
+func fixtureHist(name, help string) *Histogram {
+	h := newTestHist(latencyBuckets)
+	h.desc = desc{name, "", help, "histogram"}
+	return h
 }
 
 func TestSnapshotQuantile(t *testing.T) {
@@ -73,43 +82,44 @@ func TestSnapshotDelta(t *testing.T) {
 }
 
 // TestObserveValueOverflowSaturates is the regression test for the
-// fixed-point sum overflow: int64(v*1e9) of a large dimensionless
-// value (cumulative queue depths) is out of int64 range, and the
-// unspecified conversion flipped _sum negative in one observation.
+// fixed-point sum overflow: a sum past int64 range must pin at
+// MaxInt64 instead of wrapping negative. It keeps the name of the
+// value entry point it first pinned; Observe shares the saturating sum.
 func TestObserveValueOverflowSaturates(t *testing.T) {
 	Enable()
 	defer Disable()
 	h := newTestHist([]float64{1, 10, 100})
-	h.ObserveValue(1e12) // v*1e9 = 1e21 >> MaxInt64; pre-fix: Sum goes negative
+	huge := time.Duration(math.MaxInt64/2 + 1)
+	h.Observe(huge)
+	h.Observe(huge) // the unsaturated sum wraps negative here
 	s := h.Snapshot()
-	if s.Count != 1 {
-		t.Fatalf("Count = %d, want 1", s.Count)
+	if s.Count != 2 {
+		t.Fatalf("Count = %d, want 2", s.Count)
 	}
 	if s.Sum < 0 {
 		t.Fatalf("Sum = %v, went negative (fixed-point overflow)", s.Sum)
 	}
-	// A second saturating observation must not wrap the pinned sum.
-	h.ObserveValue(1e12)
-	if s := h.Snapshot(); s.Sum < 0 || s.Count != 2 {
-		t.Fatalf("after second observation Sum = %v Count = %d, want non-negative/2", s.Sum, s.Count)
+	// A further observation must not wrap the pinned sum.
+	h.Observe(huge)
+	if s := h.Snapshot(); s.Sum < 0 || s.Count != 3 {
+		t.Fatalf("after third observation Sum = %v Count = %d, want non-negative/3", s.Sum, s.Count)
 	}
 	if max := h.Snapshot().Sum; max > float64(math.MaxInt64)/1e9*1.01 {
 		t.Fatalf("Sum = %v exceeds the saturation ceiling", max)
 	}
 }
 
-// TestNegativeObservationsDropped pins the guard on both entry points:
-// a negative duration or value must not land in bucket 0 and must not
-// walk the sum backwards.
+// TestNegativeObservationsDropped pins the guard on Observe: a
+// negative duration must not land in bucket 0 and must not walk the
+// sum backwards.
 func TestNegativeObservationsDropped(t *testing.T) {
 	Enable()
 	defer Disable()
 	h := newTestHist([]float64{1, 10})
 	h.Observe(-time.Second)
-	h.ObserveValue(-5)
-	h.ObserveValue(math.NaN())
+	h.Observe(time.Duration(math.MinInt64))
 	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 {
-		t.Fatalf("negative/NaN observations recorded: Count=%d Sum=%v", s.Count, s.Sum)
+		t.Fatalf("negative observations recorded: Count=%d Sum=%v", s.Count, s.Sum)
 	}
 }
 

@@ -1,12 +1,10 @@
 package wse
 
 // Tests for the delivery-speed work on the eventing stack: bounded TCP
-// dials, connection-cache eviction, and EnqueuePublish coalescing over
-// both delivery channels.
+// dials and connection-cache eviction.
 
 import (
 	"context"
-	"strconv"
 	"testing"
 	"time"
 
@@ -107,124 +105,5 @@ func TestTCPChannelEvictedOnSweep(t *testing.T) {
 	}
 	if got := src.TCP.ConnCount(); got != 0 {
 		t.Fatalf("cached channels after sweep = %d, want 0", got)
-	}
-}
-
-// TestEnqueuePublishCoalescesHTTP pins the push-channel batch path:
-// MaxBatch events enqueued together arrive through one EventBatch
-// exchange, unpacked in order on the sink's ordinary event channel.
-func TestEnqueuePublishCoalescesHTTP(t *testing.T) {
-	src, client, source := startSource(t, "")
-	src.MaxBatch = 4
-	src.MaxBatchDelay = 2 * time.Second
-	sink := httpSink(t)
-	if _, err := Subscribe(client, source, SubscribeOptions{
-		NotifyTo: sink.EPR(),
-		Filter:   TopicFilter("jobs/**"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		src.EnqueuePublish("jobs/1/done", jobDone(strconv.Itoa(i)))
-	}
-	src.Flush()
-
-	for i := 0; i < 4; i++ {
-		ev := recvEvent(t, sink.Ch)
-		if ev.Topic != "jobs/1/done" || ev.Message.ChildText(nsE, "Code") != strconv.Itoa(i) {
-			t.Fatalf("event %d: topic=%q payload=%s", i, ev.Topic, ev.Message.Marshal())
-		}
-	}
-	stats := src.DeliveryStats()
-	if stats.Deliveries != 1 {
-		t.Fatalf("deliveries = %d, want 1 coalesced exchange", stats.Deliveries)
-	}
-	if stats.CoalescedBatches != 1 {
-		t.Fatalf("coalesced batches = %d, want 1", stats.CoalescedBatches)
-	}
-	if got := src.MessagesSent(); got != 4 {
-		t.Fatalf("messages sent = %d, want 4", got)
-	}
-}
-
-// TestEnqueuePublishCoalescesTCP pins the raw-TCP batch path: a
-// coalesced batch goes out as consecutive frames in one write, and the
-// sink's unmodified frame loop reads them back in order.
-func TestEnqueuePublishCoalescesTCP(t *testing.T) {
-	src, client, source := startSource(t, "")
-	src.MaxBatch = 4
-	src.MaxBatchDelay = 2 * time.Second
-	sink, err := NewTCPSink(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sink.Close)
-	if _, err := Subscribe(client, source, SubscribeOptions{
-		NotifyTo: wsa.NewEPR(sink.Addr()),
-		Mode:     DeliveryModeTCP,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		src.EnqueuePublish("jobs/1/done", jobDone(strconv.Itoa(i)))
-	}
-	src.Flush()
-
-	for i := 0; i < 4; i++ {
-		ev := recvEvent(t, sink.Ch)
-		if ev.Topic != "jobs/1/done" || ev.Message.ChildText(nsE, "Code") != strconv.Itoa(i) {
-			t.Fatalf("event %d: topic=%q payload=%s", i, ev.Topic, ev.Message.Marshal())
-		}
-	}
-	stats := src.DeliveryStats()
-	if stats.Deliveries != 1 {
-		t.Fatalf("deliveries = %d, want 1 coalesced exchange", stats.Deliveries)
-	}
-	if stats.CoalescedBatches != 1 {
-		t.Fatalf("coalesced batches = %d, want 1", stats.CoalescedBatches)
-	}
-}
-
-// TestEnqueuePublishFiltersPerEvent checks per-event matching inside a
-// batch: a topic-filtered subscriber receives only the events whose
-// topics its filter accepts, in order.
-func TestEnqueuePublishFiltersPerEvent(t *testing.T) {
-	src, client, source := startSource(t, "")
-	src.MaxBatch = 4
-	src.MaxBatchDelay = 2 * time.Second
-	all := httpSink(t)
-	onlyA := httpSink(t)
-	if _, err := Subscribe(client, source, SubscribeOptions{
-		NotifyTo: all.EPR(),
-		Filter:   TopicFilter("jobs/**"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Subscribe(client, source, SubscribeOptions{
-		NotifyTo: onlyA.EPR(),
-		Filter:   TopicFilter("jobs/a/**"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	topics := []string{"jobs/a/1", "jobs/b/1", "jobs/a/2", "jobs/b/2"}
-	for i, topic := range topics {
-		src.EnqueuePublish(topic, jobDone(strconv.Itoa(i)))
-	}
-	src.Flush()
-
-	for _, want := range topics {
-		if ev := recvEvent(t, all.Ch); ev.Topic != want {
-			t.Fatalf("unfiltered sink: got topic %q, want %q", ev.Topic, want)
-		}
-	}
-	for _, want := range []string{"jobs/a/1", "jobs/a/2"} {
-		if ev := recvEvent(t, onlyA.Ch); ev.Topic != want {
-			t.Fatalf("filtered sink: got topic %q, want %q", ev.Topic, want)
-		}
-	}
-	select {
-	case ev := <-onlyA.Ch:
-		t.Fatalf("filtered sink received extra event on %q", ev.Topic)
-	case <-time.After(100 * time.Millisecond):
 	}
 }

@@ -208,7 +208,6 @@ func TestDeliveryCountersMirrorStats(t *testing.T) {
 		"ogsa_wse_filter_errors_total":      st1.FilterErrors - st0.FilterErrors,
 		"ogsa_wse_evictions_total":          st1.Evictions - st0.Evictions,
 		"ogsa_wse_state_write_errors_total": st1.StateWriteErrors - st0.StateWriteErrors,
-		"ogsa_wse_coalesced_batches_total":  st1.CoalescedBatches - st0.CoalescedBatches,
 		"ogsa_wse_end_notice_errors_total":  st1.EndNoticeErrors - st0.EndNoticeErrors,
 		"ogsa_wse_messages_sent_total":      sent1 - sent0,
 	} {

@@ -41,12 +41,10 @@ var (
 
 // Source is an Event Source Service plus its Subscription Manager.
 //
-// The delivery knobs — Workers, DeliveryTimeout, Retry, EvictAfter,
-// MaxBatch, MaxBatchDelay — are fanout.Knobs fields, promoted from the
-// embedded knobs. EvictAfter cancels the subscription with one
-// SubscriptionEnd (StatusDeliveryFailure) to its EndTo; MaxBatch
-// coalesces EnqueuePublish'd events into one exchange per subscriber
-// (a multi-frame TCP write, or one EventBatch POST).
+// The delivery knobs — Workers, DeliveryTimeout, Retry, EvictAfter —
+// are fanout.Knobs fields, promoted from the embedded knobs.
+// EvictAfter cancels the subscription with one SubscriptionEnd
+// (StatusDeliveryFailure) to its EndTo.
 type Source struct {
 	// Store holds the subscription list (Plumbwork's flat XML file).
 	Store *Store
@@ -64,7 +62,7 @@ type Source struct {
 
 	// eng runs delivery: retry, the health ledger (written through to
 	// the store on transitions, so a restart resumes the count),
-	// eviction, coalescing, and the shared counters.
+	// eviction, and the shared counters.
 	eng             *fanout.Engine[*Subscription, topicEvent]
 	endNoticeErrors atomic.Int64
 }
@@ -115,7 +113,6 @@ func NewSource(store *Store, managerEndpoint func() string, httpClient *containe
 			return h
 		},
 		StoreHealth: s.Store.SetHealth,
-		Publish:     s.publishBatch,
 		Now:         s.now,
 	})
 	return s
@@ -328,50 +325,13 @@ func (s *Source) Publish(topic string, message *xmlutil.Element) (int, error) {
 // request dies with that request. Handlers must pass their request
 // context (container.Ctx.Context) here.
 func (s *Source) PublishContext(ctx context.Context, topic string, message *xmlutil.Element) (int, error) {
-	return s.publishBatch(ctx, []topicEvent{{Topic: topic, Message: message}})
-}
-
-// topicEvent is one queued (topic, payload) pair on the publish path.
-type topicEvent struct {
-	Topic   string
-	Message *xmlutil.Element
-}
-
-// EnqueuePublish queues an event for coalesced asynchronous delivery
-// and returns immediately. Events enqueued while earlier ones are
-// still in flight batch together per the MaxBatch/MaxBatchDelay knobs;
-// each subscriber then receives the subset its filter matches in one
-// exchange — a single multi-frame write on the TCP channel, an
-// EventBatch POST on the push channel. Delivery outcomes surface
-// through DeliveryStats and the health ledger, as on the synchronous
-// path. Call Flush to wait the queue out.
-func (s *Source) EnqueuePublish(topic string, message *xmlutil.Element) {
-	s.eng.Enqueue(topicEvent{Topic: topic, Message: message})
-}
-
-// Flush blocks until every event queued by EnqueuePublish before the
-// call has been delivered (or exhausted its retries).
-func (s *Source) Flush() { s.eng.Flush() }
-
-// plan is one subscriber's share of a publish batch.
-type plan = fanout.Plan[*Subscription, topicEvent]
-
-// publishBatch is the shared fan-out core behind PublishContext (one
-// event) and the EnqueuePublish coalescer (a batch). Matching runs per
-// event per subscriber, so a coalesced batch degrades gracefully to
-// filtered subscribers; delivery, retry, health, and eviction
-// semantics are identical to the single-event path, with one exchange
-// per subscriber regardless of batch size.
-func (s *Source) publishBatch(ctx context.Context, events []topicEvent) (int, error) {
-	// Same shape as wsn.notifyBatch: the publish span covers matching
+	// Same shape as wsn.NotifyContext: the publish span covers matching
 	// and the fan-out, deliver spans nest under it.
 	ctx, pspan := obs.StartSpan(ctx, "wse.publish")
-	pspan.SetAttr("topic", events[0].Topic)
-	if len(events) > 1 {
-		pspan.SetAttr("batch", fmt.Sprint(len(events)))
-	}
+	pspan.SetAttr("topic", topic)
 	defer pspan.End()
-	matched := s.eng.Match(s.live(), events)
+	e := topicEvent{Topic: topic, Message: message}
+	matched := s.eng.Match(s.live(), e)
 	if len(matched) == 0 {
 		return 0, nil
 	}
@@ -383,9 +343,16 @@ func (s *Source) publishBatch(ctx context.Context, events []topicEvent) (int, er
 	// the stack's paper-era behavior — and rides ForDelivery so dials
 	// versus reuses show up in the shared delivery metrics.
 	httpClient := s.HTTP.ForDelivery(container.DeliveryPooled).WithTimeout(s.DeliveryTimeout)
-	return s.eng.Deliver(ctx, matched, func(ctx context.Context, pl plan) error {
-		return s.deliverOnce(ctx, httpClient, pl)
+	return s.eng.Deliver(ctx, matched, func(ctx context.Context, sub *Subscription) error {
+		return s.deliverOnce(ctx, httpClient, sub, e)
 	})
+}
+
+// topicEvent is the (topic, payload) pair a subscription's filter is
+// matched against.
+type topicEvent struct {
+	Topic   string
+	Message *xmlutil.Element
 }
 
 // live returns the unexpired subscriptions, in id order.
@@ -428,40 +395,19 @@ func eventEnvelope(e topicEvent) *soap.Envelope {
 	return env
 }
 
-func (s *Source) deliverOnce(ctx context.Context, client *container.Client, pl plan) error {
-	switch pl.Sub.Mode {
+func (s *Source) deliverOnce(ctx context.Context, client *container.Client, sub *Subscription, e topicEvent) error {
+	switch sub.Mode {
 	case DeliveryModeTCP:
-		// The frame writes are bounded by the channel's write deadline;
+		// The frame write is bounded by the channel's write deadline;
 		// the attempt context bounds the dial, so a black-holed sink
 		// fails the attempt instead of hanging a fan-out worker in
-		// connect. A batch goes out as consecutive frames in one write —
-		// the sink's frame loop needs no batch awareness.
-		if len(pl.Subset) == 1 {
-			return s.TCP.DeliverContext(ctx, pl.Sub.NotifyTo.Address, eventEnvelope(pl.Subset[0]), s.DeliveryTimeout)
-		}
-		envs := make([]*soap.Envelope, len(pl.Subset))
-		for i, e := range pl.Subset {
-			envs[i] = eventEnvelope(e)
-		}
-		return s.TCP.DeliverBatch(ctx, pl.Sub.NotifyTo.Address, envs, s.DeliveryTimeout)
+		// connect.
+		return s.TCP.DeliverContext(ctx, sub.NotifyTo.Address, eventEnvelope(e), s.DeliveryTimeout)
 	default:
 		// Push over HTTP: a normal one-way SOAP POST to the sink, with
-		// the topic riding in a header block. A batch posts once as an
-		// EventBatch body carrying every event; single events keep the
-		// historical wire format.
-		if len(pl.Subset) == 1 {
-			e := pl.Subset[0]
-			return client.Deliver(ctx, pl.Sub.NotifyTo, ActionEvent,
-				[]*xmlutil.Element{xmlutil.NewText(NS, "Topic", e.Topic)}, e.Message)
-		}
-		batch := xmlutil.New(NS, "EventBatch")
-		for _, e := range pl.Subset {
-			batch.Add(xmlutil.New(NS, "Event").Add(
-				xmlutil.NewText(NS, "Topic", e.Topic),
-				xmlutil.New(NS, "Message").Add(e.Message),
-			))
-		}
-		return client.Deliver(ctx, pl.Sub.NotifyTo, ActionEventBatch, nil, batch)
+		// the topic riding in a header block.
+		return client.Deliver(ctx, sub.NotifyTo, ActionEvent,
+			[]*xmlutil.Element{xmlutil.NewText(NS, "Topic", e.Topic)}, e.Message)
 	}
 }
 
@@ -667,21 +613,13 @@ func NewHTTPSink(buffer int) (*HTTPSink, error) {
 				if h := ctx.Envelope.Header(NS, "Topic"); h != nil {
 					ev.Topic = h.TrimText()
 				}
-				s.push(ev)
-				return xmlutil.New(NS, "EventAck"), nil
-			},
-			ActionEventBatch: func(ctx *container.Ctx) (*xmlutil.Element, error) {
-				// A coalesced delivery: unpack each wse:Event onto the same
-				// channel, in order, so consumers cannot tell batched from
-				// unbatched arrivals (beyond their timing).
-				for _, el := range ctx.Envelope.Body.ChildrenNamed(NS, "Event") {
-					ev := Event{Topic: el.ChildText(NS, "Topic")}
-					if m := el.Child(NS, "Message"); m != nil && len(m.Children) > 0 {
-						ev.Message = m.Children[0]
-					}
-					s.push(ev)
+				select {
+				case s.Ch <- ev:
+				default:
+					s.Dropped.Add(1)
+					wseSinkDroppedTotal.Inc()
 				}
-				return xmlutil.New(NS, "EventBatchAck"), nil
+				return xmlutil.New(NS, "EventAck"), nil
 			},
 			ActionSubscriptionEnd: func(ctx *container.Ctx) (*xmlutil.Element, error) {
 				select {
@@ -698,16 +636,6 @@ func NewHTTPSink(buffer int) (*HTTPSink, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// push queues one event, shedding (with a count) when Ch is full.
-func (s *HTTPSink) push(ev Event) {
-	select {
-	case s.Ch <- ev:
-	default:
-		s.Dropped.Add(1)
-		wseSinkDroppedTotal.Inc()
-	}
 }
 
 // EPR returns the sink's delivery endpoint.

@@ -15,6 +15,14 @@ import (
 // mutation (paper §3.2) — deliberately simpler (and cruder) than the
 // WSRF stack's per-subscription WS-Resources. An empty path keeps the
 // list in memory only.
+//
+// Durability: flushLocked writes path.tmp and renames it over path,
+// with no fsync of the file or its directory. A mutation that has
+// returned survives the process being killed: the rename is atomic, so
+// NewStore reads the old list or the new one, never a torn mix. It
+// does not survive an OS crash or power loss. A kill mid-write leaves
+// a stray path.tmp, which NewStore ignores and the next flush
+// replaces.
 type Store struct {
 	path string
 

@@ -162,7 +162,7 @@ func NewTCPDeliverer() *TCPDeliverer {
 }
 
 // framePool recycles transmit buffers: each delivery renders its
-// length-prefixed frame(s) straight into one of these (streaming
+// length-prefixed frame straight into one of these (streaming
 // serialization, no intermediate envelope []byte) and the buffer is
 // free again as soon as conn.Write returns.
 var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -185,12 +185,6 @@ func appendFrame(b *bytes.Buffer, env *soap.Envelope) error {
 	return nil
 }
 
-// Deliver writes one framed envelope to the sink at addr
-// ("tcp://host:port"). See DeliverContext.
-func (d *TCPDeliverer) Deliver(addr string, env *soap.Envelope, timeout time.Duration) error {
-	return d.DeliverContext(context.Background(), addr, env, timeout)
-}
-
 // DeliverContext writes one framed envelope to the sink at addr
 // ("tcp://host:port"). The connection is cached; a stale connection is
 // re-dialed once, with the dial bounded by ctx and timeout. A positive
@@ -201,28 +195,6 @@ func (d *TCPDeliverer) DeliverContext(ctx context.Context, addr string, env *soa
 	buf := framePool.Get().(*bytes.Buffer)
 	buf.Reset()
 	err := appendFrame(buf, env)
-	if err == nil {
-		err = d.send(ctx, addr, buf.Bytes(), timeout)
-	}
-	if buf.Cap() <= maxPooledFrame {
-		framePool.Put(buf)
-	}
-	return err
-}
-
-// DeliverBatch writes several envelopes to addr as consecutive frames
-// in a single conn.Write — the coalesced delivery path. The sink reads
-// them as ordinary back-to-back frames, so a batch is wire-compatible
-// with the same envelopes sent one Deliver at a time.
-func (d *TCPDeliverer) DeliverBatch(ctx context.Context, addr string, envs []*soap.Envelope, timeout time.Duration) error {
-	buf := framePool.Get().(*bytes.Buffer)
-	buf.Reset()
-	var err error
-	for _, env := range envs {
-		if err = appendFrame(buf, env); err != nil {
-			break
-		}
-	}
 	if err == nil {
 		err = d.send(ctx, addr, buf.Bytes(), timeout)
 	}

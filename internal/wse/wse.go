@@ -45,13 +45,6 @@ const (
 	// ActionEvent is the action events are delivered under; the topic
 	// rides in a wse:Topic header.
 	ActionEvent = "urn:altstacks:wse/Event"
-	// ActionEventBatch delivers several coalesced events in one push
-	// exchange: a wse:EventBatch body whose wse:Event children each
-	// carry their own Topic and Message. Like ActionEvent it is
-	// implementation-defined — WS-Eventing leaves delivery formats as an
-	// extension point. Single events keep using ActionEvent, so batching
-	// never changes the wire format of the unbatched path.
-	ActionEventBatch = "urn:altstacks:wse/EventBatch"
 )
 
 // Delivery modes. Push is the only spec-defined mode; modes are "an

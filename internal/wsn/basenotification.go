@@ -103,12 +103,11 @@ func decodeSubscription(r *wsrf.Resource) (*Subscription, error) {
 // resources on a manager service, and pushes notifications to
 // subscribers over HTTP.
 //
-// The delivery knobs — Workers, DeliveryTimeout, Retry, EvictAfter,
-// MaxBatch, MaxBatchDelay — are fanout.Knobs fields, promoted from the
-// embedded knobs. EvictAfter destroys the subscription resource (the
-// producer-side termination WS-BaseNotification expresses through the
-// subscription's lifetime path); MaxBatch coalesces Enqueue'd messages
-// into one multi-NotificationMessage envelope per subscriber.
+// The delivery knobs — Workers, DeliveryTimeout, Retry, EvictAfter —
+// are fanout.Knobs fields, promoted from the embedded knobs.
+// EvictAfter destroys the subscription resource (the producer-side
+// termination WS-BaseNotification expresses through the subscription's
+// lifetime path).
 type Producer struct {
 	// Subs holds the subscription WS-Resources.
 	Subs *wsrf.Home
@@ -132,7 +131,7 @@ type Producer struct {
 
 	// eng runs delivery: retry, the health ledger (persisted to the
 	// "<collection>-health" sibling collection, see delivery.go),
-	// eviction, coalescing, and the counters.
+	// eviction, and the counters.
 	eng *fanout.Engine[*Subscription, topicMessage]
 	// lastMessage caches the most recent message per topic for the
 	// spec's GetCurrentMessage operation.
@@ -188,7 +187,6 @@ func NewProducer(db *xmldb.DB, collection string, managerEndpoint func() string,
 		Evict:       p.evict,
 		LoadHealth:  p.loadHealth,
 		StoreHealth: p.persistHealth,
-		Publish:     p.notifyBatch,
 		Now:         time.Now,
 	})
 	// Unsubscribe (Destroy through the manager) must also recompute
@@ -434,79 +432,24 @@ func (p *Producer) Notify(topic string, message *xmlutil.Element) (int, error) {
 // does not wait out a retrying fan-out. Handlers must pass their
 // request context (container.Ctx.Context) here.
 func (p *Producer) NotifyContext(ctx context.Context, topic string, message *xmlutil.Element) (int, error) {
-	return p.notifyBatch(ctx, []topicMessage{{Topic: topic, Message: message}})
-}
-
-// topicMessage is one queued (topic, payload) pair on the notify path.
-type topicMessage struct {
-	Topic   string
-	Message *xmlutil.Element
-}
-
-// Enqueue queues a notification for coalesced asynchronous delivery
-// and returns immediately. Messages enqueued while earlier ones are
-// still in flight batch together per the MaxBatch/MaxBatchDelay knobs;
-// each subscriber then receives one multi-message Notify envelope
-// carrying exactly the subset of the batch its filters match. Delivery
-// outcomes surface through DeliveryStats and the health ledger, as on
-// the synchronous path. Call Flush to wait the queue out.
-func (p *Producer) Enqueue(topic string, message *xmlutil.Element) {
-	p.eng.Enqueue(topicMessage{Topic: topic, Message: message})
-}
-
-// Flush blocks until every notification queued by Enqueue before the
-// call has been delivered (or exhausted its retries).
-func (p *Producer) Flush() { p.eng.Flush() }
-
-// buildNotify wraps messages as one wsnt:Notify body, one
-// NotificationMessage child per message. With a single message the
-// output is byte-identical to the historical one-message envelope —
-// the wire-compatibility property the differential test pins — and
-// the consumer side iterates NotificationMessage children either way.
-func buildNotify(msgs []topicMessage) *xmlutil.Element {
-	n := xmlutil.New(NSNT, "Notify")
-	for _, m := range msgs {
-		n.Add(xmlutil.New(NSNT, "NotificationMessage").Add(
-			xmlutil.NewText(NSNT, "Topic", m.Topic).SetAttr("", "Dialect", DialectConcrete),
-			xmlutil.New(NSNT, "Message").Add(m.Message),
-		))
-	}
-	return n
-}
-
-// plan is one subscriber's share of a notify batch.
-type plan = fanout.Plan[*Subscription, topicMessage]
-
-// notifyBatch is the shared fan-out core behind NotifyContext (one
-// message) and the Enqueue coalescer (a batch). Matching runs per
-// message per subscriber, so a coalesced batch degrades gracefully to
-// filtered subscribers; delivery, retry, health, and eviction
-// semantics are identical to the single-message path, with one
-// exchange per subscriber regardless of batch size.
-func (p *Producer) notifyBatch(ctx context.Context, msgs []topicMessage) (int, error) {
 	// The notify span covers matching, current-message write-through,
 	// and the whole fan-out; deliver spans nest under it. A publish from
 	// a request handler joins that request's trace; a background publish
 	// roots its own.
 	ctx, nspan := obs.StartSpan(ctx, "wsn.notify")
-	nspan.SetAttr("topic", msgs[0].Topic)
-	if len(msgs) > 1 {
-		nspan.SetAttr("batch", fmt.Sprint(len(msgs)))
-	}
+	nspan.SetAttr("topic", topic)
 	defer nspan.End()
 	p.lastMu.Lock()
 	if p.lastMessage == nil {
 		p.lastMessage = map[string]*xmlutil.Element{}
 	}
-	for _, m := range msgs {
-		p.lastMessage[m.Topic] = m.Message.Clone()
-	}
+	p.lastMessage[topic] = message.Clone()
 	p.lastMu.Unlock()
 	subs, err := p.Subscriptions()
 	if err != nil {
 		return 0, err
 	}
-	matched := p.eng.Match(subs, msgs)
+	matched := p.eng.Match(subs, topicMessage{Topic: topic, Message: message})
 	if len(matched) == 0 {
 		return 0, nil
 	}
@@ -518,46 +461,42 @@ func (p *Producer) notifyBatch(ctx context.Context, msgs []topicMessage) (int, e
 	// subscription matches materializes nothing. With the subscription
 	// scan cached away, this write is where the paper's "dominated by
 	// Xindice" observation keeps holding on the Notify path (§4.1.3).
-	if len(msgs) == 1 {
-		p.storeCurrentMessage(msgs[0].Topic, msgs[0].Message)
-	} else {
-		// Batched publishes write through each message some subscriber
-		// received, in batch order, so the per-topic current message
-		// lands on the newest delivered one.
-		used := map[*xmlutil.Element]bool{}
-		for _, pl := range matched {
-			for _, m := range pl.Subset {
-				used[m.Message] = true
-			}
-		}
-		for _, m := range msgs {
-			if used[m.Message] {
-				p.storeCurrentMessage(m.Topic, m.Message)
-			}
-		}
-	}
+	p.storeCurrentMessage(topic, message)
 
-	// One wrapped body serves every subscriber whose filters matched the
-	// whole batch (and raw subscribers get their payloads directly):
-	// soap.Envelope shares the body tree at marshal time, so reusing it
-	// across concurrent deliveries is safe and the old
-	// clone-per-subscriber is pure waste. Partial matches get their own
-	// subset body.
-	var wrappedAll *xmlutil.Element
-	for _, pl := range matched {
-		if len(pl.Subset) == len(msgs) && !pl.Sub.UseRaw {
-			wrappedAll = buildNotify(msgs)
-			break
-		}
-	}
+	// One wrapped body serves every subscriber: soap.Envelope shares the
+	// body tree at marshal time, so reusing it across concurrent
+	// deliveries is safe and the old clone-per-subscriber is pure waste.
+	body := buildNotify(topic, message)
 	client := p.Deliver.ForDelivery(p.Mode).WithTimeout(p.DeliveryTimeout)
-	return p.eng.Deliver(ctx, matched, func(ctx context.Context, pl plan) error {
-		body := wrappedAll
-		if len(pl.Subset) < len(msgs) && !pl.Sub.UseRaw {
-			body = buildNotify(pl.Subset)
+	return p.eng.Deliver(ctx, matched, func(ctx context.Context, sub *Subscription) error {
+		if sub.UseRaw {
+			// Raw delivery posts the payload bare. The paper flags this
+			// mode as an interoperability hazard ("the information passed
+			// with a notification … is not well-defined", §3.1); it is
+			// provided for completeness.
+			return client.Deliver(ctx, sub.Consumer, ActionNotify, nil, message)
 		}
-		return p.deliverOnce(ctx, client, pl, body)
+		return client.Deliver(ctx, sub.Consumer, ActionNotify, nil, body)
 	})
+}
+
+// topicMessage is the (topic, payload) pair a subscription's filters
+// are matched against.
+type topicMessage struct {
+	Topic   string
+	Message *xmlutil.Element
+}
+
+// buildNotify wraps a message as a wsnt:Notify body with one
+// NotificationMessage child. Consumers iterate NotificationMessage
+// children, so they also accept a foreign producer's multi-message
+// Notify.
+func buildNotify(topic string, message *xmlutil.Element) *xmlutil.Element {
+	return xmlutil.New(NSNT, "Notify").Add(
+		xmlutil.New(NSNT, "NotificationMessage").Add(
+			xmlutil.NewText(NSNT, "Topic", topic).SetAttr("", "Dialect", DialectConcrete),
+			xmlutil.New(NSNT, "Message").Add(message),
+		))
 }
 
 // currentCollection is where per-topic current messages persist,
@@ -626,25 +565,6 @@ func (p *Producer) matches(sub *Subscription, m topicMessage) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// deliverOnce makes one delivery attempt of pl, sending body unless
-// the subscriber asked for raw delivery.
-func (p *Producer) deliverOnce(ctx context.Context, client *container.Client, pl plan, body *xmlutil.Element) error {
-	if pl.Sub.UseRaw {
-		// Raw delivery: each payload is posted bare, one exchange per
-		// message — there is no envelope to carry a batch in. The paper
-		// flags this mode as an interoperability hazard ("the information
-		// passed with a notification … is not well-defined", §3.1); it is
-		// provided for completeness.
-		for _, m := range pl.Subset {
-			if err := client.Deliver(ctx, pl.Sub.Consumer, ActionNotify, nil, m.Message); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return client.Deliver(ctx, pl.Sub.Consumer, ActionNotify, nil, body)
 }
 
 // SubscribeOptions parameterizes a client-side Subscribe call.

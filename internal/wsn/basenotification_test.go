@@ -1,6 +1,7 @@
 package wsn
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -201,6 +202,28 @@ func TestRawDelivery(t *testing.T) {
 	if got.Message.Name.Local != "JobExited" {
 		t.Fatalf("payload = %s", got.Message)
 	}
+}
+
+// TestConsumerAcceptsMultiMessageNotify posts a Notify carrying two
+// NotificationMessages, which the spec lets a foreign producer send:
+// the consumer surfaces both, in order.
+func TestConsumerAcceptsMultiMessageNotify(t *testing.T) {
+	cons := newConsumer(t)
+	body := xmlutil.New(NSNT, "Notify")
+	for i, topic := range []string{"job/exited", "job/started"} {
+		body.Add(buildNotify(topic, jobExited(i)).Children...)
+	}
+	client := container.NewClient(container.ClientConfig{})
+	if err := client.Deliver(context.Background(), cons.EPR(), ActionNotify, nil, body); err != nil {
+		t.Fatal(err)
+	}
+	for i, topic := range []string{"job/exited", "job/started"} {
+		got := recv(t, cons)
+		if got.Raw || got.Topic != topic || got.Message.ChildText(nsJob, "ExitCode") != itoa(i) {
+			t.Fatalf("notification %d = %+v, want topic %q code %d", i, got, topic, i)
+		}
+	}
+	expectNone(t, cons)
 }
 
 func TestPauseResume(t *testing.T) {

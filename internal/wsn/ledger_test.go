@@ -98,7 +98,6 @@ func TestDeliveryCountersMirrorStats(t *testing.T) {
 		"ogsa_wsn_filter_errors_total":      st1.FilterErrors - st0.FilterErrors,
 		"ogsa_wsn_evictions_total":          st1.Evictions - st0.Evictions,
 		"ogsa_wsn_state_write_errors_total": st1.StateWriteErrors - st0.StateWriteErrors,
-		"ogsa_wsn_coalesced_batches_total":  st1.CoalescedBatches - st0.CoalescedBatches,
 		"ogsa_wsn_messages_sent_total":      sent1 - sent0,
 	} {
 		if got := reg1[family] - reg0[family]; got != want {

@@ -14,6 +14,14 @@ import (
 // Document ids are percent-encoded so ids containing path separators
 // (for example Grid-in-a-Box file EPRs of the form "userDN/filename",
 // paper §4.2.2) remain single path components.
+//
+// Durability: Put and CondPut write id.xml.tmp and rename it over
+// id.xml, with no fsync of the file or its directory. A write that has
+// returned survives the process being killed: the rename is atomic, so
+// a reader sees the old document or the new one, never a torn mix. It
+// does not survive an OS crash or power loss. A kill mid-write leaves
+// a stray id.xml.tmp, which IDs skips and the next write of that id
+// replaces.
 type FileBackend struct {
 	root string
 	mu   sync.RWMutex
