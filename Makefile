@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-self test race check-race race-delivery bench-smoke bench bench-delivery bench-storage bench-load bench-obs soak-smoke fuzz-smoke obs-smoke check ci
+.PHONY: all build vet fmt-check lint test race check-race race-delivery bench-smoke bench bench-delivery bench-storage bench-load bench-obs soak-smoke fuzz-smoke obs-smoke check ci
 
 all: build
 
@@ -19,22 +19,16 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
-# Project-specific analyzers (internal/lint): pooling, lock-scope,
-# context-flow, fault-surfacing, raw-XML, span-leak, and the concurrency
-# pack (atomicmix, goroutinelife, timerleak), run interprocedurally
-# over one whole-module Program. Exits non-zero on any finding;
-# suppress intentional violations with
+# Project-specific analyzers (internal/lint): eight checks (pooling,
+# lock scope, context flow, fault surfacing, raw XML, goroutine exits,
+# timer leaks, span leaks) run interprocedurally over one whole-module
+# Program. `./...` covers the analyzers and their driver too. Exits
+# non-zero on any finding, including a lint:ignore directive that
+# suppresses nothing; accept an intentional violation in place with
 # `//lint:ignore ogsalint/<name> reason`. `-json` emits a finding
-# inventory; `-baseline file.json` gates on new findings only.
-lint: lint-self
+# inventory.
+lint:
 	$(GO) run ./cmd/ogsalint ./...
-
-# Self-check: the analyzers and their driver must pass their own rules.
-# The ./... sweep in `lint` covers these packages too; this target pins
-# the guarantee explicitly so it survives any future narrowing of the
-# lint patterns.
-lint-self:
-	$(GO) run ./cmd/ogsalint ./internal/lint ./cmd/ogsalint
 
 # Tests run shuffled so inter-test ordering dependencies can't hide.
 test:
@@ -110,13 +104,16 @@ soak-smoke:
 
 # Short fuzz passes over the network-boundary decoders that must never
 # panic on adversarial bytes: the hand-rolled XML parser, a peer's
-# metrics snapshot through decode, merge, render, and quantiles, and a
+# metrics snapshot through decode, merge, render, and quantiles, a
 # peer's HTTP reply through the container's client transport (which
-# must also never pool a connection after an incomplete reply).
+# must also never pool a connection after an incomplete reply), and a
+# subscriber's WS-Topics expression (whose Full-dialect matches must
+# also agree with the reference matcher).
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s ./internal/xmlutil/
 	$(GO) test -run NONE -fuzz FuzzDecodeSnapshot -fuzztime 10s ./internal/obs/
 	$(GO) test -run NONE -fuzz FuzzTransportResponse -fuzztime 10s ./internal/container/
+	$(GO) test -run NONE -fuzz FuzzTopicMatch -fuzztime 10s ./internal/wsn/
 
 # End-to-end check of the observability surface: counterd -admin must
 # come up, `gridctl metrics` must expose every migrated counter family

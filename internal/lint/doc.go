@@ -5,11 +5,14 @@
 // contexts that must flow into retry.Do so Shutdown stays bounded,
 // errors on delivery paths that must reach the SOAP-fault mapper or
 // the health ledger, and XML that must go through xmlutil so escaping
-// cannot be bypassed. The concurrency pack (atomicmix, goroutinelife,
-// timerleak) extends the suite to the parallel core: mixed
-// atomic/plain access, goroutines with no exit path, and leaked
-// timers. Lock-bearing values copied by value are go vet's copylocks
-// check, which `make check` runs.
+// cannot be bypassed. The concurrency pack (goroutinelife, timerleak)
+// extends the suite to the parallel core: goroutines with no exit path
+// and leaked timers; spanleak holds every trace span to an End. What
+// the toolchain already checks stays with it: lock-bearing values
+// copied by value are go vet's copylocks check, which `make check`
+// runs, and a plain access racing an atomic one is left to the race
+// detector, since the tree keeps every atomic in a sync/atomic type
+// that cannot be read or written plainly.
 //
 // The package mirrors the shape of golang.org/x/tools/go/analysis (an
 // Analyzer runs over one type-checked package via a Pass and reports
@@ -25,8 +28,11 @@
 //	//lint:ignore ogsalint/<name> reason
 //
 // The reason is mandatory; an ignore directive without one is itself
-// reported. Suppression is handled here in the driver, so analyzers
-// stay pure reporters.
+// reported, and so is one naming a check the suite does not have, or
+// one naming a check that ran on the package but covering no finding
+// of it, so a fixed finding cannot leave its suppression behind.
+// Suppression is handled here in the runner, so analyzers stay pure
+// reporters.
 //
 // # Interprocedural summaries
 //
@@ -75,8 +81,7 @@
 //     extend an analyzer's reach; the direct pattern (a literal
 //     pool.Get, a direct client.Do under a lock) must still be
 //     recognized in-function, because the Program may be a single
-//     package (fixtures, the unit-checker protocol) with no callers
-//     loaded.
+//     package (a fixture) with no callers loaded.
 //
 // New facts belong in Summary only if they are monotone (a fact, once
 // true, stays true as more rounds run) and frame-local (expressible

@@ -25,7 +25,6 @@ func TestCtxFlowFixtures(t *testing.T)    { runFixture(t, CtxFlow, "ctxflow") }
 func TestSoapFaultFixtures(t *testing.T)  { runFixture(t, SoapFault, "soapfault") }
 func TestRawXMLFixtures(t *testing.T)     { runFixture(t, RawXML, "rawxml") }
 
-func TestAtomicMixFixtures(t *testing.T)     { runFixture(t, AtomicMix, "atomicmix") }
 func TestGoroutineLifeFixtures(t *testing.T) { runFixture(t, GoroutineLife, "goroutinelife") }
 func TestTimerLeakFixtures(t *testing.T)     { runFixture(t, TimerLeak, "timerleak") }
 func TestSpanLeakFixtures(t *testing.T)      { runFixture(t, SpanLeak, "spanleak") }

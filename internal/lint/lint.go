@@ -70,7 +70,6 @@ func Analyzers() []*Analyzer {
 		CtxFlow,
 		SoapFault,
 		RawXML,
-		AtomicMix,
 		GoroutineLife,
 		TimerLeak,
 		SpanLeak,
@@ -78,11 +77,10 @@ func Analyzers() []*Analyzer {
 }
 
 // Run applies the analyzers to one loaded package and returns the
-// surviving (non-suppressed) diagnostics in file/line order. Invalid
-// ignore directives (missing reason) are reported as driver findings.
-// Interprocedural resolution is limited to the package itself; drivers
-// analyzing a whole load should build one Program and use RunPackage
-// so summaries span every loaded package.
+// surviving (non-suppressed) diagnostics in file/line order, the way
+// the fixture tests read them. Interprocedural resolution is limited to
+// the package itself; a driver analyzing a whole load builds one
+// Program and uses RunPackage so summaries span every loaded package.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	diags, err := NewProgram([]*Package{pkg}).RunPackage(pkg, analyzers)
 	if err != nil {
@@ -94,10 +92,13 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // RunPackage applies the analyzers to one package of prog's load and
 // returns every diagnostic in file/line order, with findings covered
 // by a lint:ignore directive marked Suppressed rather than removed.
-// Invalid ignore directives (missing reason) are reported as driver
-// findings.
+// Directives are checked too, as ogsalint/ignore findings at their own
+// line: one without a reason, one naming a check the suite does not
+// have, and one naming a check that ran here but covering no finding
+// of it. A directive for a check that did not run is left alone.
 func (prog *Program) RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
+	ran := map[string]bool{}
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -111,6 +112,7 @@ func (prog *Program) RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnost
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("ogsalint/%s on %s: %w", a.Name, pkg.ImportPath, err)
 		}
+		ran["ogsalint/"+a.Name] = true
 	}
 	ignores, bad := collectIgnores(pkg.Fset, pkg.Files)
 	for i := range diags {
@@ -118,8 +120,20 @@ func (prog *Program) RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnost
 			diags[i].Suppressed = true
 		}
 	}
+	suite := map[string]bool{}
+	for _, a := range Analyzers() {
+		suite["ogsalint/"+a.Name] = true
+	}
+	for _, ig := range ignores {
+		switch {
+		case !suite[ig.check]:
+			bad = append(bad, ignoreFinding(ig.pos, "lint:ignore names %s, which is not an ogsalint check", ig.check))
+		case ran[ig.check] && !ig.used:
+			bad = append(bad, ignoreFinding(ig.pos, "lint:ignore for %s suppresses no finding; delete the directive", ig.check))
+		}
+	}
 	diags = append(diags, bad...)
-	sort.Slice(diags, func(i, j int) bool {
+	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
@@ -143,28 +157,41 @@ func FilterSuppressed(diags []Diagnostic) []Diagnostic {
 	return kept
 }
 
-// ignoreSet records, per file, the checks suppressed at each line. A
-// directive covers its own line and the line below it (the usual
-// "comment above the statement" placement).
-type ignoreSet map[string]map[int]map[string]bool
+// ignoreSet holds, in source order, each check named by a reasoned
+// lint:ignore directive. A directive covers its own line and the line
+// below it (the usual "comment above the statement" placement).
+type ignoreSet []*ignore
 
+// An ignore is one check one directive names.
+type ignore struct {
+	pos   token.Position // the directive's own position
+	check string         // "ogsalint/<name>"
+	used  bool           // it has covered a finding
+}
+
+// covers reports whether a directive names d's check on d's line or
+// the line above, and marks every such directive used.
 func (s ignoreSet) covers(d Diagnostic) bool {
-	lines := s[d.Pos.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, ln := range [2]int{d.Pos.Line, d.Pos.Line - 1} {
-		if checks := lines[ln]; checks != nil && (checks[d.Check] || checks["ogsalint/*"]) {
-			return true
+	covered := false
+	for _, ig := range s {
+		if ig.check == d.Check && ig.pos.Filename == d.Pos.Filename &&
+			(ig.pos.Line == d.Pos.Line || ig.pos.Line == d.Pos.Line-1) {
+			ig.used = true
+			covered = true
 		}
 	}
-	return false
+	return covered
+}
+
+// ignoreFinding reports a faulty directive at the directive itself.
+func ignoreFinding(pos token.Position, format string, args ...any) Diagnostic {
+	return Diagnostic{Pos: pos, Check: "ogsalint/ignore", Message: fmt.Sprintf(format, args...)}
 }
 
 var ignoreRe = regexp.MustCompile(`^//\s*lint:ignore\s+(\S+)\s*(.*)$`)
 
 func collectIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagnostic) {
-	set := ignoreSet{}
+	var set ignoreSet
 	var bad []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -179,25 +206,13 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagno
 				}
 				pos := fset.Position(c.Pos())
 				if reason == "" {
-					bad = append(bad, Diagnostic{
-						Pos:     pos,
-						Check:   "ogsalint/ignore",
-						Message: "lint:ignore directive needs a reason",
-					})
+					bad = append(bad, ignoreFinding(pos, "lint:ignore directive needs a reason"))
 					continue
 				}
-				lines := set[pos.Filename]
-				if lines == nil {
-					lines = map[int]map[string]bool{}
-					set[pos.Filename] = lines
-				}
-				cs := lines[pos.Line]
-				if cs == nil {
-					cs = map[string]bool{}
-					lines[pos.Line] = cs
-				}
 				for _, check := range strings.Split(checks, ",") {
-					cs[strings.TrimSpace(check)] = true
+					if check = strings.TrimSpace(check); strings.HasPrefix(check, "ogsalint/") {
+						set = append(set, &ignore{pos: pos, check: check})
+					}
 				}
 			}
 		}
@@ -210,17 +225,21 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagno
 // callee resolves the *types.Func a call invokes, or nil for calls
 // through function values, built-ins, and type conversions.
 func callee(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
+	f, _ := info.Uses[calledIdent(call)].(*types.Func)
+	return f
+}
+
+// calledIdent is the name a call is spelled with: the function,
+// method, field or variable it invokes, or nil for any other callee
+// expression.
+func calledIdent(call *ast.CallExpr) *ast.Ident {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		id = fun
+		return fun
 	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
+		return fun.Sel
 	}
-	f, _ := info.Uses[id].(*types.Func)
-	return f
+	return nil
 }
 
 // calleeIsFunc reports whether call invokes the package-level function

@@ -4,6 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -65,10 +68,71 @@ var d = 3
 	}
 }
 
+// TestStaleIgnoreDirectives pins the report of directives that
+// suppress nothing: a live directive covers its finding silently, a
+// directive for a check that ran but found nothing there is stale, a
+// misspelled check name is not a check, and a directive for a check
+// that did not run is left alone.
+func TestStaleIgnoreDirectives(t *testing.T) {
+	const src = `package stale
+
+//lint:ignore ogsalint/rawxml golden wire capture
+var live = "<Envelope/>"
+
+//lint:ignore ogsalint/rawxml nothing below is markup
+var stale = "plain"
+
+//lint:ignore ogsalint/rawxl misspelled check name
+var typo = "<Body/>"
+
+//lint:ignore ogsalint/soapfault soapfault does not run here
+var other = 1
+`
+	dir := filepath.Join(t.TempDir(), "stale")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "stale.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	moduleRoot, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := LoadDir(moduleRoot, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := NewProgram([]*Package{pkg}).RunPackage(pkg, []*Analyzer{RawXML})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		line       int
+		check, msg string
+		suppressed bool
+	}{
+		{4, "ogsalint/rawxml", "hand-written XML literal", true},
+		{6, "ogsalint/ignore", "lint:ignore for ogsalint/rawxml suppresses no finding", false},
+		{9, "ogsalint/ignore", "lint:ignore names ogsalint/rawxl, which is not an ogsalint check", false},
+		{10, "ogsalint/rawxml", "hand-written XML literal", false},
+	}
+	if len(diags) != len(want) {
+		t.Fatalf("got %d diagnostics, want %d: %v", len(diags), len(want), diags)
+	}
+	for i, d := range diags {
+		w := want[i]
+		if d.Pos.Line != w.line || d.Check != w.check || !strings.HasPrefix(d.Message, w.msg) || d.Suppressed != w.suppressed {
+			t.Errorf("diagnostic %d = %v (suppressed %v), want line %d %s %q (suppressed %v)",
+				i, d, d.Suppressed, w.line, w.check, w.msg, w.suppressed)
+		}
+	}
+}
+
 // TestAnalyzersStable pins the suite composition `ogsalint -doc`
 // advertises.
 func TestAnalyzersStable(t *testing.T) {
-	want := []string{"poolescape", "lockheld", "ctxflow", "soapfault", "rawxml", "atomicmix", "goroutinelife", "timerleak", "spanleak"}
+	want := []string{"poolescape", "lockheld", "ctxflow", "soapfault", "rawxml", "goroutinelife", "timerleak", "spanleak"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

@@ -89,26 +89,26 @@ func checkBlankDiscard(pass *Pass, as *ast.AssignStmt) {
 	}
 }
 
-// checkBareErrorCall flags error-returning calls used as statements.
-// Close/Stop are exempt (universal teardown idiom), as are methods on
-// in-memory writers that return error only to satisfy io interfaces.
+// checkBareErrorCall flags error-returning calls used as statements,
+// whether the call names a declared function or goes through a func
+// value (a func-typed field or variable): the call's type decides.
+// Close/Stop are exempt by the called name (universal teardown idiom),
+// as are methods on in-memory writers that return error only to
+// satisfy io interfaces.
 func checkBareErrorCall(pass *Pass, st *ast.ExprStmt) {
 	call, ok := ast.Unparen(st.X).(*ast.CallExpr)
 	if !ok || !yieldsError(pass.TypesInfo, call) {
 		return
 	}
-	f := callee(pass.TypesInfo, call)
-	if f == nil {
+	if id := calledIdent(call); id != nil && (id.Name == "Close" || id.Name == "Stop") {
 		return
 	}
-	switch f.Name() {
-	case "Close", "Stop":
-		return
-	}
-	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
-		recv := sig.Recv().Type()
-		if isNamed(recv, "bytes", "Buffer") || isNamed(recv, "strings", "Builder") {
-			return
+	if f := callee(pass.TypesInfo, call); f != nil {
+		if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
+			recv := sig.Recv().Type()
+			if isNamed(recv, "bytes", "Buffer") || isNamed(recv, "strings", "Builder") {
+				return
+			}
 		}
 	}
 	pass.Reportf(st.Pos(), "%s returns an error that is silently dropped; handle it or discard it explicitly with a justified lint:ignore", describeExpr(call))

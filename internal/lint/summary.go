@@ -70,16 +70,14 @@ type Summary struct {
 	FreshCtxResults []bool
 
 	// UnexitableLoop reports a `for` with no condition and no exit
-	// path; Spawns reports the body launches a goroutine.
+	// path.
 	UnexitableLoop bool
-	Spawns         bool
 }
 
 // A Program is the unit of interprocedural analysis: every package of
 // one load, indexed for call resolution, with summaries computed to a
 // bounded fixed point.
 type Program struct {
-	pkgs  []*Package
 	decls map[*types.Func]*declSite
 	sums  map[*types.Func]*Summary
 	// byKey maps a canonical "pkgpath:(*T).M" spelling to the
@@ -98,7 +96,6 @@ type declSite struct {
 // NewProgram indexes pkgs and computes function summaries.
 func NewProgram(pkgs []*Package) *Program {
 	p := &Program{
-		pkgs:  pkgs,
 		decls: map[*types.Func]*declSite{},
 		sums:  map[*types.Func]*Summary{},
 		byKey: map[string]*types.Func{},
@@ -143,18 +140,6 @@ func (p *Program) Summary(fn *types.Func) *Summary {
 		return nil
 	}
 	return p.sums[p.canonical(fn)]
-}
-
-// Decl returns the declaration site for fn, or nil.
-func (p *Program) Decl(fn *types.Func) (*ast.FuncDecl, *Package) {
-	if p == nil || fn == nil {
-		return nil, nil
-	}
-	site := p.decls[p.canonical(fn)]
-	if site == nil {
-		return nil, nil
-	}
-	return site.decl, site.pkg
 }
 
 // canonical maps fn to the source-checked declaration object when fn
@@ -256,10 +241,6 @@ func (p *Program) updateSummary(fn *types.Func, site *declSite) bool {
 	}
 	if !sum.UnexitableLoop && hasUnexitableLoop(body) {
 		sum.UnexitableLoop = true
-		changed = true
-	}
-	if !sum.Spawns && spawnsGoroutine(body) {
-		sum.Spawns = true
 		changed = true
 	}
 	if p.updateLockEffects(info, site.decl, sum) {
@@ -706,17 +687,6 @@ func neverReturns(call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-func spawnsGoroutine(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.GoStmt); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // ---- lock effects ----

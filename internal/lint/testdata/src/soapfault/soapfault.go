@@ -26,6 +26,13 @@ func (p *producer) notify(topic string, msg []byte) (int, error) { return 0, err
 
 func (p *producer) recordFault(id string, err error) {}
 
+// handler reaches its store and its teardown through func-typed
+// fields, so no declared function stands behind either call.
+type handler struct {
+	store func(id string) error
+	Close func() error
+}
+
 // --- flagged ---
 
 // badBlankPut models the pre-fix storeCurrentMessage: the xmldb write
@@ -40,6 +47,14 @@ func badBlankPair(p *producer, msg []byte) {
 
 func badBareCall(p *producer, id string) {
 	p.db.Delete("health", id) // want `returns an error that is silently dropped`
+}
+
+func badFieldCall(h *handler, id string) {
+	h.store(id) // want `h.store\(id\) returns an error that is silently dropped`
+}
+
+func badFuncVar(publish func() (int, error)) {
+	publish() // want `publish\(\) returns an error that is silently dropped`
 }
 
 // badLogOnly checks the error and then drops it: logging is not
@@ -70,6 +85,12 @@ func goodLedger(p *producer, id string, msg []byte) {
 // goodClose keeps the universal teardown idiom unflagged.
 func goodClose(f *os.File) {
 	f.Close()
+}
+
+// goodCloseField exempts teardown by the called name, so a Close
+// reached through a func value stays unflagged too.
+func goodCloseField(h *handler) {
+	h.Close()
 }
 
 // goodBuffer keeps in-memory writers unflagged: bytes.Buffer returns

@@ -130,34 +130,40 @@ func splitPattern(s string) []string {
 // Pattern segment meanings: "name" exact, "*" any one segment,
 // "" (from "//") any number of segments, "." the node itself or, as
 // "//." , the node and subtree.
+//
+// It is the classic glob walk. "//" is the only segment that matches a
+// variable number of topic segments, and when a later segment fails to
+// match, only the most recent "//" needs to absorb one more topic
+// segment: it can absorb anything an earlier one could. So a match
+// costs at most len(pattern)×len(topic) steps however many wildcards
+// the subscriber wrote, where retrying every split at every "//" is
+// exponential in them.
 func matchFull(pattern, topic []string) bool {
-	if len(pattern) == 0 {
-		return len(topic) == 0
-	}
-	head, rest := pattern[0], pattern[1:]
-	switch head {
-	case "":
-		// "//": try consuming 0..len(topic) segments.
-		for skip := 0; skip <= len(topic); skip++ {
-			if matchFull(rest, topic[skip:]) {
-				return true
-			}
-		}
-		return false
-	case ".":
-		// "." denotes the node reached so far: it matches only when the
-		// whole topic has been consumed. Subtree semantics come from a
-		// preceding "//" (which absorbs the descendant segments).
-		return len(rest) == 0 && len(topic) == 0
-	case "*":
-		if len(topic) == 0 {
+	p, t := 0, 0
+	star, starT := -1, 0 // the most recent "//" and where its absorption ends
+	for t < len(topic) {
+		switch {
+		case p < len(pattern) && pattern[p] == "":
+			star, starT = p, t
+			p++
+		case p < len(pattern) && pattern[p] != "." && (pattern[p] == "*" || pattern[p] == topic[t]):
+			p++
+			t++
+		case star >= 0:
+			starT++
+			p, t = star+1, starT
+		default:
 			return false
 		}
-		return matchFull(rest, topic[1:])
-	default:
-		if len(topic) == 0 || topic[0] != head {
-			return false
-		}
-		return matchFull(rest, topic[1:])
 	}
+	// The topic is consumed: the rest must be "//"s, optionally closed
+	// by a final "." naming the node reached. A "." anywhere else never
+	// matches.
+	for p < len(pattern) && pattern[p] == "" {
+		p++
+	}
+	if p == len(pattern)-1 && pattern[p] == "." {
+		p++
+	}
+	return p == len(pattern)
 }

@@ -1,6 +1,10 @@
 package wsn
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"time"
+)
 
 func TestSimpleDialect(t *testing.T) {
 	te := Simple("JobStatus")
@@ -94,4 +98,139 @@ func TestEmptyExpression(t *testing.T) {
 	if _, err := te.Matches("x"); err == nil {
 		t.Fatal("empty expression accepted")
 	}
+}
+
+// matchFullRef is the backtracking Full-dialect matcher matchFull
+// replaced, kept as the reference the differential test and
+// FuzzTopicMatch compare against. Every "//" retries every remaining
+// topic suffix, so its cost grows exponentially with the wildcards.
+func matchFullRef(pattern, topic []string) bool {
+	if len(pattern) == 0 {
+		return len(topic) == 0
+	}
+	head, rest := pattern[0], pattern[1:]
+	switch head {
+	case "":
+		// "//": try consuming 0..len(topic) segments.
+		for skip := 0; skip <= len(topic); skip++ {
+			if matchFullRef(rest, topic[skip:]) {
+				return true
+			}
+		}
+		return false
+	case ".":
+		// "." denotes the node reached so far: it matches only when the
+		// whole topic has been consumed. Subtree semantics come from a
+		// preceding "//" (which absorbs the descendant segments).
+		return len(rest) == 0 && len(topic) == 0
+	case "*":
+		if len(topic) == 0 {
+			return false
+		}
+		return matchFullRef(rest, topic[1:])
+	default:
+		if len(topic) == 0 || topic[0] != head {
+			return false
+		}
+		return matchFullRef(rest, topic[1:])
+	}
+}
+
+// TestFullDialectAdversarialPatterns matches expressions that kept the
+// backtracking matcher busy for seconds per Notify: a 27-byte pattern
+// against a 41-segment topic (each "//*" multiplies its time about
+// fivefold), and a 4 KB one, well inside the container's body limit,
+// against the topic the load generators publish. Any subscriber may
+// choose them.
+func TestFullDialectAdversarialPatterns(t *testing.T) {
+	segs := make([]string, 41)
+	for i := range segs {
+		segs[i] = "s"
+	}
+	cases := map[string]struct{ expr, topic string }{
+		"star-descendants": {strings.Repeat("//*", 8) + "//x", strings.Join(segs, "/")},
+		"4KB-descendants":  {strings.Repeat("//", 2000) + "x", "load/tick"},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			done := make(chan bool, 1)
+			go func() {
+				ok, err := Full(c.expr).Matches(c.topic)
+				done <- ok || err != nil
+			}()
+			select {
+			case bad := <-done:
+				if bad {
+					t.Errorf("Full(%.12q...).Matches(%.12q...) matched or failed", c.expr, c.topic)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("a %d-byte pattern against a %d-segment topic did not finish in 2s",
+					len(c.expr), len(splitTopic(c.topic)))
+			}
+		})
+	}
+}
+
+// TestFullDialectMatchesReference compares matchFull with the
+// reference over every pattern of up to 5 segments drawn from names,
+// "*", "//" and "." against every topic of up to 5 segments. Topics
+// may hold a literal "." segment, which a pattern's "." never matches.
+func TestFullDialectMatchesReference(t *testing.T) {
+	patterns := sequences([]string{"a", "b", "*", "", "."}, 5)
+	topics := sequences([]string{"a", "b", "."}, 5)
+	for _, p := range patterns {
+		for _, tp := range topics {
+			if got, want := matchFull(p, tp), matchFullRef(p, tp); got != want {
+				t.Errorf("matchFull(%q, %q) = %v, reference says %v", p, tp, got, want)
+			}
+		}
+	}
+}
+
+// sequences lists every sequence of at most n elements from alphabet.
+func sequences(alphabet []string, n int) [][]string {
+	out := [][]string{{}}
+	for prev := out; n > 0; n-- {
+		var grown [][]string
+		for _, s := range prev {
+			for _, a := range alphabet {
+				grown = append(grown, append(s[:len(s):len(s)], a))
+			}
+		}
+		out = append(out, grown...)
+		prev = grown
+	}
+	return out
+}
+
+// FuzzTopicMatch feeds subscriber-chosen expressions and publisher
+// topics through every dialect: Validate and Matches must never panic,
+// and a Full-dialect match of at most 8 pattern and 8 topic segments
+// must agree with the reference matcher.
+func FuzzTopicMatch(f *testing.F) {
+	f.Add(uint8(2), "jobs//.", "jobs/status/exited")
+	f.Add(uint8(2), "jobs/*/exited", "jobs/status/exited")
+	f.Add(uint8(2), "//exited", "exited")
+	f.Add(uint8(2), "jobs//status/.", "jobs/a/b/status")
+	f.Add(uint8(2), "/a/.//*", "a//b/")
+	f.Add(uint8(2), "a/./b", "a/./b")
+	f.Add(uint8(1), "jobs/status/exited", "jobs/status/exited")
+	f.Add(uint8(0), "JobStatus", "JobStatus/exited")
+	f.Add(uint8(3), "x", "x")
+	dialects := []string{DialectSimple, DialectConcrete, DialectFull, "urn:bogus"}
+	f.Fuzz(func(t *testing.T, dialect uint8, pattern, topic string) {
+		te := TopicExpression{Dialect: dialects[int(dialect)%len(dialects)], Expr: pattern}
+		verr := te.Validate()
+		got, err := te.Matches(topic)
+		if (err != nil) != (verr != nil) {
+			t.Fatalf("Matches error %v, Validate error %v", err, verr)
+		}
+		if err != nil || te.Dialect != DialectFull {
+			return
+		}
+		ps, ts := splitPattern(pattern), splitTopic(topic)
+		if len(ps) <= 8 && len(ts) <= 8 && got != matchFullRef(ps, ts) {
+			t.Fatalf("Full(%q).Matches(%q) = %v, reference says %v", pattern, topic, got, !got)
+		}
+	})
 }
