@@ -71,11 +71,11 @@ bench-delivery:
 		| $(GO) run ./cmd/benchjson > BENCH_delivery.json
 
 # Storage-layer benchmarks: the 8-goroutine mixed-operation contention
-# workload (ParallelMixed, single-lock vs sharded) plus the cache-hot
-# scan and point-read baselines, emitted as machine-readable JSON.
-# Advisory in CI for the same reason as bench-delivery.
+# workload (ParallelMixed) plus the cache-hot point-read baseline,
+# emitted as machine-readable JSON. Advisory in CI for the same reason
+# as bench-delivery.
 bench-storage:
-	$(GO) test -run NONE -bench 'ParallelMixed|QueryScan|GetHot' -benchmem ./internal/xmldb \
+	$(GO) test -run NONE -bench 'ParallelMixed|GetHot' -benchmem ./internal/xmldb \
 		| $(GO) run ./cmd/benchjson > BENCH_storage.json
 
 # Open-loop load harness: sustained-arrival-rate percentiles per

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	counterd [-stack wsrf|wst] [-security none|tls|sign] [-db memory|DIR]
-//	         [-shards N] [-subs FILE]
+//	         [-subs FILE]
 //
 // The process prints the endpoint URLs and, for the secured modes, the
 // paths of the generated throwaway PKI material, then serves until
@@ -33,7 +33,6 @@ func main() {
 	stack := flag.String("stack", "wsrf", "software stack: wsrf (WSRF/WS-Notification) or wst (WS-Transfer/WS-Eventing)")
 	security := flag.String("security", "none", "security mode: none, tls, or sign")
 	dbPath := flag.String("db", "memory", "resource store: 'memory' or a directory path")
-	shards := flag.Int("shards", 1, "number of storage shards (>1 stripes the resource store)")
 	subsPath := flag.String("subs", "", "WS-Eventing subscription file (wst stack; empty = memory)")
 	admin := flag.String("admin", "", "serve /metrics, /traces, and pprof on this address (e.g. :9090; enables instrumentation)")
 	peers := flag.String("peers", "", "comma-separated admin URLs of peer instances merged into /federate")
@@ -54,7 +53,7 @@ func main() {
 	}
 	c := fix.NewContainer()
 
-	db, err := openDB(*dbPath, *shards)
+	db, err := openDB(*dbPath)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -123,22 +122,9 @@ func parseMode(s string) (container.SecurityMode, error) {
 	return 0, fmt.Errorf("unknown security mode %q (want none, tls, or sign)", s)
 }
 
-func openDB(path string, shards int) (*xmldb.DB, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("-shards must be >= 1, got %d", shards)
-	}
+func openDB(path string) (*xmldb.DB, error) {
 	if path == "memory" {
-		if shards > 1 {
-			return xmldb.New(xmldb.NewShardedMemory(shards), xmldb.CostModel{}), nil
-		}
 		return xmldb.NewMemory(xmldb.CostModel{}), nil
-	}
-	if shards > 1 {
-		be, err := xmldb.NewShardedFileBackend(path, shards)
-		if err != nil {
-			return nil, err
-		}
-		return xmldb.New(be, xmldb.CostModel{}), nil
 	}
 	be, err := xmldb.NewFileBackend(path)
 	if err != nil {

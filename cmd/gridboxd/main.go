@@ -37,7 +37,6 @@ func main() {
 	admin := flag.String("admin", "", "serve /metrics, /traces, and pprof on this address (e.g. :9090; enables instrumentation)")
 	peers := flag.String("peers", "", "comma-separated admin URLs of peer instances merged into /federate")
 	delta := flag.Duration("reservation-delta", gridbox.DefaultReservationDelta, "initial reservation lifetime")
-	shards := flag.Int("shards", 1, "number of storage shards (>1 stripes the resource store)")
 	flag.Parse()
 
 	if *admin != "" {
@@ -71,12 +70,7 @@ func main() {
 	}
 
 	c := fix.NewContainer()
-	var db *xmldb.DB
-	if *shards > 1 {
-		db = xmldb.New(xmldb.NewShardedMemory(*shards), xmldb.CostModel{})
-	} else {
-		db = xmldb.NewMemory(xmldb.CostModel{})
-	}
+	db := xmldb.NewMemory(xmldb.CostModel{})
 	local := fix.NewLocalClient()
 
 	switch *stack {

@@ -32,9 +32,9 @@ import (
 //  3. evictions only from kills: flaky (one failure, retried) and slow
 //     (delay under the delivery timeout) endpoints must never strike
 //     out, so evictions ≤ killed;
-//  4. bounded caches: the xmldb doc/path cache resident populations
-//     (misses − evictions, from ogsa_xmldb_cache_events_total) stay
-//     within their configured caps;
+//  4. bounded cache: the xmldb document cache's resident population
+//     (misses − evictions, from ogsa_xmldb_cache_events_total) stays
+//     within its configured cap;
 //  5. no goroutine leak: after teardown the process settles back to
 //     its pre-deployment goroutine count (plus slack for the runtime's
 //     own pools);
@@ -191,17 +191,12 @@ func runSoak(stack core.Stack, dur time.Duration, rate float64, nsinks int, seed
 			"%d evictions but only %d kills: a flaky or slow endpoint struck out", ev, stats.Killed))
 	}
 	vals1 := obs.Values()
-	for _, c := range []struct {
-		cache string
-		cap   int64
-	}{{"doc", xmldb.DocCacheCap}, {"path", xmldb.PathCacheCap}} {
-		miss := counterDelta(vals1, vals0, c.cache, "miss")
-		evict := counterDelta(vals1, vals0, c.cache, "evict")
-		if resident := miss - evict; resident > c.cap {
-			violations = append(violations, fmt.Sprintf(
-				"%s cache grew unbounded: %d resident (misses %d - evictions %d) over cap %d",
-				c.cache, resident, miss, evict, c.cap))
-		}
+	miss := counterDelta(vals1, vals0, "miss")
+	evict := counterDelta(vals1, vals0, "evict")
+	if resident := miss - evict; resident > xmldb.DocCacheCap {
+		violations = append(violations, fmt.Sprintf(
+			"doc cache grew unbounded: %d resident (misses %d - evictions %d) over cap %d",
+			resident, miss, evict, xmldb.DocCacheCap))
 	}
 
 	// Sixth invariant, firing half: the scripted kills must have tripped
@@ -258,9 +253,10 @@ func runSoak(stack core.Stack, dur time.Duration, rate float64, nsinks int, seed
 	return nil
 }
 
-// counterDelta reads the run's delta of one xmldb cache-event counter.
-func counterDelta(after, before map[string]int64, cache, event string) int64 {
-	key := fmt.Sprintf(`ogsa_xmldb_cache_events_total{cache=%q,event=%q}`, cache, event)
+// counterDelta reads the run's delta of one xmldb document-cache event
+// counter.
+func counterDelta(after, before map[string]int64, event string) int64 {
+	key := fmt.Sprintf(`ogsa_xmldb_cache_events_total{cache="doc",event=%q}`, event)
 	return after[key] - before[key]
 }
 

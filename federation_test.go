@@ -1,5 +1,5 @@
-// Fleet federation end to end, multi-process: two sharded counterd
-// daemons are launched as real OS processes, traffic is driven at
+// Fleet federation end to end, multi-process: two counterd daemons
+// are launched as real OS processes, traffic is driven at
 // both, and the fleet view is asserted from both sides — client-side
 // (fetch every instance's /metrics.json snapshot and merge) and
 // server-side (the /federate endpoint of the peer-configured
@@ -40,7 +40,7 @@ type daemon struct {
 // startup banner for the service and admin URLs.
 func startCounterd(t *testing.T, bin string, peers string) *daemon {
 	t.Helper()
-	args := []string{"-shards", "2", "-admin", "127.0.0.1:0"}
+	args := []string{"-admin", "127.0.0.1:0"}
 	if peers != "" {
 		args = append(args, "-peers", peers)
 	}

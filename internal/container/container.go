@@ -192,7 +192,8 @@ func (c *Container) Start() (string, error) {
 		// clients would otherwise spam stderr.
 		ErrorLog: log.New(io.Discard, "", 0),
 	}
-	go c.server.Serve(ln) //nolint:errcheck // Serve returns on Close
+	//lint:ignore ogsalint/soapfault Serve returns only when the listener fails or Close runs (http.ErrServerClosed); clients see either as a refused connection
+	go c.server.Serve(ln)
 	return c.baseURL, nil
 }
 

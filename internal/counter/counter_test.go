@@ -323,76 +323,3 @@ func TestStackNeutralInterfaceSatisfied(t *testing.T) {
 		t.Fatal("WSRF client consumed a WS-Transfer EPR")
 	}
 }
-
-// TestStacksOverShardedStorage runs the full counter lifecycle of both
-// stacks over a sharded backend — the storage scale-out must be
-// invisible at the protocol layer.
-func TestStacksOverShardedStorage(t *testing.T) {
-	shardedWSRF := func(t *testing.T) Client {
-		t.Helper()
-		c := container.New(container.SecurityNone)
-		client := container.NewClient(container.ClientConfig{})
-		InstallWSRF(c, xmldb.New(xmldb.NewShardedMemory(4), xmldb.CostModel{}), client)
-		if _, err := c.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
-		return &WSRFClient{C: client, Service: c.EPR("/counter")}
-	}
-	shardedWST := func(t *testing.T) Client {
-		t.Helper()
-		c := container.New(container.SecurityNone)
-		client := container.NewClient(container.ClientConfig{})
-		store, err := wse.NewStore("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		InstallWST(c, xmldb.New(xmldb.NewShardedMemory(4), xmldb.CostModel{}), store, client)
-		if _, err := c.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
-		return NewWSTClient(client, c.BaseURL())
-	}
-	for name, start := range map[string]func(*testing.T) Client{
-		"wsrf": shardedWSRF,
-		"wst":  shardedWST,
-	} {
-		t.Run(name, func(t *testing.T) {
-			cl := start(t)
-			var eprs []wsa.EPR
-			for i := 0; i < 6; i++ {
-				epr, err := cl.Create(Representation(i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				eprs = append(eprs, epr)
-			}
-			for i, epr := range eprs {
-				rep, err := cl.Get(epr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v, _ := Value(rep); v != i {
-					t.Fatalf("counter %d = %d", i, v)
-				}
-			}
-			if err := cl.Set(eprs[3], Representation(99)); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := cl.Get(eprs[3])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v, _ := Value(rep); v != 99 {
-				t.Fatalf("after set: %d", v)
-			}
-			if err := cl.Destroy(eprs[0]); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cl.Get(eprs[0]); err == nil {
-				t.Fatal("get after destroy succeeded")
-			}
-		})
-	}
-}

@@ -9,13 +9,17 @@ package lint
 // comments naming the diagnostics expected on that line (multiple
 // backquoted regexes allowed). The test fails on any diagnostic
 // without a matching want, and on any want without a matching
-// diagnostic. Suppression directives are exercised too, since the
-// harness runs the same lint.Run the drivers use.
+// diagnostic. Suppression directives are exercised too, since Run
+// filters them through the same RunPackage the driver uses.
 
 import (
+	"fmt"
+	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -125,4 +129,71 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 			}
 		}
 	}
+}
+
+// Run applies the analyzers to one loaded package and returns the
+// surviving (non-suppressed) diagnostics in file/line order, the way
+// the fixture tests read them. Interprocedural resolution is limited to
+// the package itself; a driver analyzing a whole load builds one
+// Program and uses RunPackage so summaries span every loaded package.
+func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	diags, err := NewProgram([]*Package{pkg}).RunPackage(pkg, analyzers)
+	if err != nil {
+		return nil, err
+	}
+	return FilterSuppressed(diags), nil
+}
+
+// LoadDir parses and type-checks every .go file directly in dir as a
+// single package, resolving imports on demand. This is the fixture
+// path: analysistest packages live under testdata, outside the go
+// tool's view, so they are never part of a `go list ./...` walk.
+//
+// The importer (and with it the export-data table and the gc reader's
+// package cache) is shared process-wide per module root: the first
+// LoadDir pays for `go list -export` and export-file decoding, every
+// later one reuses both instead of re-running the subprocess per
+// fixture.
+func LoadDir(moduleRoot, dir string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("lint: read fixture dir: %w", err)
+	}
+	var files []string
+	for _, e := range entries {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
+			files = append(files, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no .go files in %s", dir)
+	}
+	fset, imp := sharedLoader(moduleRoot)
+	return checkPackage(fset, imp, "testdata/"+filepath.Base(dir), dir, files)
+}
+
+// loaderCache holds one fset+importer pair per module root. The fset
+// is shared with the parsed fixture files so importer positions and
+// source positions live in one space; a FileSet is append-only, so
+// accumulating every fixture package in it is safe.
+var loaderCache = struct {
+	sync.Mutex
+	byRoot map[string]*loaderEntry
+}{byRoot: map[string]*loaderEntry{}}
+
+type loaderEntry struct {
+	fset *token.FileSet
+	imp  *exportImporter
+}
+
+func sharedLoader(moduleRoot string) (*token.FileSet, *exportImporter) {
+	loaderCache.Lock()
+	defer loaderCache.Unlock()
+	e := loaderCache.byRoot[moduleRoot]
+	if e == nil {
+		fset := token.NewFileSet()
+		e = &loaderEntry{fset: fset, imp: newExportImporter(fset, moduleRoot, map[string]string{})}
+		loaderCache.byRoot[moduleRoot] = e
+	}
+	return e.fset, e.imp
 }

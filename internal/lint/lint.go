@@ -76,19 +76,6 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Run applies the analyzers to one loaded package and returns the
-// surviving (non-suppressed) diagnostics in file/line order, the way
-// the fixture tests read them. Interprocedural resolution is limited to
-// the package itself; a driver analyzing a whole load builds one
-// Program and uses RunPackage so summaries span every loaded package.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, err := NewProgram([]*Package{pkg}).RunPackage(pkg, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return FilterSuppressed(diags), nil
-}
-
 // RunPackage applies the analyzers to one package of prog's load and
 // returns every diagnostic in file/line order, with findings covered
 // by a lint:ignore directive marked Suppressed rather than removed.

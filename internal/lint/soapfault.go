@@ -13,7 +13,8 @@ import (
 // against the subscription) — never silently vanish. The two shapes
 // that vanish errors are discarding (`_ = f()`, `_, _ = f()`, or an
 // error-returning call used as a bare statement) and a checked-but-
-// dropped branch (`if err != nil { log only }`).
+// dropped branch (`if err != nil { log only }`). A call started by `go`
+// or `defer` drops its results too, so it is checked like a bare call.
 //
 // The check runs only in the handler/delivery packages; storage,
 // harness, and utility packages keep idiomatic best-effort calls.
@@ -61,7 +62,11 @@ func runSoapFault(pass *Pass) error {
 			case *ast.AssignStmt:
 				checkBlankDiscard(pass, v)
 			case *ast.ExprStmt:
-				checkBareErrorCall(pass, v)
+				checkBareErrorCall(pass, v.X)
+			case *ast.GoStmt:
+				checkBareErrorCall(pass, v.Call)
+			case *ast.DeferStmt:
+				checkBareErrorCall(pass, v.Call)
 			case *ast.IfStmt:
 				checkDroppedErrBranch(pass, v)
 			}
@@ -89,14 +94,15 @@ func checkBlankDiscard(pass *Pass, as *ast.AssignStmt) {
 	}
 }
 
-// checkBareErrorCall flags error-returning calls used as statements,
-// whether the call names a declared function or goes through a func
-// value (a func-typed field or variable): the call's type decides.
-// Close/Stop are exempt by the called name (universal teardown idiom),
-// as are methods on in-memory writers that return error only to
-// satisfy io interfaces.
-func checkBareErrorCall(pass *Pass, st *ast.ExprStmt) {
-	call, ok := ast.Unparen(st.X).(*ast.CallExpr)
+// checkBareErrorCall flags error-returning calls whose results are
+// dropped: used as statements or started by `go` or `defer`, whether
+// the call names a declared function or goes through a func value (a
+// func-typed field or variable): the call's type decides. Close/Stop
+// are exempt by the called name (universal teardown idiom), as are
+// methods on in-memory writers that return error only to satisfy io
+// interfaces.
+func checkBareErrorCall(pass *Pass, x ast.Expr) {
+	call, ok := ast.Unparen(x).(*ast.CallExpr)
 	if !ok || !yieldsError(pass.TypesInfo, call) {
 		return
 	}
@@ -111,7 +117,7 @@ func checkBareErrorCall(pass *Pass, st *ast.ExprStmt) {
 			}
 		}
 	}
-	pass.Reportf(st.Pos(), "%s returns an error that is silently dropped; handle it or discard it explicitly with a justified lint:ignore", describeExpr(call))
+	pass.Reportf(x.Pos(), "%s returns an error that is silently dropped; handle it or discard it explicitly with a justified lint:ignore", describeExpr(call))
 }
 
 // checkDroppedErrBranch flags `if err != nil { ... }` bodies that

@@ -57,6 +57,17 @@ func badFuncVar(publish func() (int, error)) {
 	publish() // want `publish\(\) returns an error that is silently dropped`
 }
 
+// badGoCall starts the call on its own goroutine, where its error has
+// nowhere to go.
+func badGoCall(p *producer, id string) {
+	go p.db.Delete("health", id) // want `p.db.Delete\("health", id\) returns an error that is silently dropped`
+}
+
+// badDeferCall drops the deferred call's error on the way out.
+func badDeferCall(p *producer, id string) {
+	defer p.db.Delete("health", id) // want `p.db.Delete\("health", id\) returns an error that is silently dropped`
+}
+
 // badLogOnly checks the error and then drops it: logging is not
 // propagation — nothing reaches the fault mapper or the ledger.
 func badLogOnly(p *producer, topic string, doc []byte) {
@@ -85,6 +96,11 @@ func goodLedger(p *producer, id string, msg []byte) {
 // goodClose keeps the universal teardown idiom unflagged.
 func goodClose(f *os.File) {
 	f.Close()
+}
+
+// goodDeferClose keeps the deferred teardown idiom unflagged.
+func goodDeferClose(f *os.File) {
+	defer f.Close()
 }
 
 // goodCloseField exempts teardown by the called name, so a Close

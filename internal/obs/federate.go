@@ -16,7 +16,7 @@ import (
 )
 
 // Metrics federation: one process's /metrics is a keyhole view of a
-// sharded cluster. Instances exchange their registry Snapshot as JSON
+// multi-instance fleet. Instances exchange their registry Snapshot as JSON
 // at /metrics.json; Merge folds any number of snapshots into one fleet
 // view — counters and gauges sum, bucket-aligned histograms add per
 // bucket, exemplars keep the most recent — and Render writes any

@@ -151,8 +151,17 @@ type Home struct {
 
 	mu    sync.Mutex
 	cache map[string]*Resource
-	locks map[string]*sync.Mutex
+	locks map[string]*idLock
 	props []PropertyDef
+}
+
+// idLock is one resource's exclusive lock. refs counts its holder and
+// waiters under Home.mu; the last unlock removes it from Home.locks,
+// so the map holds only ids in use and never keeps a request-derived
+// id string alive after its operation ends.
+type idLock struct {
+	sync.Mutex
+	refs int
 }
 
 // DefineProperty registers a resource property. Definitions are
@@ -370,9 +379,7 @@ func (h *Home) Mutate(id string, fn func(r *Resource) error) error {
 // fn (property Set implementations in particular) can thread it into
 // the notifications it triggers via r.Context().
 func (h *Home) MutateContext(ctx context.Context, id string, fn func(r *Resource) error) error {
-	lock := h.lockFor(id)
-	lock.Lock()
-	defer lock.Unlock()
+	defer h.unlock(id, h.lock(id))
 	r, err := h.loadForUpdate(ctx, id)
 	if err != nil {
 		return err
@@ -391,9 +398,7 @@ func (h *Home) View(id string, fn func(r *Resource) error) error {
 
 // ViewContext is View under a request context.
 func (h *Home) ViewContext(ctx context.Context, id string, fn func(r *Resource) error) error {
-	lock := h.lockFor(id)
-	lock.Lock()
-	defer lock.Unlock()
+	defer h.unlock(id, h.lock(id))
 	r, err := h.LoadContext(ctx, id)
 	if err != nil {
 		return err
@@ -402,18 +407,32 @@ func (h *Home) ViewContext(ctx context.Context, id string, fn func(r *Resource) 
 	return fn(r)
 }
 
-func (h *Home) lockFor(id string) *sync.Mutex {
+// lock acquires id's exclusive lock, creating it on first use.
+func (h *Home) lock(id string) *idLock {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.locks == nil {
-		h.locks = map[string]*sync.Mutex{}
-	}
-	l, ok := h.locks[id]
-	if !ok {
-		l = &sync.Mutex{}
+	l := h.locks[id]
+	if l == nil {
+		if h.locks == nil {
+			h.locks = map[string]*idLock{}
+		}
+		l = &idLock{}
 		h.locks[id] = l
 	}
+	l.refs++
+	h.mu.Unlock()
+	l.Lock()
 	return l
+}
+
+// unlock releases id's lock and forgets it once no one holds or awaits
+// it.
+func (h *Home) unlock(id string, l *idLock) {
+	l.Unlock()
+	h.mu.Lock()
+	if l.refs--; l.refs == 0 {
+		delete(h.locks, id)
+	}
+	h.mu.Unlock()
 }
 
 func (h *Home) cachePut(r *Resource) {

@@ -381,3 +381,58 @@ func TestViewDoesNotBlockOtherResources(t *testing.T) {
 	}
 	close(release)
 }
+
+// TestResourceLocksReleased: a per-resource lock lives only while an
+// operation holds or awaits it. Create/View/Mutate/Destroy cycles, a
+// View of the destroyed id, and contended Mutates of one resource
+// leave the lock map empty, so it never pins the request strings its
+// ids alias.
+func TestResourceLocksReleased(t *testing.T) {
+	h := newHome(true)
+	const cycles = 100
+	for i := 0; i < cycles; i++ {
+		epr, err := h.Create(counterState(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _ := epr.Property("urn:counter", "CounterID")
+		if err := h.View(id, func(*Resource) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Mutate(id, func(*Resource) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Destroy(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.View(id, func(*Resource) error { return nil }); err == nil {
+			t.Fatal("View of a destroyed resource succeeded")
+		}
+	}
+
+	epr, err := h.Create(counterState(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := epr.Property("urn:counter", "CounterID")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := h.Mutate(id, func(*Resource) error { return nil }); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if n := len(h.locks); n != 0 {
+		t.Fatalf("%d resource locks left after every operation ended, want 0", n)
+	}
+}

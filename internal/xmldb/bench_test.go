@@ -26,26 +26,6 @@ func benchCollection(b *testing.B, n int) *DB {
 	return db
 }
 
-// BenchmarkQueryScan is the QueryResourceProperties workload: one
-// XPath-lite expression evaluated across every document in a
-// collection, repeatedly, with the collection unchanged between scans
-// — the shape under which the parsed-document and compiled-expression
-// caches should eliminate all per-scan recompilation and re-parsing.
-func BenchmarkQueryScan(b *testing.B) {
-	db := benchCollection(b, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hits, err := db.Query("c", "/Counter[cv>=50]")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(hits) != 50 {
-			b.Fatalf("hits = %d", len(hits))
-		}
-	}
-}
-
 // BenchmarkGetHot measures repeated reads of one document from an
 // unchanged collection.
 func BenchmarkGetHot(b *testing.B) {
@@ -83,74 +63,55 @@ func splitmix64(x uint64) uint64 {
 }
 
 // BenchmarkParallelMixed is the storage-layer contention benchmark: at
-// least 8 client goroutines issuing a Notify-path-shaped mix — point
-// reads, selective collection scans, health-write-style updates,
-// presence probes, listings — against subscription-sized documents
+// least 8 client goroutines issuing a mix of point reads, updates,
+// presence probes and listings against subscription-sized documents
 // with a zero CostModel, so every nanosecond measured is this stack's
 // own lock, cache, and parse overhead.
 //
 // This is the workload on which the single-lock, whole-collection-
 // invalidation design collapsed: every update evicted the entire
-// collection's parsed docs, so each scan re-parsed ~all documents.
-// Per-document generations keep scans cache-hot (the before/after
-// table lives in EXPERIMENTS.md). The sharded variant additionally
-// removes backend RWMutex contention, which shows up with core count.
+// collection's parsed docs, so reads of its neighbours re-parsed.
+// Per-document generations keep them cache-hot (the before/after
+// table lives in EXPERIMENTS.md).
 func BenchmarkParallelMixed(b *testing.B) {
-	for _, variant := range []struct {
-		name string
-		mk   func() *DB
-	}{
-		{"memory", func() *DB { return NewMemory(CostModel{}) }},
-		{"sharded-4", func() *DB { return New(NewShardedMemory(4), CostModel{}) }},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			const cols, docsPer = 4, 128
-			db := variant.mk()
-			for c := 0; c < cols; c++ {
-				for i := 0; i < docsPer; i++ {
-					if err := db.Create(fmt.Sprintf("col-%d", c), fmt.Sprintf("id-%04d", i), subSizedDoc(i)); err != nil {
-						b.Fatal(err)
-					}
+	const cols, docsPer = 4, 128
+	db := NewMemory(CostModel{})
+	for c := 0; c < cols; c++ {
+		for i := 0; i < docsPer; i++ {
+			if err := db.Create(fmt.Sprintf("col-%d", c), fmt.Sprintf("id-%04d", i), subSizedDoc(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var gseed atomic.Uint64
+	b.SetParallelism(8) // >= 8 goroutines even on a 1-core runner
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		state := splitmix64(gseed.Add(1) * 0x9e3779b97f4a7c15)
+		for pb.Next() {
+			state = splitmix64(state)
+			r := state
+			col := fmt.Sprintf("col-%d", r%cols)
+			id := fmt.Sprintf("id-%04d", (r>>8)%docsPer)
+			switch pick := (r >> 32) % 20; {
+			case pick < 11: // 55% point reads
+				if _, err := db.Get(col, id); err != nil {
+					b.Fatal(err)
+				}
+			case pick < 18: // 35% updates (health write-through)
+				if err := db.Update(col, id, subSizedDoc(int(r%100))); err != nil {
+					b.Fatal(err)
+				}
+			case pick < 19: // 5% presence probes
+				if _, err := db.Exists(col, id); err != nil {
+					b.Fatal(err)
+				}
+			default: // 5% listings
+				if _, err := db.IDs(col); err != nil {
+					b.Fatal(err)
 				}
 			}
-			var gseed atomic.Uint64
-			b.SetParallelism(8) // >= 8 goroutines even on a 1-core runner
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				state := splitmix64(gseed.Add(1) * 0x9e3779b97f4a7c15)
-				for pb.Next() {
-					state = splitmix64(state)
-					r := state
-					col := fmt.Sprintf("col-%d", r%cols)
-					id := fmt.Sprintf("id-%04d", (r>>8)%docsPer)
-					switch pick := (r >> 32) % 20; {
-					case pick < 4: // 20% point reads
-						if _, err := db.Get(col, id); err != nil {
-							b.Fatal(err)
-						}
-					case pick < 11: // 35% selective collection scans
-						if _, err := db.Query(col, "/Counter[cv>=127]"); err != nil {
-							b.Fatal(err)
-						}
-					case pick < 18: // 35% updates (health write-through)
-						// cv stays under the scan threshold so the match
-						// set — and with it per-scan clone cost — is
-						// stable for the benchmark's whole run.
-						if err := db.Update(col, id, subSizedDoc(int(r%100))); err != nil {
-							b.Fatal(err)
-						}
-					case pick < 19: // 5% presence probes
-						if _, err := db.Exists(col, id); err != nil {
-							b.Fatal(err)
-						}
-					default: // 5% listings
-						if _, err := db.IDs(col); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }

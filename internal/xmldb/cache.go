@@ -5,22 +5,18 @@ import (
 
 	"altstacks/internal/obs"
 	"altstacks/internal/xmlutil"
-	"altstacks/internal/xpathlite"
 )
 
-// Cache metric families: hit/miss/evict events per cache, process-wide
-// across every DB instance (per-instance effectiveness stays visible
-// through Stats.Parses).
+// Cache metric families: hit/miss/evict events of the document cache,
+// process-wide across every DB instance (per-instance effectiveness
+// stays visible through Stats.Parses).
 var (
-	docCacheHits    = obs.NewCounter("ogsa_xmldb_cache_events_total", `cache="doc",event="hit"`, "xmldb cache events by cache and kind")
-	docCacheMisses  = obs.NewCounter("ogsa_xmldb_cache_events_total", `cache="doc",event="miss"`, "xmldb cache events by cache and kind")
-	docCacheEvicts  = obs.NewCounter("ogsa_xmldb_cache_events_total", `cache="doc",event="evict"`, "xmldb cache events by cache and kind")
-	pathCacheHits   = obs.NewCounter("ogsa_xmldb_cache_events_total", `cache="path",event="hit"`, "xmldb cache events by cache and kind")
-	pathCacheMisses = obs.NewCounter("ogsa_xmldb_cache_events_total", `cache="path",event="miss"`, "xmldb cache events by cache and kind")
-	pathCacheEvicts = obs.NewCounter("ogsa_xmldb_cache_events_total", `cache="path",event="evict"`, "xmldb cache events by cache and kind")
+	docCacheHits   = obs.NewCounter("ogsa_xmldb_cache_events_total", `cache="doc",event="hit"`, "xmldb cache events by cache and kind")
+	docCacheMisses = obs.NewCounter("ogsa_xmldb_cache_events_total", `cache="doc",event="miss"`, "xmldb cache events by cache and kind")
+	docCacheEvicts = obs.NewCounter("ogsa_xmldb_cache_events_total", `cache="doc",event="evict"`, "xmldb cache events by cache and kind")
 )
 
-// cacheStripes is the lock-stripe count for both caches. Power of two
+// cacheStripes is the lock-stripe count of the cache. Power of two
 // so stripe selection is a mask, sized so that even a core-count worth
 // of concurrent clients rarely collides on one stripe lock.
 const cacheStripes = 16
@@ -31,8 +27,8 @@ const cacheStripes = 16
 // an in-flight parse can never publish against a recycled counter).
 const genPruneFactor = 4
 
-// keyHash is FNV-1a over collection, a NUL separator, and id — shared
-// by cache striping and shard routing so both stay allocation-free.
+// keyHash is FNV-1a over collection, a NUL separator, and id, so
+// stripe selection stays allocation-free.
 func keyHash(collection, id string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -187,91 +183,5 @@ func (s *docStripe) prune() {
 		if _, resident := s.entries[k]; !resident {
 			delete(s.gens, k)
 		}
-	}
-}
-
-// pathEntry is one cached compiled XPath-lite expression.
-type pathEntry struct {
-	path *xpathlite.Path
-	ref  bool
-}
-
-// pathStripe is one lock stripe of the compiled-expression cache, with
-// the same CLOCK second-chance discipline as the document cache.
-type pathStripe struct {
-	mu      sync.Mutex
-	entries map[string]*pathEntry
-	ring    []string
-	hand    int
-}
-
-// pathCache is the lock-striped compiled-expression cache. Entries are
-// immutable once compiled, so there is no generation machinery.
-type pathCache struct {
-	stripeCap int
-	stripes   [cacheStripes]pathStripe
-}
-
-func newPathCache(totalCap int) *pathCache {
-	c := &pathCache{stripeCap: totalCap / cacheStripes}
-	if c.stripeCap < 1 {
-		c.stripeCap = 1
-	}
-	for i := range c.stripes {
-		c.stripes[i].entries = map[string]*pathEntry{}
-	}
-	return c
-}
-
-func (c *pathCache) stripe(expr string) *pathStripe {
-	return &c.stripes[keyHash(expr, "")&(cacheStripes-1)]
-}
-
-func (c *pathCache) lookup(expr string) (*xpathlite.Path, bool) {
-	s := c.stripe(expr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[expr]; ok {
-		e.ref = true
-		pathCacheHits.Inc()
-		return e.path, true
-	}
-	pathCacheMisses.Inc()
-	return nil, false
-}
-
-func (c *pathCache) fill(expr string, p *xpathlite.Path) {
-	s := c.stripe(expr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[expr]; ok {
-		e.path, e.ref = p, true
-		return
-	}
-	if len(s.entries) >= c.stripeCap {
-		s.evictOne()
-	}
-	s.entries[expr] = &pathEntry{path: p, ref: true}
-	s.ring = append(s.ring, expr)
-}
-
-func (s *pathStripe) evictOne() {
-	for {
-		expr := s.ring[s.hand]
-		e := s.entries[expr]
-		if e.ref {
-			e.ref = false
-			s.hand = (s.hand + 1) % len(s.ring)
-			continue
-		}
-		delete(s.entries, expr)
-		last := len(s.ring) - 1
-		s.ring[s.hand] = s.ring[last]
-		s.ring = s.ring[:last]
-		if s.hand >= len(s.ring) {
-			s.hand = 0
-		}
-		pathCacheEvicts.Inc()
-		return
 	}
 }

@@ -33,30 +33,6 @@ func (c *countingBackend) Get(col, id string) ([]byte, bool, error) {
 	return c.Backend.Get(col, id)
 }
 
-// TestQueryReusesParsedDocuments pins the cache's core promise:
-// repeated queries over an unchanged collection parse each document
-// exactly once.
-func TestQueryReusesParsedDocuments(t *testing.T) {
-	db := NewMemory(CostModel{})
-	for i := 0; i < 8; i++ {
-		if err := db.Create("c", id(i), counterDoc(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 5; round++ {
-		hits, err := db.Query("c", "/Counter")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hits) != 8 {
-			t.Fatalf("round %d: hits = %d", round, len(hits))
-		}
-	}
-	if s := db.Stats(); s.Parses != 8 {
-		t.Fatalf("parses = %d, want 8 (one per document across 5 query rounds)", s.Parses)
-	}
-}
-
 // TestGetReusesParsedDocument: repeated Gets of an unchanged document
 // parse once but still count as reads.
 func TestGetReusesParsedDocument(t *testing.T) {
@@ -140,63 +116,31 @@ func TestCachedGetReturnsPrivateClone(t *testing.T) {
 	if counterValue(t, second) != 5 {
 		t.Fatal("caller mutation leaked into the document cache")
 	}
-	// Same for Query matches.
-	hits, err := db.Query("c", "/Counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits[0].Matches[0].ChildLocal("Value").SetText("888")
-	third, err := db.Get("c", "1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counterValue(t, third) != 5 {
-		t.Fatal("query-match mutation leaked into the document cache")
-	}
 }
 
-// TestCachedQueryStillChargesCostModel: the cache removes parse work,
+// TestCachedGetStillChargesCostModel: the cache removes parse work,
 // never modeled Xindice latency — the figure shapes depend on it.
-func TestCachedQueryStillChargesCostModel(t *testing.T) {
+func TestCachedGetStillChargesCostModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	const queryCost = 25 * time.Millisecond
-	db := NewMemory(CostModel{Query: queryCost})
+	const readCost = 25 * time.Millisecond
+	db := NewMemory(CostModel{Read: readCost})
 	if err := db.Create("c", "1", counterDoc(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query("c", "/Counter"); err != nil { // warm
+	if _, err := db.Get("c", "1"); err != nil { // warm
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := db.Query("c", "/Counter"); err != nil { // cache-hot
+	if _, err := db.Get("c", "1"); err != nil { // cache-hot
 		t.Fatal(err)
 	}
-	if hot := time.Since(start); hot < queryCost {
-		t.Fatalf("cache-hot query took %v, want >= %v (cost model must still apply)", hot, queryCost)
+	if hot := time.Since(start); hot < readCost {
+		t.Fatalf("cache-hot read took %v, want >= %v (cost model must still apply)", hot, readCost)
 	}
-	if s := db.Stats(); s.Queries != 2 {
-		t.Fatalf("queries = %d, want 2 (cache hits still count)", s.Queries)
-	}
-}
-
-// TestMalformedQueryDoesNotPolluteStats: compilation happens before
-// the operation is counted or the modeled latency charged.
-func TestMalformedQueryDoesNotPolluteStats(t *testing.T) {
-	db := NewMemory(CostModel{Query: 250 * time.Millisecond})
-	start := time.Now()
-	if _, err := db.Query("c", "///"); err == nil {
-		t.Fatal("malformed expression accepted")
-	}
-	if took := time.Since(start); took > 100*time.Millisecond {
-		t.Fatalf("malformed query paid modeled latency (%v)", took)
-	}
-	if s := db.Stats(); s.Queries != 0 {
-		t.Fatalf("queries = %d, want 0 (compile failures are not operations)", s.Queries)
-	}
-	if s := db.CollectionStats("c"); s.Queries != 0 {
-		t.Fatalf("collection queries = %d, want 0", s.Queries)
+	if s := db.Stats(); s.Reads != 2 || s.Parses != 1 {
+		t.Fatalf("reads = %d, parses = %d, want 2 and 1 (cache hits still count as reads)", s.Reads, s.Parses)
 	}
 }
 
@@ -213,24 +157,34 @@ func TestPerDocumentInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the cache: every document parsed exactly once.
-	if _, err := db.Query("c", "/Counter"); err != nil {
-		t.Fatal(err)
+	// readAll reads every live document once.
+	readAll := func() {
+		t.Helper()
+		ids, err := db.IDs("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, docID := range ids {
+			if _, err := db.Get("c", docID); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	// Warm the cache: every document parsed exactly once.
+	readAll()
 	if p := db.CollectionStats("c").Parses; p != docs {
 		t.Fatalf("warm parses = %d, want %d", p, docs)
 	}
 
-	// Update doc 0; re-read doc 3 and re-scan. Only doc 0 re-parses.
+	// Update doc 0; re-read doc 3 and every document. Only doc 0
+	// re-parses.
 	if err := db.Update("c", id(0), counterDoc(100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Get("c", id(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query("c", "/Counter"); err != nil {
-		t.Fatal(err)
-	}
+	readAll()
 	if p := db.CollectionStats("c").Parses; p != docs+1 {
 		t.Fatalf("parses after single-doc update = %d, want %d (only the updated doc re-parses)", p, docs+1)
 	}
@@ -248,9 +202,7 @@ func TestPerDocumentInvalidation(t *testing.T) {
 	if err := db.Delete("c", id(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query("c", "/Counter"); err != nil {
-		t.Fatal(err)
-	}
+	readAll()
 	if p := db.CollectionStats("c").Parses; p != docs+1 {
 		t.Fatalf("parses after delete = %d, want %d (deleting one doc re-parses nothing)", p, docs+1)
 	}
@@ -264,7 +216,7 @@ func TestClockEvictionKeepsHotDocuments(t *testing.T) {
 	// One-entry stripes (cap 16 over 16 stripes) would make every fill
 	// an eviction; use a cap that gives each stripe a few slots and
 	// drive enough documents through one collection to overflow them.
-	db := newWithCacheCaps(NewMemoryBackend(), CostModel{}, 32, 16)
+	db := newWithCacheCap(NewMemoryBackend(), CostModel{}, 32)
 	const hot = "hot-doc"
 	if err := db.Create("c", hot, counterDoc(1)); err != nil {
 		t.Fatal(err)

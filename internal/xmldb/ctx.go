@@ -2,92 +2,41 @@ package xmldb
 
 import (
 	"context"
+	"time"
 
 	"altstacks/internal/obs"
-	"altstacks/internal/xmlutil"
 )
 
-// Context-carrying variants of the database operations. They are what
-// request-path callers (service handlers, the WSRF Home, subscription
-// stores) use: each wraps the plain operation in an "xmldb.<op>" trace
-// span joined to the request's trace and observes the storage stage
-// histogram. The plain methods stay for context-free callers (wiring,
-// background sweeps) and never open spans — obs.ChildSpan on a bare
-// context would be nil anyway, so the two entry points converge when
-// tracing is off.
+// Every database operation has a plain form and a Context form, and
+// the plain form is its Context twin under context.Background(). So
+// each operation, whichever form the caller picks, observes the
+// storage stage histogram exactly once. Request-path callers (service
+// handlers, the WSRF Home, subscription stores) pass the request's
+// context, and the operation's "xmldb.<op>" span joins the request's
+// trace; a context without a span opens none. With instrumentation
+// off, the bookkeeping is the bool loads in obs.Start and
+// obs.ChildSpan.
 
-// dbOp wraps one operation in its span and the storage histogram.
-func dbOp(ctx context.Context, name, collection string, fn func() error) error {
-	t0 := obs.Start()
-	span := obs.ChildSpan(ctx, "xmldb."+name)
-	span.SetAttr("collection", collection)
-	err := fn()
-	obs.StageStorage.ObserveSinceSpan(t0, span)
-	span.Fail(err)
-	span.End()
-	return err
+// storageOp is one operation in flight: when its storage-stage clock
+// started (zero with instrumentation off) and its span (nil without an
+// enclosing request span).
+type storageOp struct {
+	t0   time.Time
+	span *obs.Span
 }
 
-// CreateContext is Create traced under ctx's request span.
-func (db *DB) CreateContext(ctx context.Context, collection, id string, doc *xmlutil.Element) error {
-	return dbOp(ctx, "create", collection, func() error { return db.Create(collection, id, doc) })
+// begin starts the storage-stage clock and opens the operation's span
+// under ctx's request span.
+func begin(ctx context.Context, span, collection string) storageOp {
+	op := storageOp{t0: obs.Start(), span: obs.ChildSpan(ctx, span)}
+	op.span.SetAttr("collection", collection)
+	return op
 }
 
-// GetContext is Get traced under ctx's request span.
-func (db *DB) GetContext(ctx context.Context, collection, id string) (*xmlutil.Element, error) {
-	var doc *xmlutil.Element
-	err := dbOp(ctx, "get", collection, func() error {
-		var e error
-		doc, e = db.Get(collection, id)
-		return e
-	})
-	return doc, err
-}
-
-// UpdateContext is Update traced under ctx's request span.
-func (db *DB) UpdateContext(ctx context.Context, collection, id string, doc *xmlutil.Element) error {
-	return dbOp(ctx, "update", collection, func() error { return db.Update(collection, id, doc) })
-}
-
-// PutContext is Put traced under ctx's request span.
-func (db *DB) PutContext(ctx context.Context, collection, id string, doc *xmlutil.Element) error {
-	return dbOp(ctx, "put", collection, func() error { return db.Put(collection, id, doc) })
-}
-
-// DeleteContext is Delete traced under ctx's request span.
-func (db *DB) DeleteContext(ctx context.Context, collection, id string) error {
-	return dbOp(ctx, "delete", collection, func() error { return db.Delete(collection, id) })
-}
-
-// ExistsContext is Exists traced under ctx's request span.
-func (db *DB) ExistsContext(ctx context.Context, collection, id string) (bool, error) {
-	var ok bool
-	err := dbOp(ctx, "exists", collection, func() error {
-		var e error
-		ok, e = db.Exists(collection, id)
-		return e
-	})
-	return ok, err
-}
-
-// IDsContext is IDs traced under ctx's request span.
-func (db *DB) IDsContext(ctx context.Context, collection string) ([]string, error) {
-	var ids []string
-	err := dbOp(ctx, "ids", collection, func() error {
-		var e error
-		ids, e = db.IDs(collection)
-		return e
-	})
-	return ids, err
-}
-
-// QueryContext is Query traced under ctx's request span.
-func (db *DB) QueryContext(ctx context.Context, collection, expr string) ([]QueryHit, error) {
-	var hits []QueryHit
-	err := dbOp(ctx, "query", collection, func() error {
-		var e error
-		hits, e = db.Query(collection, expr)
-		return e
-	})
-	return hits, err
+// end observes the storage stage, linking its exemplar to the
+// operation's span, and closes the span with the operation's error.
+func (op storageOp) end(err *error) {
+	obs.StageStorage.ObserveSinceSpan(op.t0, op.span)
+	op.span.Fail(*err)
+	op.span.End()
 }

@@ -2,7 +2,6 @@ package xmldb
 
 import (
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -97,26 +96,11 @@ func TestBackendFailuresPropagate(t *testing.T) {
 	if _, err := db.IDs("c"); !errors.Is(err, errDisk) {
 		t.Fatalf("IDs: %v", err)
 	}
-	if _, err := db.Query("c", "/Counter"); !errors.Is(err, errDisk) {
-		t.Fatalf("Query: %v", err)
-	}
 	fb.failIDs = false
 
 	// The store must be fully usable again after the fault clears.
 	if _, err := db.Get("c", "1"); err != nil {
 		t.Fatalf("recovery: %v", err)
-	}
-}
-
-func TestQueryReportsCorruptDocument(t *testing.T) {
-	be := NewMemoryBackend()
-	if err := be.Put("c", "bad", []byte("<unclosed")); err != nil {
-		t.Fatal(err)
-	}
-	db := New(be, CostModel{})
-	_, err := db.Query("c", "/anything")
-	if err == nil || !strings.Contains(err.Error(), "corrupt document") {
-		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -3,10 +3,7 @@
 // approaches rely on efficient storage of XML-based resources, so it
 // is not surprising that the same XML database (Xindice) was used").
 //
-// Documents live in named collections, are keyed by string ids, and
-// can be queried with XPath-lite expressions across a collection —
-// the "rich queries over the state of multiple resources" WSRF.NET
-// exposes through QueryResourceProperties (paper §3.1).
+// Documents live in named collections and are keyed by string ids.
 //
 // A CostModel injects deterministic per-operation latency so the
 // benchmark harness reproduces the paper's dominant performance
@@ -18,18 +15,16 @@
 package xmldb
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"altstacks/internal/fanout"
 	"altstacks/internal/obs"
 	"altstacks/internal/xmlutil"
-	"altstacks/internal/xpathlite"
 )
 
 // Registry mirrors of the per-instance Stats counters: process-wide
@@ -40,7 +35,6 @@ var (
 	opReads   = obs.NewCounter("ogsa_xmldb_ops_total", `op="read"`, "xmldb operations by kind")
 	opUpdates = obs.NewCounter("ogsa_xmldb_ops_total", `op="update"`, "xmldb operations by kind")
 	opDeletes = obs.NewCounter("ogsa_xmldb_ops_total", `op="delete"`, "xmldb operations by kind")
-	opQueries = obs.NewCounter("ogsa_xmldb_ops_total", `op="query"`, "xmldb operations by kind")
 
 	parsesTotal = obs.NewCounter("ogsa_xmldb_parses_total", "",
 		"documents decoded from backend bytes (cache misses)")
@@ -58,7 +52,6 @@ type CostModel struct {
 	Read   time.Duration
 	Update time.Duration
 	Delete time.Duration
-	Query  time.Duration
 }
 
 // XindiceProfile approximates the relative operation costs the paper
@@ -71,7 +64,6 @@ var XindiceProfile = CostModel{
 	Read:   1200 * time.Microsecond,
 	Update: 2 * time.Millisecond,
 	Delete: 1800 * time.Microsecond,
-	Query:  2500 * time.Microsecond,
 }
 
 // Stats counts operations, for tests that assert access patterns (for
@@ -82,10 +74,9 @@ type Stats struct {
 	Reads   int64
 	Updates int64
 	Deletes int64
-	Queries int64
 	// Parses counts documents actually decoded from backend bytes.
-	// Reads and Queries served from the parsed-document cache do not
-	// increment it, so Parses < Reads measures cache effectiveness.
+	// Reads served from the parsed-document cache do not increment
+	// it, so Parses < Reads measures cache effectiveness.
 	Parses int64
 }
 
@@ -131,53 +122,41 @@ func backendHas(b Backend, collection, id string) (bool, error) {
 	return ok, err
 }
 
-// Cache bounds. Parsed documents dominate memory, so their cap is the
-// one that matters; compiled paths are tiny (the handful of query
-// shapes the services issue). The exported names let harnesses
-// (cmd/loadgen's soak invariants) assert resident growth stays under
-// the caps without reaching into cache internals.
-const (
-	docCacheCap  = 4096
-	pathCacheCap = 256
-
-	// DocCacheCap is the resident parsed-document cache capacity.
-	DocCacheCap = docCacheCap
-	// PathCacheCap is the compiled-XPath cache capacity.
-	PathCacheCap = pathCacheCap
-)
+// DocCacheCap is the resident parsed-document cache capacity. It is
+// exported so harnesses (cmd/loadgen's soak invariants) can assert
+// resident growth stays under the cap without reaching into cache
+// internals.
+const DocCacheCap = 4096
 
 // DB is the document database: a backend plus cost model and stats.
 //
-// DB memoizes two pieces of inbound-path work that the cost model does
-// NOT account for (the model reproduces 2005-era Xindice latency; the
-// parsing and compilation overhead on top of it is this stack's own):
+// DB memoizes the inbound-path work that the cost model does NOT
+// account for (the model reproduces 2005-era Xindice latency; the
+// parsing overhead on top of it is this stack's own): parsed
+// documents, stamped with a per-document generation that a write to
+// that document bumps, so Get reuses trees until the backing bytes
+// change — and a write to one document never evicts its collection
+// neighbours.
 //
-//   - parsed documents, stamped with a per-document generation that a
-//     write to that document bumps, so Get/Query reuse trees until the
-//     backing bytes change — and a write to one document never evicts
-//     its collection neighbours;
-//   - compiled XPath-lite expressions, keyed by source text.
-//
-// Both caches are lock-striped (16 stripes each) and every counter is
-// atomic, so concurrent clients on different documents or collections
-// share no lock. Both caches are invisible to the CostModel: cached
-// operations still pay the full modeled latency and count in Stats, so
-// the benchmark figure shapes are unchanged — only the constant CPU
-// overhead above the modeled floor shrinks.
+// The cache is lock-striped (16 stripes) and every counter is atomic,
+// so concurrent clients on different documents or collections share no
+// lock. The cache is invisible to the CostModel: cached reads still pay
+// the full modeled latency and count in Stats, so the benchmark figure
+// shapes are unchanged — only the constant CPU overhead above the
+// modeled floor shrinks.
 type DB struct {
 	backend Backend
 	cost    CostModel
 
 	perCol sync.Map // collection → *colStats
 
-	docs  *docCache
-	paths *pathCache
+	docs *docCache
 }
 
 // colStats is one collection's operation counters, atomic so counting
 // never takes a lock. DB.Stats is their sum.
 type colStats struct {
-	creates, reads, updates, deletes, queries, parses atomic.Int64
+	creates, reads, updates, deletes, parses atomic.Int64
 }
 
 func (s *colStats) snapshot() Stats {
@@ -186,25 +165,19 @@ func (s *colStats) snapshot() Stats {
 		Reads:   s.reads.Load(),
 		Updates: s.updates.Load(),
 		Deletes: s.deletes.Load(),
-		Queries: s.queries.Load(),
 		Parses:  s.parses.Load(),
 	}
 }
 
 // New returns a database over the given backend.
 func New(backend Backend, cost CostModel) *DB {
-	return newWithCacheCaps(backend, cost, docCacheCap, pathCacheCap)
+	return newWithCacheCap(backend, cost, DocCacheCap)
 }
 
-// newWithCacheCaps is the test seam for exercising eviction without
+// newWithCacheCap is the test seam for exercising eviction without
 // building thousands of documents.
-func newWithCacheCaps(backend Backend, cost CostModel, docCap, pathCap int) *DB {
-	return &DB{
-		backend: backend,
-		cost:    cost,
-		docs:    newDocCache(docCap),
-		paths:   newPathCache(pathCap),
-	}
+func newWithCacheCap(backend Backend, cost CostModel, docCap int) *DB {
+	return &DB{backend: backend, cost: cost, docs: newDocCache(docCap)}
 }
 
 // NewMemory returns a database over a fresh in-memory backend.
@@ -220,7 +193,6 @@ func (db *DB) Stats() Stats {
 		sum.Reads += c.Reads
 		sum.Updates += c.Updates
 		sum.Deletes += c.Deletes
-		sum.Queries += c.Queries
 		sum.Parses += c.Parses
 		return true
 	})
@@ -285,24 +257,15 @@ func (db *DB) loadDoc(collection, id string) (*xmlutil.Element, bool, error) {
 	return doc, true, nil
 }
 
-// compile returns the compiled form of expr, memoized by source text.
-// xpathlite.Path is immutable after Compile, so one compiled path is
-// safely shared across concurrent queries.
-func (db *DB) compile(expr string) (*xpathlite.Path, error) {
-	if p, ok := db.paths.lookup(expr); ok {
-		return p, nil
-	}
-	p, err := xpathlite.Compile(expr)
-	if err != nil {
-		return nil, err
-	}
-	db.paths.fill(expr, p)
-	return p, nil
-}
-
 // Create stores a new document; it fails with ErrExists when the id is
 // already present.
 func (db *DB) Create(collection, id string, doc *xmlutil.Element) error {
+	return db.CreateContext(context.Background(), collection, id, doc)
+}
+
+// CreateContext is Create traced under ctx's request span.
+func (db *DB) CreateContext(ctx context.Context, collection, id string, doc *xmlutil.Element) (err error) {
+	defer begin(ctx, "xmldb.create", collection).end(&err)
 	pause(db.cost.Create)
 	opCreates.Inc()
 	db.col(collection).creates.Add(1)
@@ -319,6 +282,12 @@ func (db *DB) Create(collection, id string, doc *xmlutil.Element) error {
 
 // Get loads and parses a document; ErrNotFound when absent.
 func (db *DB) Get(collection, id string) (*xmlutil.Element, error) {
+	return db.GetContext(context.Background(), collection, id)
+}
+
+// GetContext is Get traced under ctx's request span.
+func (db *DB) GetContext(ctx context.Context, collection, id string) (_ *xmlutil.Element, err error) {
+	defer begin(ctx, "xmldb.get", collection).end(&err)
 	pause(db.cost.Read)
 	opReads.Inc()
 	db.col(collection).reads.Add(1)
@@ -334,6 +303,12 @@ func (db *DB) Get(collection, id string) (*xmlutil.Element, error) {
 
 // Update replaces an existing document; ErrNotFound when absent.
 func (db *DB) Update(collection, id string, doc *xmlutil.Element) error {
+	return db.UpdateContext(context.Background(), collection, id, doc)
+}
+
+// UpdateContext is Update traced under ctx's request span.
+func (db *DB) UpdateContext(ctx context.Context, collection, id string, doc *xmlutil.Element) (err error) {
+	defer begin(ctx, "xmldb.update", collection).end(&err)
 	pause(db.cost.Update)
 	opUpdates.Inc()
 	db.col(collection).updates.Add(1)
@@ -353,6 +328,12 @@ func (db *DB) Update(collection, id string, doc *xmlutil.Element) error {
 // may be legitimate "although the corresponding entry in Xindice is
 // not added by calling Create()").
 func (db *DB) Put(collection, id string, doc *xmlutil.Element) error {
+	return db.PutContext(context.Background(), collection, id, doc)
+}
+
+// PutContext is Put traced under ctx's request span.
+func (db *DB) PutContext(ctx context.Context, collection, id string, doc *xmlutil.Element) (err error) {
+	defer begin(ctx, "xmldb.put", collection).end(&err)
 	pause(db.cost.Update)
 	opUpdates.Inc()
 	db.col(collection).updates.Add(1)
@@ -365,6 +346,12 @@ func (db *DB) Put(collection, id string, doc *xmlutil.Element) error {
 
 // Delete removes a document; ErrNotFound when absent.
 func (db *DB) Delete(collection, id string) error {
+	return db.DeleteContext(context.Background(), collection, id)
+}
+
+// DeleteContext is Delete traced under ctx's request span.
+func (db *DB) DeleteContext(ctx context.Context, collection, id string) (err error) {
+	defer begin(ctx, "xmldb.delete", collection).end(&err)
 	pause(db.cost.Delete)
 	opDeletes.Inc()
 	db.col(collection).deletes.Add(1)
@@ -383,6 +370,12 @@ func (db *DB) Delete(collection, id string) error {
 // Backends implementing Haser answer without copying the document
 // bytes; others fall back to a full Get.
 func (db *DB) Exists(collection, id string) (bool, error) {
+	return db.ExistsContext(context.Background(), collection, id)
+}
+
+// ExistsContext is Exists traced under ctx's request span.
+func (db *DB) ExistsContext(ctx context.Context, collection, id string) (_ bool, err error) {
+	defer begin(ctx, "xmldb.exists", collection).end(&err)
 	pause(db.cost.Read)
 	opReads.Inc()
 	db.col(collection).reads.Add(1)
@@ -391,106 +384,16 @@ func (db *DB) Exists(collection, id string) (bool, error) {
 
 // IDs lists document ids in a collection, sorted.
 func (db *DB) IDs(collection string) ([]string, error) {
+	return db.IDsContext(context.Background(), collection)
+}
+
+// IDsContext is IDs traced under ctx's request span.
+func (db *DB) IDsContext(ctx context.Context, collection string) (_ []string, err error) {
+	defer begin(ctx, "xmldb.ids", collection).end(&err)
 	pause(db.cost.Read)
 	opReads.Inc()
 	db.col(collection).reads.Add(1)
 	return db.backend.IDs(collection)
-}
-
-// QueryHit is one document matched by a collection query.
-type QueryHit struct {
-	ID      string
-	Matches []*xmlutil.Element
-}
-
-// queryScanMinDocs is the collection size below which the scan stays
-// on the caller's goroutine: spinning up workers for a handful of
-// documents costs more than it saves.
-const queryScanMinDocs = 8
-
-// queryScanMaxWidth caps scan workers per query; the scan is
-// parse-bound, so more workers than cores only adds scheduling churn.
-const queryScanMaxWidth = 16
-
-// Query evaluates an XPath-lite expression against every document in
-// the collection, returning hits (documents with ≥1 selected element)
-// in id order. Large collections are scanned by a bounded worker pool
-// (loads and matches run concurrently); results are assembled in id
-// order and Stats/CostModel semantics are identical to a serial scan —
-// the modeled Xindice latency is charged once per query, never per
-// worker.
-func (db *DB) Query(collection, expr string) ([]QueryHit, error) {
-	// Compile before charging the modeled latency or counting the
-	// operation: a malformed expression never reaches the database in
-	// the real stack, so it must not pollute Stats or pay Xindice cost.
-	path, err := db.compile(expr)
-	if err != nil {
-		return nil, err
-	}
-	pause(db.cost.Query)
-	opQueries.Inc()
-	db.col(collection).queries.Add(1)
-	ids, err := db.backend.IDs(collection)
-	if err != nil {
-		return nil, err
-	}
-	type slot struct {
-		matches []*xmlutil.Element
-		err     error
-	}
-	slots := make([]slot, len(ids))
-	var failed atomic.Bool
-	scan := func(i int) {
-		if failed.Load() {
-			return // some document already failed; result is discarded
-		}
-		doc, ok, err := db.loadDoc(collection, ids[i])
-		if err != nil {
-			slots[i].err = err
-			failed.Store(true)
-			return
-		}
-		if !ok {
-			return // deleted concurrently
-		}
-		for _, n := range path.Select(doc) {
-			if n.Kind == xpathlite.KindElement {
-				// Clone: the match points into the cached master tree.
-				slots[i].matches = append(slots[i].matches, n.El.Clone())
-			}
-		}
-	}
-	if width := queryScanWidth(len(ids)); width > 1 {
-		fanout.Do(len(ids), width, scan)
-	} else {
-		for i := range ids {
-			scan(i)
-		}
-	}
-	var hits []QueryHit
-	for i := range slots {
-		if slots[i].err != nil {
-			return nil, slots[i].err
-		}
-		if len(slots[i].matches) > 0 {
-			hits = append(hits, QueryHit{ID: ids[i], Matches: slots[i].matches})
-		}
-	}
-	return hits, nil
-}
-
-// queryScanWidth picks the worker count for an n-document scan: 1
-// (serial, zero goroutines) for small collections or single-core runs,
-// otherwise the core count capped at queryScanMaxWidth.
-func queryScanWidth(n int) int {
-	if n < queryScanMinDocs {
-		return 1
-	}
-	width := runtime.GOMAXPROCS(0)
-	if width > queryScanMaxWidth {
-		width = queryScanMaxWidth
-	}
-	return width
 }
 
 // MemoryBackend is a concurrency-safe in-memory byte store.

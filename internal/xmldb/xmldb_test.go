@@ -18,15 +18,9 @@ func backends(t *testing.T) map[string]Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sfb, err := NewShardedFileBackend(t.TempDir(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]Backend{
-		"memory":       NewMemoryBackend(),
-		"file":         fb,
-		"sharded-mem":  NewShardedMemory(4),
-		"sharded-file": sfb,
+		"memory": NewMemoryBackend(),
+		"file":   fb,
 	}
 }
 
@@ -140,44 +134,6 @@ func TestIDsWithSlashes(t *testing.T) {
 	}
 }
 
-func TestQueryAcrossCollection(t *testing.T) {
-	for name, be := range backends(t) {
-		t.Run(name, func(t *testing.T) {
-			db := New(be, CostModel{})
-			for i := 0; i < 5; i++ {
-				if err := db.Create("counters", fmt.Sprintf("c%d", i), counterDoc(i*10)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			hits, err := db.Query("counters", "/Counter[Value>=20]")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(hits) != 3 { // 20, 30, 40
-				t.Fatalf("hits = %d, want 3 (%v)", len(hits), hits)
-			}
-			if hits[0].ID != "c2" {
-				t.Fatalf("first hit = %s", hits[0].ID)
-			}
-		})
-	}
-}
-
-func TestQueryBadExpression(t *testing.T) {
-	db := NewMemory(CostModel{})
-	if _, err := db.Query("c", "///"); err == nil {
-		t.Fatal("bad expression accepted")
-	}
-}
-
-func TestQueryEmptyCollection(t *testing.T) {
-	db := NewMemory(CostModel{})
-	hits, err := db.Query("none", "/a")
-	if err != nil || hits != nil {
-		t.Fatalf("hits=%v err=%v", hits, err)
-	}
-}
-
 func TestStatsCounting(t *testing.T) {
 	db := NewMemory(CostModel{})
 	_ = db.Create("c", "1", counterDoc(0))
@@ -185,9 +141,8 @@ func TestStatsCounting(t *testing.T) {
 	_, _ = db.Get("c", "1")
 	_ = db.Update("c", "1", counterDoc(1))
 	_ = db.Delete("c", "1")
-	_, _ = db.Query("c", "/Counter")
 	s := db.Stats()
-	if s.Creates != 1 || s.Reads != 2 || s.Updates != 1 || s.Deletes != 1 || s.Queries != 1 {
+	if s.Creates != 1 || s.Reads != 2 || s.Updates != 1 || s.Deletes != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Observability smoke test: build counterd and gridctl, start a
-# two-instance sharded cluster with the admin endpoints enabled, scrape
+# two-instance cluster with the admin endpoints enabled, scrape
 # /metrics through `gridctl metrics`, and assert every migrated counter
 # family plus the per-stage latency histogram is exposed. Also
 # exercises `gridctl trace` against /traces, the fleet view
@@ -46,12 +46,12 @@ wait_admin() { # logfile pidvar -> echoes admin URL
     echo "$admin"
 }
 
-"$tmp/counterd" -shards 2 -admin 127.0.0.1:0 >"$tmp/counterd.log" 2>&1 &
+"$tmp/counterd" -admin 127.0.0.1:0 >"$tmp/counterd.log" 2>&1 &
 pid=$!
 admin="$(wait_admin "$tmp/counterd.log" "$pid")"
 
 # Second instance federates the first through its /federate endpoint.
-"$tmp/counterd" -shards 2 -admin 127.0.0.1:0 -peers "$admin" >"$tmp/counterd2.log" 2>&1 &
+"$tmp/counterd" -admin 127.0.0.1:0 -peers "$admin" >"$tmp/counterd2.log" 2>&1 &
 pid2=$!
 admin2="$(wait_admin "$tmp/counterd2.log" "$pid2")"
 
