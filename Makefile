@@ -115,10 +115,10 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzTransportResponse -fuzztime 10s ./internal/container/
 	$(GO) test -run NONE -fuzz FuzzTopicMatch -fuzztime 10s ./internal/wsn/
 
-# End-to-end check of the observability surface: counterd -admin must
-# come up, `gridctl metrics` must expose every migrated counter family
-# plus the stage histograms, and the fleet commands must federate two
-# instances over /metrics.json.
+# End-to-end check of the observability surface: counterd -admin and a
+# peer-configured gridboxd -admin must come up, `gridctl metrics` must
+# expose every migrated counter family plus the stage histograms, and
+# the fleet commands must federate the two instances over /metrics.json.
 obs-smoke:
 	./scripts/obs-smoke.sh
 

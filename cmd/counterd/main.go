@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"altstacks/internal/container"
@@ -79,17 +78,8 @@ func main() {
 	fmt.Printf("counterd: stack=%s security=%s\n", *stack, mode)
 	fmt.Printf("  counter service:       %s/counter\n", base)
 	if *admin != "" {
-		if *peers != "" {
-			obs.SetFederatePeers(strings.Split(*peers, ","))
-		}
-		// The SLO engine rides the admin endpoint: burn-rate state at
-		// /slo, flight-recorder dumps to stderr when an alert fires.
 		reqs, faults := container.RequestCounters()
-		engine := slo.New(slo.Config{Objectives: slo.DefaultObjectives(reqs, faults)})
-		engine.Start()
-		defer engine.Stop()
-		obs.HandleAdmin("/slo", engine.Handler())
-		adminURL, stopAdmin, err := obs.ServeAdmin(*admin)
+		adminURL, stopAdmin, err := slo.ServeAdmin(*admin, *peers, reqs, faults)
 		if err != nil {
 			fatal("%v", err)
 		}

@@ -103,15 +103,8 @@ func main() {
 
 	fmt.Printf("gridboxd: stack=%s security=%s data=%s\n", *stack, mode, root)
 	if *admin != "" {
-		if *peers != "" {
-			obs.SetFederatePeers(strings.Split(*peers, ","))
-		}
 		reqs, faults := container.RequestCounters()
-		engine := slo.New(slo.Config{Objectives: slo.DefaultObjectives(reqs, faults)})
-		engine.Start()
-		defer engine.Stop()
-		obs.HandleAdmin("/slo", engine.Handler())
-		adminURL, stopAdmin, err := obs.ServeAdmin(*admin)
+		adminURL, stopAdmin, err := slo.ServeAdmin(*admin, *peers, reqs, faults)
 		if err != nil {
 			fatal("%v", err)
 		}

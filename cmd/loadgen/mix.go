@@ -11,8 +11,6 @@ import (
 	"altstacks/internal/experiments"
 	"altstacks/internal/netlat"
 	"altstacks/internal/wsa"
-	"altstacks/internal/wse"
-	"altstacks/internal/wsn"
 	"altstacks/internal/xmldb"
 	"altstacks/internal/xmlutil"
 )
@@ -86,58 +84,25 @@ var helloWeights = map[string]int{
 	"Get": 35, "Set": 25, "Create": 15, "Destroy": 15, "Notify": 10,
 }
 
-// newHelloWorkload deploys the counter service exactly as
-// experiments.NewHello does, but with concurrency-safe operations: the
+// newHelloWorkload deploys the counter service as the figures do
+// (experiments.DeployHello), with concurrency-safe operations: the
 // figure ops mutate shared closure state and assume one caller at a
 // time, while an open-loop run has many in flight.
 func newHelloWorkload(stack core.Stack, mix mixSpec, cost xmldb.CostModel) (*workload, error) {
 	sc := core.Scenario{Index: 1, Sec: mix.sec, Link: netlat.CoLocated}
-	fix, err := experiments.FixtureFor(sc)
+	cl, closeDeployment, err := experiments.DeployHello(sc, stack, cost)
 	if err != nil {
 		return nil, err
-	}
-	c := fix.NewContainer()
-	db := xmldb.NewMemory(cost)
-	notify := fix.NewNotifyClient()
-
-	var cl counter.Client
-	switch stack {
-	case core.StackWSRF:
-		svc := counter.InstallWSRF(c, db, notify)
-		// Same figure-fidelity choice as experiments.NewHello: WSRF.NET
-		// consumers accepted one-shot connections, so Notify pays
-		// connection setup per delivery.
-		svc.Producer.Mode = container.DeliveryPerMessage
-	case core.StackWST:
-		store, err := wse.NewStore("")
-		if err != nil {
-			return nil, err
-		}
-		svc := counter.InstallWST(c, db, store, notify)
-		svc.Source.TCP.WrapConn = sc.Link.Conn
-	default:
-		return nil, fmt.Errorf("loadgen: unknown stack %q", stack)
-	}
-	baseURL, err := c.Start()
-	if err != nil {
-		return nil, err
-	}
-	client := fix.NewClient()
-	switch stack {
-	case core.StackWSRF:
-		cl = &counter.WSRFClient{C: client, Service: wsa.NewEPR(baseURL + "/counter")}
-	case core.StackWST:
-		cl = counter.NewWSTClient(client, baseURL)
 	}
 
 	fixed, err := cl.Create(counter.Representation(0))
 	if err != nil {
-		c.Close()
+		closeDeployment()
 		return nil, err
 	}
 	notifyCtr, err := cl.Create(counter.Representation(0))
 	if err != nil {
-		c.Close()
+		closeDeployment()
 		return nil, err
 	}
 	// One standing subscription shared by every Notify op. Events and
@@ -145,7 +110,7 @@ func newHelloWorkload(stack core.Stack, mix mixSpec, cost xmldb.CostModel) (*wor
 	// any event unblocks any waiter with the same latency distribution.
 	stream, err := cl.SubscribeValueChanged(notifyCtr)
 	if err != nil {
-		c.Close()
+		closeDeployment()
 		return nil, err
 	}
 
@@ -158,7 +123,7 @@ func newHelloWorkload(stack core.Stack, mix mixSpec, cost xmldb.CostModel) (*wor
 	for i := 0; i < 64; i++ {
 		epr, err := cl.Create(counter.Representation(0))
 		if err != nil {
-			c.Close()
+			closeDeployment()
 			return nil, err
 		}
 		pool <- epr
@@ -166,17 +131,18 @@ func newHelloWorkload(stack core.Stack, mix mixSpec, cost xmldb.CostModel) (*wor
 
 	w := &workload{mix: mix, close: func() {
 		stream.Cancel() //nolint:errcheck
-		c.Close()
+		closeDeployment()
 	}}
+	op := func(name string, run func() error) *loadOp { return newOp(name, helloWeights[name], run) }
 	w.ops = []*loadOp{
-		{name: "Get", weight: helloWeights["Get"], run: func() error {
+		op("Get", func() error {
 			_, err := cl.Get(fixed)
 			return err
-		}},
-		{name: "Set", weight: helloWeights["Set"], run: func() error {
+		}),
+		op("Set", func() error {
 			return cl.Set(fixed, counter.Representation(int(setVal.Add(1))))
-		}},
-		{name: "Create", weight: helloWeights["Create"], run: func() error {
+		}),
+		op("Create", func() error {
 			epr, err := cl.Create(counter.Representation(0))
 			if err != nil {
 				return err
@@ -187,8 +153,8 @@ func newHelloWorkload(stack core.Stack, mix mixSpec, cost xmldb.CostModel) (*wor
 			default:
 				return cl.Destroy(epr)
 			}
-		}},
-		{name: "Destroy", weight: helloWeights["Destroy"], run: func() error {
+		}),
+		op("Destroy", func() error {
 			select {
 			case epr := <-pool:
 				return cl.Destroy(epr)
@@ -203,8 +169,8 @@ func newHelloWorkload(stack core.Stack, mix mixSpec, cost xmldb.CostModel) (*wor
 				}
 				return cl.Destroy(epr)
 			}
-		}},
-		{name: "Notify", weight: helloWeights["Notify"], run: func() error {
+		}),
+		op("Notify", func() error {
 			if err := cl.Set(notifyCtr, counter.Representation(int(notifyVal.Add(1)))); err != nil {
 				return err
 			}
@@ -214,7 +180,7 @@ func newHelloWorkload(stack core.Stack, mix mixSpec, cost xmldb.CostModel) (*wor
 			case <-time.After(5 * time.Second):
 				return fmt.Errorf("loadgen: notification never arrived")
 			}
-		}},
+		}),
 	}
 	return w, nil
 }
@@ -223,139 +189,32 @@ func pubPayload() *xmlutil.Element {
 	return xmlutil.New("urn:load", "Ev").Add(xmlutil.NewText("urn:load", "V", "1"))
 }
 
-// newPubSubWorkload deploys a bare producer (WSRF/WSN) or source
-// (WST/WSE) with `subs` subscriptions spread over `sinks` distinct
-// consumer endpoints, and a single Publish op whose latency is the
-// full fan-out batch. Sharing endpoints keeps a 10k-subscriber run
-// from needing 10k loopback listeners while still exercising the
-// delivery path per subscription (same trick as the alloc-flatness
-// benchmark).
+// newPubSubWorkload deploys the fan-out (experiments.NewFanout) with
+// `subs` subscriptions spread over `sinks` distinct consumer endpoints,
+// and a single Publish op whose latency is the full fan-out batch.
+// Sharing endpoints keeps a 10k-subscriber run from needing 10k
+// loopback listeners while still exercising the delivery path per
+// subscription (same trick as the alloc-flatness benchmark).
 func newPubSubWorkload(stack core.Stack, mix mixSpec, subs, sinks int) (*workload, error) {
-	if sinks < 1 {
-		sinks = 1
+	f, err := experiments.NewFanout(stack, "load", subs, sinks, container.ClientConfig{PoolSize: pubWorkers})
+	if err != nil {
+		return nil, err
 	}
-	if sinks > subs {
-		sinks = subs
+	if f.Producer != nil {
+		f.Producer.Workers = pubWorkers
+	} else {
+		f.Source.Workers = pubWorkers
 	}
-	c := container.New(container.SecurityNone)
-	setupClient := container.NewClient(container.ClientConfig{})
-	deliverClient := container.NewClient(container.ClientConfig{PoolSize: pubWorkers})
-
-	var publish func() error
-	var closers []func()
-	closeAll := func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}
-	closers = append(closers, c.Close)
-
-	switch stack {
-	case core.StackWSRF:
-		p := wsn.NewProducer(xmldb.NewMemory(xmldb.CostModel{}), "subs",
-			func() string { return c.BaseURL() + "/manager" }, deliverClient)
-		p.Workers = pubWorkers
-		svc := &container.Service{Path: "/producer", Actions: map[string]container.ActionFunc{}}
-		for a, fn := range p.ProducerPortType().Actions() {
-			svc.Actions[a] = fn
-		}
-		c.Register(svc)
-		c.Register(p.ManagerService("/manager"))
-		if _, err := c.Start(); err != nil {
-			closeAll()
-			return nil, err
-		}
-		for i := 0; i < sinks; i++ {
-			cons, err := wsn.NewConsumer(64)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			closers = append(closers, func() { cons.Close() })
-			go func() {
-				for range cons.Ch {
-				}
-			}()
-			per := subs / sinks
-			if i < subs%sinks {
-				per++
-			}
-			for j := 0; j < per; j++ {
-				if _, err := wsn.Subscribe(setupClient, c.EPR("/producer"), cons.EPR(),
-					wsn.SubscribeOptions{Topic: wsn.Concrete("load/tick")}); err != nil {
-					closeAll()
-					return nil, err
-				}
-			}
-		}
-		msg := pubPayload()
-		publish = func() error {
-			n, err := p.Notify("load/tick", msg)
-			if err != nil {
-				return err
-			}
-			if n != subs {
-				return fmt.Errorf("loadgen: delivered %d of %d", n, subs)
-			}
-			return nil
-		}
-	case core.StackWST:
-		store, err := wse.NewStore("")
+	msg := pubPayload()
+	publish := func() error {
+		n, err := f.Publish(msg)
 		if err != nil {
-			closeAll()
-			return nil, err
+			return err
 		}
-		src := wse.NewSource(store, func() string { return c.BaseURL() + "/manager" }, deliverClient)
-		src.Workers = pubWorkers
-		closers = append(closers, func() { src.TCP.Close() })
-		c.Register(src.SourceService("/source"))
-		c.Register(src.ManagerService("/manager"))
-		if _, err := c.Start(); err != nil {
-			closeAll()
-			return nil, err
+		if n != subs {
+			return fmt.Errorf("loadgen: delivered %d of %d", n, subs)
 		}
-		for i := 0; i < sinks; i++ {
-			sink, err := wse.NewHTTPSink(64)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			closers = append(closers, func() { sink.Close() })
-			go func() {
-				for range sink.Ch {
-				}
-			}()
-			per := subs / sinks
-			if i < subs%sinks {
-				per++
-			}
-			for j := 0; j < per; j++ {
-				if _, err := wse.Subscribe(setupClient, c.EPR("/source"), wse.SubscribeOptions{
-					NotifyTo: sink.EPR(), Filter: wse.TopicFilter("load/*")}); err != nil {
-					closeAll()
-					return nil, err
-				}
-			}
-		}
-		msg := pubPayload()
-		publish = func() error {
-			n, err := src.Publish("load/tick", msg)
-			if err != nil {
-				return err
-			}
-			if n != subs {
-				return fmt.Errorf("loadgen: delivered %d of %d", n, subs)
-			}
-			return nil
-		}
-	default:
-		closeAll()
-		return nil, fmt.Errorf("loadgen: unknown stack %q", stack)
+		return nil
 	}
-
-	return &workload{
-		mix:   mix,
-		ops:   []*loadOp{{name: "Publish", weight: 1, run: publish}},
-		close: closeAll,
-	}, nil
+	return &workload{mix: mix, ops: []*loadOp{newOp("Publish", 1, publish)}, close: f.Close}, nil
 }

@@ -1,31 +1,34 @@
 package main
 
 import (
-	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"altstacks/internal/obs"
 )
 
-// The latency recorder is a log-linear histogram in nanoseconds, the
-// HdrHistogram shape: 2^recSubBits linear buckets up to 2^recSubBits
-// ns, then recHalf sub-buckets per power of two above that. Relative
-// error is bounded by 1/recHalf (~6%) at every magnitude, which is
-// plenty for p50/p99/p999 on operations spanning microseconds to
-// seconds, and recording is one atomic add — it never perturbs the
-// load it measures.
-const (
-	recSubBits  = 5
-	recSubCount = 1 << recSubBits // linear buckets in group 0
-	recHalf     = recSubCount / 2 // sub-buckets per log group
-	recGroups   = 44              // top group covers ~2^48 ns (~3 days)
-	recBuckets  = recSubCount + (recGroups-1)*recHalf
-)
+// latencyBounds are the recorder's histogram bounds in seconds: 16
+// linear steps per power of two from 2^10 ns (~1 µs) to 2^38 ns
+// (~275 s), the log-linear layout of an HdrHistogram. A bucket spans
+// at most 1/16 of its lower bound, and a quantile is interpolated
+// inside its bucket, so p50/p99/p999 carry that relative error at
+// every magnitude the operations span.
+var latencyBounds = func() []float64 {
+	b := []float64{1024e-9}
+	for g := 10; g < 38; g++ {
+		for sub := 17; sub <= 32; sub++ {
+			b = append(b, float64(int64(sub)<<g>>4)/1e9)
+		}
+	}
+	return b
+}()
 
 // recorder accumulates one operation's latency distribution plus its
-// error and shed counts. All fields are safe for concurrent use.
+// error and shed counts. All fields are safe for concurrent use, and
+// recording never takes a lock, so it does not perturb the load it
+// measures.
 type recorder struct {
-	counts [recBuckets]atomic.Int64
-	count  atomic.Int64
+	hist *obs.Histogram
 	// errs counts operations that returned an error (their latency is
 	// not recorded: a fast failure would flatter the distribution).
 	errs atomic.Int64
@@ -35,40 +38,16 @@ type recorder struct {
 	maxNs atomic.Int64
 }
 
-// bucketIndex maps a nanosecond value to its bucket.
-func bucketIndex(v int64) int {
-	if v < 0 {
-		v = 0
-	}
-	if v < recSubCount {
-		return int(v)
-	}
-	g := bits.Len64(uint64(v)) - recSubBits
-	if g >= recGroups {
-		return recBuckets - 1
-	}
-	return recSubCount + (g-1)*recHalf + int(v>>uint(g)) - recHalf
-}
-
-// bucketUpper is the inclusive upper bound of a bucket, the value a
-// quantile landing in it reports (conservative: true quantile ≤ it).
-func bucketUpper(i int) int64 {
-	if i < recSubCount {
-		return int64(i)
-	}
-	g := (i-recSubCount)/recHalf + 1
-	sub := (i-recSubCount)%recHalf + recHalf
-	return (int64(sub)+1)<<uint(g) - 1
+// newOp builds a load operation with an empty recorder.
+func newOp(name string, weight int, run func() error) *loadOp {
+	return &loadOp{name: name, weight: weight, run: run,
+		rec: &recorder{hist: obs.NewLocalHistogram(latencyBounds)}}
 }
 
 // record files one successful operation's latency.
 func (r *recorder) record(d time.Duration) {
+	r.hist.Observe(d)
 	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	r.counts[bucketIndex(ns)].Add(1)
-	r.count.Add(1)
 	for {
 		cur := r.maxNs.Load()
 		if ns <= cur || r.maxNs.CompareAndSwap(cur, ns) {
@@ -78,34 +57,9 @@ func (r *recorder) record(d time.Duration) {
 }
 
 // quantile reports the q-quantile in nanoseconds (0 on an empty
-// recorder). Safe to call concurrently with record; the answer is a
-// point-in-time estimate.
+// recorder), clamped to the largest latency recorded: interpolation can
+// land past every value actually in the bucket.
 func (r *recorder) quantile(q float64) int64 {
-	total := r.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := 0; i < recBuckets; i++ {
-		cum += r.counts[i].Load()
-		if cum >= rank {
-			// Clamp to the observed max: the bucket's upper bound can
-			// exceed any value actually recorded in it.
-			if max := r.maxNs.Load(); bucketUpper(i) > max {
-				return max
-			}
-			return bucketUpper(i)
-		}
-	}
-	return r.maxNs.Load()
+	ns := int64(r.hist.Snapshot().Quantile(q) * 1e9)
+	return min(ns, r.maxNs.Load())
 }

@@ -1,54 +1,37 @@
 package main
 
 import (
-	"math"
+	"os"
+	"runtime"
 	"testing"
 	"time"
+
+	"altstacks/internal/core"
+	"altstacks/internal/obs"
+	"altstacks/internal/xmldb"
 )
 
-// TestBucketRoundTrip pins the log-linear bucket math: every value
-// lands in a bucket whose upper bound is ≥ the value and within the
-// histogram's relative-error guarantee (1/recHalf above the linear
-// range).
-func TestBucketRoundTrip(t *testing.T) {
-	values := []int64{0, 1, 31, 32, 33, 63, 64, 100, 1000, 12345,
-		1e6, 1e9, 27262975, 1 << 40, math.MaxInt64}
-	for _, v := range values {
-		i := bucketIndex(v)
-		up := bucketUpper(i)
-		if up < v && i != recBuckets-1 {
-			t.Fatalf("bucketUpper(bucketIndex(%d)) = %d, below the value", v, up)
-		}
-		if v >= recSubCount && i != recBuckets-1 {
-			if rel := float64(up-v) / float64(v); rel > 1.0/float64(recHalf) {
-				t.Fatalf("value %d: bound %d is %.3f relative error, want ≤ %.3f",
-					v, up, rel, 1.0/float64(recHalf))
-			}
-		}
-	}
-	// Indexes are monotone in the value.
-	prev := -1
-	for _, v := range []int64{0, 5, 31, 32, 50, 64, 200, 1e4, 1e7, 1e10} {
-		if i := bucketIndex(v); i < prev {
-			t.Fatalf("bucketIndex not monotone at %d", v)
-		} else {
-			prev = i
-		}
-	}
+// TestMain turns the obs layer on, as main does: the recorders' obs
+// histograms record nothing while it is off.
+func TestMain(m *testing.M) {
+	obs.Enable()
+	os.Exit(m.Run())
 }
 
-// TestRecorderQuantiles checks p50/p99/max on a known distribution:
-// 1000 samples of 1ms and 10 of 100ms.
+// TestRecorderQuantiles checks the quantiles read from a recorder's
+// log-linear histogram on a known distribution: 1000 samples of 1ms
+// and 10 of 100ms.
 func TestRecorderQuantiles(t *testing.T) {
-	var r recorder
+	r := newOp("known", 1, nil).rec
 	for i := 0; i < 1000; i++ {
 		r.record(time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
 		r.record(100 * time.Millisecond)
 	}
-	if p50 := r.quantile(0.50); p50 < 900_000 || p50 > 1_100_000 {
-		t.Fatalf("p50 = %dns, want ~1ms", p50)
+	// A bucket spans at most 1/16 of its lower bound.
+	if p50 := r.quantile(0.50); p50 < 1e6*15/16 || p50 > 1e6*17/16 {
+		t.Fatalf("p50 = %dns, want 1ms within 1/16", p50)
 	}
 	// 990th of 1010 ranks inside the 1ms mass; p999 reaches the tail.
 	if p := r.quantile(0.999); p < 90_000_000 {
@@ -57,11 +40,13 @@ func TestRecorderQuantiles(t *testing.T) {
 	if max := r.maxNs.Load(); max != int64(100*time.Millisecond) {
 		t.Fatalf("max = %d, want 100ms", max)
 	}
-	// The clamp: a quantile can never exceed the observed max.
-	if p := r.quantile(1.0); p > r.maxNs.Load() {
-		t.Fatalf("p100 = %d exceeds max %d", p, r.maxNs.Load())
+	// The clamp: no quantile exceeds the observed max.
+	for _, q := range []float64{0.5, 0.99, 0.999, 1} {
+		if p := r.quantile(q); p > r.maxNs.Load() {
+			t.Fatalf("quantile(%v) = %d exceeds max %d", q, p, r.maxNs.Load())
+		}
 	}
-	if q := (&recorder{}).quantile(0.5); q != 0 {
+	if q := newOp("empty", 1, nil).rec.quantile(0.5); q != 0 {
 		t.Fatalf("empty recorder quantile = %d, want 0", q)
 	}
 }
@@ -71,10 +56,10 @@ func TestRecorderQuantiles(t *testing.T) {
 // scheduled arrival, so queued requests report the queue delay a
 // closed-loop harness would omit.
 func TestRunOpenLoopCoordinatedOmission(t *testing.T) {
-	op := &loadOp{name: "stall", weight: 1, run: func() error {
+	op := newOp("stall", 1, func() error {
 		time.Sleep(20 * time.Millisecond)
 		return nil
-	}}
+	})
 	// One worker at 100/s arrivals against a 20ms service time: the
 	// queue grows, and late ops must be charged their wait.
 	res := runOpenLoop([]*loadOp{op}, 100, 300*time.Millisecond, 1, 7)
@@ -95,10 +80,10 @@ func TestRunOpenLoopCoordinatedOmission(t *testing.T) {
 // queueing without bound.
 func TestRunOpenLoopShedsWhenSaturated(t *testing.T) {
 	block := make(chan struct{})
-	op := &loadOp{name: "wedge", weight: 1, run: func() error {
+	op := newOp("wedge", 1, func() error {
 		<-block
 		return nil
-	}}
+	})
 	done := make(chan runResult, 1)
 	go func() {
 		// 1 worker, queue cap 4+1024; 10k/s for 300ms ≈ 3000 arrivals.
@@ -109,5 +94,41 @@ func TestRunOpenLoopShedsWhenSaturated(t *testing.T) {
 	res := <-done
 	if op.rec.shed.Load() == 0 {
 		t.Fatalf("no arrivals shed at 10k/s against a wedged worker (scheduled %d)", res.Scheduled)
+	}
+}
+
+// TestWorkloadsRunAndClose drives a fig2 and a small pubsub workload
+// through a short open loop on both stacks: every operation must
+// succeed with nothing shed, and closing the workload must release
+// every goroutine its deployment started, sink drains included.
+func TestWorkloadsRunAndClose(t *testing.T) {
+	for _, stack := range []core.Stack{core.StackWSRF, core.StackWST} {
+		for _, name := range []string{"fig2", "pubsub1k"} {
+			t.Run(stackShort(string(stack))+"/"+name, func(t *testing.T) {
+				mix, _ := mixByName(name)
+				baseline := runtime.NumGoroutine()
+				wl, err := buildWorkload(stack, mix, xmldb.CostModel{}, 4, 20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := runOpenLoop(wl.ops, 50, 400*time.Millisecond, 8, 1)
+				if res.Completed == 0 {
+					t.Fatal("nothing completed")
+				}
+				for _, op := range wl.ops {
+					if e, s := op.rec.errs.Load(), op.rec.shed.Load(); e != 0 || s != 0 {
+						t.Fatalf("%s: %d errors, %d shed", op.name, e, s)
+					}
+				}
+				wl.close()
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > baseline {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines after close, baseline %d", runtime.NumGoroutine(), baseline)
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			})
+		}
 	}
 }

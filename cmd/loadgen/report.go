@@ -54,7 +54,7 @@ func stackShort(stack string) string {
 func writeOpLines(w io.Writer, stack string, mixName string, rate float64, ops []*loadOp, res runResult) {
 	achieved := float64(res.Completed) / res.Elapsed.Seconds()
 	for _, op := range ops {
-		n := op.rec.count.Load()
+		n := op.rec.hist.Count()
 		if n == 0 && op.rec.errs.Load() == 0 && op.rec.shed.Load() == 0 {
 			continue
 		}

@@ -14,12 +14,12 @@ import (
 // service inflicts on real open-world traffic.
 
 // loadOp is one operation in a mix: a name for reporting, a draw
-// weight, the operation itself, and its latency recorder.
+// weight, the operation itself, and its latency recorder (see newOp).
 type loadOp struct {
 	name   string
 	weight int
 	run    func() error
-	rec    recorder
+	rec    *recorder
 }
 
 // runResult summarizes one open-loop run.

@@ -5,17 +5,17 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"altstacks/internal/container"
 	"altstacks/internal/core"
+	"altstacks/internal/experiments"
 	"altstacks/internal/faultinject"
 	"altstacks/internal/obs"
 	"altstacks/internal/obs/slo"
 	"altstacks/internal/retry"
-	"altstacks/internal/wse"
-	"altstacks/internal/wsn"
 	"altstacks/internal/xmldb"
 )
 
@@ -79,20 +79,15 @@ func soakChurnProfile(seed uint64) faultinject.ChurnProfile {
 	}
 }
 
-// soakDeployment abstracts the stack-specific pieces the soak loop
-// needs: the endpoint population, (re)subscription, publishing, and
-// the subscription ledger.
+// soakDeployment is the fan-out under churn plus the stack-specific
+// delivery counters the invariants audit.
 type soakDeployment struct {
-	endpoints []string // faultinject keys, index-aligned with sinks
-	subscribe func(i int) error
-	publish   func() (int, error)
-	subCount  func() (int, error)
-	hasSub    func(epKey string) (bool, error)
+	*experiments.Fanout
+	endpoints []string // faultinject keys, index-aligned with Sinks
 	evictions func() int64
 	// sloSource feeds the soak's delivery-availability objective:
 	// cumulative (good, total) deliveries.
 	sloSource slo.Source
-	teardown  func()
 }
 
 func runSoak(stack core.Stack, dur time.Duration, rate float64, nsinks int, seed uint64, out io.Writer) error {
@@ -105,11 +100,7 @@ func runSoak(stack core.Stack, dur time.Duration, rate float64, nsinks int, seed
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if dep.teardown != nil {
-			dep.teardown()
-		}
-	}()
+	defer dep.Close()
 
 	vals0 := obs.Values()
 	var resub atomic.Int64
@@ -120,13 +111,13 @@ func runSoak(stack core.Stack, dur time.Duration, rate float64, nsinks int, seed
 		// and count it, because the eviction ledger below balances
 		// only if evictions and resubscriptions both count exactly
 		// once.
-		ok, err := dep.hasSub(ep)
-		if err != nil || ok {
+		consumers, err := dep.Consumers()
+		if err != nil || slices.ContainsFunc(consumers, func(addr string) bool { return faultinject.Key(addr) == ep }) {
 			return
 		}
 		for i, key := range dep.endpoints {
 			if key == ep {
-				if dep.subscribe(i) == nil {
+				if dep.Subscribe(i) == nil {
 					resub.Add(1)
 				}
 				return
@@ -157,10 +148,11 @@ func runSoak(stack core.Stack, dur time.Duration, rate float64, nsinks int, seed
 	fmt.Fprintf(os.Stderr, "loadgen: soak %s: %d endpoints, %v at %g publishes/s, seed %d\n",
 		stackShort(string(stack)), nsinks, dur, rate, seed)
 	churn.Start()
-	pubOp := &loadOp{name: "Publish", weight: 1, run: func() error {
-		_, err := dep.publish()
+	msg := pubPayload()
+	pubOp := newOp("Publish", 1, func() error {
+		_, err := dep.Publish(msg)
 		return err
-	}}
+	})
 	res := runOpenLoop([]*loadOp{pubOp}, rate, dur, 8, seed)
 	stats := churn.Stop()
 
@@ -168,14 +160,15 @@ func runSoak(stack core.Stack, dur time.Duration, rate float64, nsinks int, seed
 	// resurrect hooks re-subscribed any still-evicted endpoint), so
 	// the ledger is now stable enough to audit.
 	var violations []string
-	delivered, err := dep.publish()
+	delivered, err := dep.Publish(msg)
 	if err != nil {
 		violations = append(violations, fmt.Sprintf("post-heal publish failed: %v", err))
 	}
-	finalSubs, err := dep.subCount()
+	consumers, err := dep.Consumers()
 	if err != nil {
 		return fmt.Errorf("reading final subscriptions: %w", err)
 	}
+	finalSubs := len(consumers)
 	if delivered != finalSubs {
 		violations = append(violations, fmt.Sprintf(
 			"post-heal publish reached %d of %d live subscriptions", delivered, finalSubs))
@@ -226,9 +219,9 @@ func runSoak(stack core.Stack, dur time.Duration, rate float64, nsinks int, seed
 	}
 	engine.Stop()
 
-	// Teardown before the leak check; disarm the deferred cleanup.
-	dep.teardown()
-	dep.teardown = nil
+	// Teardown before the leak check; the deferred Close then does
+	// nothing.
+	dep.Close()
 	if leaked := settleGoroutines(baseline+soakGoroutineSlack, 10*time.Second); leaked > 0 {
 		violations = append(violations, fmt.Sprintf(
 			"goroutine leak: %d over the pre-deployment baseline of %d after teardown",
@@ -237,7 +230,7 @@ func runSoak(stack core.Stack, dur time.Duration, rate float64, nsinks int, seed
 
 	fmt.Fprintf(out,
 		"BenchmarkSoak/%s/publish/rate=%g %d %d p50-ns/op %d p99-ns/op %d p999-ns/op %d errors %d evictions %d resubscribed %d killed\n",
-		stackShort(string(stack)), rate, pubOp.rec.count.Load(),
+		stackShort(string(stack)), rate, pubOp.rec.hist.Count(),
 		pubOp.rec.quantile(0.50), pubOp.rec.quantile(0.99), pubOp.rec.quantile(0.999),
 		pubOp.rec.errs.Load(), ev, resub.Load(), stats.Killed)
 	if len(violations) > 0 {
@@ -277,159 +270,41 @@ func settleGoroutines(limit int, wait time.Duration) int {
 	}
 }
 
+// buildSoakDeployment deploys the fan-out with one subscription per
+// endpoint, the soak's delivery knobs, and deliveries routed through
+// the injector.
 func buildSoakDeployment(stack core.Stack, in *faultinject.Injector, nsinks int) (*soakDeployment, error) {
-	c := container.New(container.SecurityNone)
-	setupClient := container.NewClient(container.ClientConfig{})
-	deliverClient := container.NewClient(container.ClientConfig{PoolSize: soakWorkers})
-	quit := make(chan struct{})
-	var closers []func()
-	closers = append(closers, c.Close, func() { close(quit) })
-	teardown := func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
+	f, err := experiments.NewFanout(stack, "soak", nsinks, nsinks, container.ClientConfig{PoolSize: soakWorkers})
+	if err != nil {
+		return nil, err
 	}
-
-	dep := &soakDeployment{teardown: teardown}
-	switch stack {
-	case core.StackWSRF:
-		p := wsn.NewProducer(xmldb.NewMemory(xmldb.CostModel{}), "subs",
-			func() string { return c.BaseURL() + "/manager" }, deliverClient)
+	dep := &soakDeployment{Fanout: f}
+	if p := f.Producer; p != nil {
 		p.Deliver = in.WrapClient(p.Deliver)
 		p.Workers = soakWorkers
 		p.DeliveryTimeout = soakDeliveryTimeout
 		p.Retry = soakRetryPolicy
 		p.EvictAfter = soakEvictAfter
-		svc := &container.Service{Path: "/producer", Actions: map[string]container.ActionFunc{}}
-		for a, fn := range p.ProducerPortType().Actions() {
-			svc.Actions[a] = fn
-		}
-		c.Register(svc)
-		c.Register(p.ManagerService("/manager"))
-		if _, err := c.Start(); err != nil {
-			teardown()
-			return nil, err
-		}
-		var consumers []*wsn.Consumer
-		for i := 0; i < nsinks; i++ {
-			cons, err := wsn.NewConsumer(64)
-			if err != nil {
-				teardown()
-				return nil, err
-			}
-			consumers = append(consumers, cons)
-			closers = append(closers, cons.Close)
-			go func() {
-				// Consumer channels are never closed; the quit signal
-				// releases the drain so the leak invariant can hold.
-				for {
-					select {
-					case <-cons.Ch:
-					case <-quit:
-						return
-					}
-				}
-			}()
-			dep.endpoints = append(dep.endpoints, faultinject.Key(cons.EPR().Address))
-		}
-		dep.subscribe = func(i int) error {
-			_, err := wsn.Subscribe(setupClient, c.EPR("/producer"), consumers[i].EPR(),
-				wsn.SubscribeOptions{Topic: wsn.Concrete("soak/tick")})
-			return err
-		}
-		msg := pubPayload()
-		dep.publish = func() (int, error) { return p.Notify("soak/tick", msg) }
-		dep.subCount = func() (int, error) {
-			subs, err := p.Subscriptions()
-			return len(subs), err
-		}
-		dep.hasSub = func(epKey string) (bool, error) {
-			subs, err := p.Subscriptions()
-			if err != nil {
-				return false, err
-			}
-			for _, s := range subs {
-				if faultinject.Key(s.Consumer.Address) == epKey {
-					return true, nil
-				}
-			}
-			return false, nil
-		}
 		dep.evictions = func() int64 { return p.DeliveryStats().Evictions }
 		dep.sloSource = func() (int64, int64) {
 			st := p.DeliveryStats()
 			return st.Deliveries, st.Deliveries + st.Failures
 		}
-	case core.StackWST:
-		store, err := wse.NewStore("")
-		if err != nil {
-			teardown()
-			return nil, err
-		}
-		src := wse.NewSource(store, func() string { return c.BaseURL() + "/manager" }, deliverClient)
+	} else {
+		src := f.Source
 		src.HTTP = in.WrapClient(src.HTTP)
 		src.Workers = soakWorkers
 		src.DeliveryTimeout = soakDeliveryTimeout
 		src.Retry = soakRetryPolicy
 		src.EvictAfter = soakEvictAfter
-		closers = append(closers, func() { src.TCP.Close() })
-		c.Register(src.SourceService("/source"))
-		c.Register(src.ManagerService("/manager"))
-		if _, err := c.Start(); err != nil {
-			teardown()
-			return nil, err
-		}
-		var sinks []*wse.HTTPSink
-		for i := 0; i < nsinks; i++ {
-			sink, err := wse.NewHTTPSink(64)
-			if err != nil {
-				teardown()
-				return nil, err
-			}
-			sinks = append(sinks, sink)
-			closers = append(closers, sink.Close)
-			go func() {
-				for {
-					select {
-					case <-sink.Ch:
-					case <-quit:
-						return
-					}
-				}
-			}()
-			dep.endpoints = append(dep.endpoints, faultinject.Key(sink.EPR().Address))
-		}
-		dep.subscribe = func(i int) error {
-			_, err := wse.Subscribe(setupClient, c.EPR("/source"), wse.SubscribeOptions{
-				NotifyTo: sinks[i].EPR(), Filter: wse.TopicFilter("soak/*")})
-			return err
-		}
-		msg := pubPayload()
-		dep.publish = func() (int, error) { return src.Publish("soak/tick", msg) }
-		dep.subCount = func() (int, error) { return len(src.Store.All()), nil }
-		dep.hasSub = func(epKey string) (bool, error) {
-			for _, s := range src.Store.All() {
-				if faultinject.Key(s.NotifyTo.Address) == epKey {
-					return true, nil
-				}
-			}
-			return false, nil
-		}
 		dep.evictions = func() int64 { return src.DeliveryStats().Evictions }
 		dep.sloSource = func() (int64, int64) {
 			st := src.DeliveryStats()
 			return st.Deliveries, st.Deliveries + st.Failures
 		}
-	default:
-		teardown()
-		return nil, fmt.Errorf("loadgen: unknown stack %q", stack)
 	}
-	// Initial population: one subscription per endpoint.
-	for i := range dep.endpoints {
-		if err := dep.subscribe(i); err != nil {
-			teardown()
-			return nil, err
-		}
+	for _, sink := range f.Sinks {
+		dep.endpoints = append(dep.endpoints, faultinject.Key(sink.Address))
 	}
 	return dep, nil
 }

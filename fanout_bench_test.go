@@ -20,12 +20,11 @@ import (
 	"time"
 
 	"altstacks/internal/container"
+	"altstacks/internal/core"
+	"altstacks/internal/experiments"
 	"altstacks/internal/faultinject"
 	"altstacks/internal/netlat"
 	"altstacks/internal/retry"
-	"altstacks/internal/wse"
-	"altstacks/internal/wsn"
-	"altstacks/internal/xmldb"
 	"altstacks/internal/xmlutil"
 )
 
@@ -40,6 +39,18 @@ func fanoutPayload() *xmlutil.Element {
 	return xmlutil.New("urn:e", "Ev").Add(xmlutil.NewText("urn:e", "V", "1"))
 }
 
+// deployFanout deploys subs subscriptions on the "bench" topic over
+// sinks drained endpoints, torn down when the benchmark ends.
+func deployFanout(b *testing.B, stack core.Stack, subs, sinks int, deliver container.ClientConfig) *experiments.Fanout {
+	b.Helper()
+	f, err := experiments.NewFanout(stack, "bench", subs, sinks, deliver)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(f.Close)
+	return f
+}
+
 // BenchmarkNotifyFanout measures one Notify/Publish over N subscribers
 // on each stack, sequential vs pooled delivery.
 func BenchmarkNotifyFanout(b *testing.B) {
@@ -51,32 +62,7 @@ func benchWSNFanout(b *testing.B) {
 	for _, count := range fanoutCounts {
 		count := count
 		b.Run(fmt.Sprintf("%dsubs", count), func(b *testing.B) {
-			c := container.New(container.SecurityNone)
-			defer c.Close()
-			setupClient := container.NewClient(container.ClientConfig{})
-			deliverClient := container.NewClient(container.ClientConfig{Link: netlat.LAN})
-			p := wsn.NewProducer(xmldb.NewMemory(xmldb.CostModel{}), "subs",
-				func() string { return c.BaseURL() + "/manager" }, deliverClient)
-			svc := &container.Service{Path: "/producer", Actions: map[string]container.ActionFunc{}}
-			for a, fn := range p.ProducerPortType().Actions() {
-				svc.Actions[a] = fn
-			}
-			c.Register(svc)
-			c.Register(p.ManagerService("/manager"))
-			if _, err := c.Start(); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < count; i++ {
-				cons, err := wsn.NewConsumer(1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cons.Close()
-				if _, err := wsn.Subscribe(setupClient, c.EPR("/producer"), cons.EPR(),
-					wsn.SubscribeOptions{Topic: wsn.Concrete("bench/tick")}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			p := deployFanout(b, core.StackWSRF, count, count, container.ClientConfig{Link: netlat.LAN}).Producer
 			msg := fanoutPayload()
 			// The delivery-mode axis: "permessage" reproduces the paper's
 			// one-shot consumer connections (a TCP handshake per delivery,
@@ -117,32 +103,7 @@ func benchWSEFanout(b *testing.B) {
 	for _, count := range fanoutCounts {
 		count := count
 		b.Run(fmt.Sprintf("%dsubs", count), func(b *testing.B) {
-			c := container.New(container.SecurityNone)
-			defer c.Close()
-			store, err := wse.NewStore("")
-			if err != nil {
-				b.Fatal(err)
-			}
-			setupClient := container.NewClient(container.ClientConfig{})
-			deliverClient := container.NewClient(container.ClientConfig{Link: netlat.LAN})
-			src := wse.NewSource(store, func() string { return c.BaseURL() + "/manager" }, deliverClient)
-			defer src.TCP.Close()
-			c.Register(src.SourceService("/source"))
-			c.Register(src.ManagerService("/manager"))
-			if _, err := c.Start(); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < count; i++ {
-				sink, err := wse.NewHTTPSink(1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sink.Close()
-				if _, err := wse.Subscribe(setupClient, c.EPR("/source"), wse.SubscribeOptions{
-					NotifyTo: sink.EPR(), Filter: wse.TopicFilter("bench/*")}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			src := deployFanout(b, core.StackWST, count, count, container.ClientConfig{Link: netlat.LAN}).Source
 			msg := fanoutPayload()
 			// wse push delivery is always pooled (the Plumbwork stack's
 			// persistent channels are its paper-era behavior), so the only
@@ -179,46 +140,16 @@ func benchWSEFanout(b *testing.B) {
 // or some per-batch structure is quadratic in disguise. All
 // subscriptions share one consumer endpoint so the benchmark measures
 // the delivery path, not a thousand loopback servers; no netlat link,
-// so allocation — not simulated latency — dominates.
+// so allocation — not simulated latency — dominates. The endpoint is
+// drained, or the handler-side drop path would skew the numbers.
 //
 // Run: go test -bench=DeliveryAllocFlatness -benchmem
 func BenchmarkDeliveryAllocFlatness(b *testing.B) {
 	for _, count := range []int{10, 100, 1000} {
 		count := count
 		b.Run(fmt.Sprintf("%dsubs", count), func(b *testing.B) {
-			c := container.New(container.SecurityNone)
-			defer c.Close()
-			setupClient := container.NewClient(container.ClientConfig{})
-			deliverClient := container.NewClient(container.ClientConfig{PoolSize: parWidth})
-			p := wsn.NewProducer(xmldb.NewMemory(xmldb.CostModel{}), "subs",
-				func() string { return c.BaseURL() + "/manager" }, deliverClient)
+			p := deployFanout(b, core.StackWSRF, count, 1, container.ClientConfig{PoolSize: parWidth}).Producer
 			p.Workers = parWidth
-			svc := &container.Service{Path: "/producer", Actions: map[string]container.ActionFunc{}}
-			for a, fn := range p.ProducerPortType().Actions() {
-				svc.Actions[a] = fn
-			}
-			c.Register(svc)
-			c.Register(p.ManagerService("/manager"))
-			if _, err := c.Start(); err != nil {
-				b.Fatal(err)
-			}
-			cons, err := wsn.NewConsumer(count)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cons.Close()
-			for i := 0; i < count; i++ {
-				if _, err := wsn.Subscribe(setupClient, c.EPR("/producer"), cons.EPR(),
-					wsn.SubscribeOptions{Topic: wsn.Concrete("bench/tick")}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// The shared consumer's channel needs an active drain or the
-			// handler-side drop path would skew the numbers.
-			go func() {
-				for range cons.Ch {
-				}
-			}()
 			msg := fanoutPayload()
 			var ms0, ms1 runtime.MemStats
 			runtime.GC()
@@ -273,42 +204,15 @@ var deadBenchRetry = retry.Policy{
 }
 
 func benchWSNDeadSubscriber(b *testing.B) {
-	c := container.New(container.SecurityNone)
-	defer c.Close()
-	setupClient := container.NewClient(container.ClientConfig{})
-	deliverClient := container.NewClient(container.ClientConfig{Link: netlat.LAN})
-	p := wsn.NewProducer(xmldb.NewMemory(xmldb.CostModel{}), "subs",
-		func() string { return c.BaseURL() + "/manager" }, deliverClient)
+	f := deployFanout(b, core.StackWSRF, deadBenchSubs, deadBenchSubs, container.ClientConfig{Link: netlat.LAN})
+	p := f.Producer
 	in := faultinject.New()
 	p.Deliver = in.WrapClient(p.Deliver)
 	p.Workers = parWidth
 	p.DeliveryTimeout = deadBenchTimeout
 	p.Retry = deadBenchRetry
 	p.EvictAfter = 0 // managed per phase
-	svc := &container.Service{Path: "/producer", Actions: map[string]container.ActionFunc{}}
-	for a, fn := range p.ProducerPortType().Actions() {
-		svc.Actions[a] = fn
-	}
-	c.Register(svc)
-	c.Register(p.ManagerService("/manager"))
-	if _, err := c.Start(); err != nil {
-		b.Fatal(err)
-	}
-	var deadAddr string
-	for i := 0; i < deadBenchSubs; i++ {
-		cons, err := wsn.NewConsumer(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cons.Close()
-		if i == 0 {
-			deadAddr = cons.EPR().Address
-		}
-		if _, err := wsn.Subscribe(setupClient, c.EPR("/producer"), cons.EPR(),
-			wsn.SubscribeOptions{Topic: wsn.Concrete("bench/tick")}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	deadAddr := f.Sinks[0].Address
 	msg := fanoutPayload()
 
 	b.Run("healthy", func(b *testing.B) {
@@ -348,42 +252,15 @@ func benchWSNDeadSubscriber(b *testing.B) {
 }
 
 func benchWSEDeadSubscriber(b *testing.B) {
-	c := container.New(container.SecurityNone)
-	defer c.Close()
-	store, err := wse.NewStore("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	setupClient := container.NewClient(container.ClientConfig{})
-	deliverClient := container.NewClient(container.ClientConfig{Link: netlat.LAN})
-	src := wse.NewSource(store, func() string { return c.BaseURL() + "/manager" }, deliverClient)
-	defer src.TCP.Close()
+	f := deployFanout(b, core.StackWST, deadBenchSubs, deadBenchSubs, container.ClientConfig{Link: netlat.LAN})
+	src := f.Source
 	in := faultinject.New()
 	src.HTTP = in.WrapClient(src.HTTP)
 	src.Workers = parWidth
 	src.DeliveryTimeout = deadBenchTimeout
 	src.Retry = deadBenchRetry
 	src.EvictAfter = 0 // managed per phase
-	c.Register(src.SourceService("/source"))
-	c.Register(src.ManagerService("/manager"))
-	if _, err := c.Start(); err != nil {
-		b.Fatal(err)
-	}
-	var deadAddr string
-	for i := 0; i < deadBenchSubs; i++ {
-		sink, err := wse.NewHTTPSink(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer sink.Close()
-		if i == 0 {
-			deadAddr = sink.EPR().Address
-		}
-		if _, err := wse.Subscribe(setupClient, c.EPR("/source"), wse.SubscribeOptions{
-			NotifyTo: sink.EPR(), Filter: wse.TopicFilter("bench/*")}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	deadAddr := f.Sinks[0].Address
 	msg := fanoutPayload()
 
 	b.Run("healthy", func(b *testing.B) {

@@ -68,13 +68,15 @@ type Hello struct {
 	Close func()
 }
 
-// NewHello deploys the counter on the given stack under the scenario.
-// cost is the database cost model (XindiceProfile for figure runs, the
-// zero model for fast smoke tests).
-func NewHello(sc core.Scenario, stack core.Stack, cost xmldb.CostModel) (*Hello, error) {
+// DeployHello deploys the counter service on the given stack under
+// the scenario, as every hello-counter harness runs it, and returns a
+// client for it and the function that tears it down. cost is the
+// database cost model (XindiceProfile for figure runs, the zero model
+// for fast smoke tests).
+func DeployHello(sc core.Scenario, stack core.Stack, cost xmldb.CostModel) (counter.Client, func(), error) {
 	fix, err := FixtureFor(sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c := fix.NewContainer()
 	db := xmldb.NewMemory(cost)
@@ -83,7 +85,6 @@ func NewHello(sc core.Scenario, stack core.Stack, cost xmldb.CostModel) (*Hello,
 	// delivery crosses the scenario's link.
 	notify := fix.NewNotifyClient()
 
-	var cl counter.Client
 	switch stack {
 	case core.StackWSRF:
 		svc := counter.InstallWSRF(c, db, notify)
@@ -96,39 +97,43 @@ func NewHello(sc core.Scenario, stack core.Stack, cost xmldb.CostModel) (*Hello,
 	case core.StackWST:
 		store, err := wse.NewStore("")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		svc := counter.InstallWST(c, db, store, notify)
 		// The raw-TCP delivery channel crosses the same link.
 		svc.Source.TCP.WrapConn = sc.Link.Conn
 	default:
-		return nil, fmt.Errorf("experiments: unknown stack %q", stack)
+		return nil, nil, fmt.Errorf("experiments: unknown stack %q", stack)
 	}
 	baseURL, err := c.Start()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	client := fix.NewClient()
-	switch stack {
-	case core.StackWSRF:
-		cl = &counter.WSRFClient{C: client, Service: wsa.NewEPR(baseURL + "/counter")}
-	case core.StackWST:
-		cl = counter.NewWSTClient(client, baseURL)
+	if stack == core.StackWSRF {
+		return &counter.WSRFClient{C: client, Service: wsa.NewEPR(baseURL + "/counter")}, c.Close, nil
 	}
+	return counter.NewWSTClient(client, baseURL), c.Close, nil
+}
 
-	h := &Hello{Close: c.Close}
-
+// NewHello deploys the counter on the given stack under the scenario
+// (see DeployHello) with the five figure operations over it.
+func NewHello(sc core.Scenario, stack core.Stack, cost xmldb.CostModel) (*Hello, error) {
+	cl, closeDeployment, err := DeployHello(sc, stack, cost)
+	if err != nil {
+		return nil, err
+	}
 	// A long-lived counter for Get/Set, and a separate one for Notify
 	// so Set iterations do not generate events that Notify would
 	// mistake for its own.
 	fixed, err := cl.Create(counter.Representation(0))
 	if err != nil {
-		c.Close()
+		closeDeployment()
 		return nil, err
 	}
 	notifyCounter, err := cl.Create(counter.Representation(0))
 	if err != nil {
-		c.Close()
+		closeDeployment()
 		return nil, err
 	}
 	// The notification subscription is established lazily by the Notify
@@ -136,13 +141,12 @@ func NewHello(sc core.Scenario, stack core.Stack, cost xmldb.CostModel) (*Hello,
 	// five tests runs in isolation, so Get/Set/Create/Destroy are
 	// measured with no subscriber registered.
 	var stream core.EventStream
-	prevClose := h.Close
-	h.Close = func() {
+	h := &Hello{Close: func() {
 		if stream != nil {
 			stream.Cancel() //nolint:errcheck
 		}
-		prevClose()
-	}
+		closeDeployment()
+	}}
 
 	value := 0
 	var destroyTarget wsa.EPR

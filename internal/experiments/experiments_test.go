@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"altstacks/internal/container"
 	"altstacks/internal/core"
 	"altstacks/internal/netlat"
 	"altstacks/internal/wsn"
 	"altstacks/internal/xmldb"
+	"altstacks/internal/xmlutil"
 )
 
 // smoke runs every op of a deployment once (prep + run).
@@ -101,6 +104,53 @@ func TestSignedScenario(t *testing.T) {
 				if err := notify.Run(); err != nil {
 					t.Fatalf("Notify %d: %v", i+1, err)
 				}
+			}
+		})
+	}
+}
+
+// TestFanoutBothStacks deploys 10 subscriptions over 3 sinks on each
+// stack: one publish must reach all 10, the live subscriptions must
+// name the sinks in contiguous blocks of 4, 3 and 3, and Close must
+// release every goroutine the deployment started, drains included.
+func TestFanoutBothStacks(t *testing.T) {
+	for _, stack := range []core.Stack{core.StackWSRF, core.StackWST} {
+		t.Run(string(stack), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			f, err := NewFanout(stack, "test", 10, 3, container.ClientConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(f.Sinks) != 3 {
+				t.Fatalf("sinks = %d, want 3", len(f.Sinks))
+			}
+			msg := xmlutil.New("urn:test", "Ev").Add(xmlutil.NewText("urn:test", "V", "1"))
+			if n, err := f.Publish(msg); n != 10 || err != nil {
+				t.Fatalf("Publish = %d, %v; want 10, nil", n, err)
+			}
+			consumers, err := f.Consumers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			per := map[string]int{}
+			for _, addr := range consumers {
+				per[addr]++
+			}
+			for i, want := range []int{4, 3, 3} {
+				if got := per[f.Sinks[i].Address]; got != want {
+					t.Fatalf("sink %d has %d subscriptions, want %d (all: %v)", i, got, want, per)
+				}
+			}
+			if len(consumers) != 10 {
+				t.Fatalf("%d live subscriptions, want 10", len(consumers))
+			}
+			f.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(10 * time.Millisecond)
 			}
 		})
 	}

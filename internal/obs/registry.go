@@ -236,14 +236,22 @@ type Histogram struct {
 // NewHistogram registers a latency histogram with the standard bucket
 // bounds.
 func NewHistogram(name, labels, help string) *Histogram {
-	h := &Histogram{
-		desc:      desc{name, labels, help, "histogram"},
-		bounds:    latencyBuckets,
-		buckets:   make([]atomic.Int64, len(latencyBuckets)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(latencyBuckets)+1),
-	}
+	h := NewLocalHistogram(latencyBuckets)
+	h.desc = desc{name, labels, help, "histogram"}
 	Default.register(h)
 	return h
+}
+
+// NewLocalHistogram builds a histogram over the caller's bucket bounds
+// (ascending, in seconds) that no registry exposes: harness code that
+// reads its own percentiles back through Snapshot and Quantile, with
+// bounds finer than /metrics carries.
+func NewLocalHistogram(bounds []float64) *Histogram {
+	return &Histogram{
+		bounds:    bounds,
+		buckets:   make([]atomic.Int64, len(bounds)+1),
+		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
+	}
 }
 
 // Observe records one duration when enabled. Negative durations

@@ -3,6 +3,7 @@ package slo
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -164,4 +165,44 @@ func TestStartStopIdempotent(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	e.Stop()
 	e.Stop()
+}
+
+// The ServeAdmin fixture counters are registered once per process, like
+// latencyFixture.
+var (
+	adminRequests = obs.NewCounter("test_slo_admin_requests_total", "", "ServeAdmin fixture")
+	adminFaults   = obs.NewCounter("test_slo_admin_faults_total", "", "ServeAdmin fixture")
+)
+
+// TestServeAdmin: the daemons' admin plane serves the default
+// objectives at /slo beside the obs admin mux, until stopped.
+func TestServeAdmin(t *testing.T) {
+	url, stop, err := ServeAdmin("127.0.0.1:0", "", adminRequests, adminFaults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obs.HandleAdmin("/slo", nil)
+	resp, err := http.Get(url + "/slo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sts []State
+	err = json.NewDecoder(resp.Body).Decode(&sts)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode /slo: %v", err)
+	}
+	if len(sts) != 3 || sts[0].Name != "availability" {
+		t.Fatalf("/slo = %+v, want the three default objectives", sts)
+	}
+	if resp, err := http.Get(url + "/metrics"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+	stop()
+	if resp, err := http.Get(url + "/slo"); err == nil {
+		resp.Body.Close()
+		t.Fatal("admin endpoint still serving after stop")
+	}
 }

@@ -2,26 +2,14 @@ package obs
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// newTestHist builds an unregistered histogram so repeated test runs
-// don't trip the Default registry's duplicate-name panic.
-func newTestHist(bounds []float64) *Histogram {
-	return &Histogram{
-		desc:      desc{name: "test_hist"},
-		bounds:    bounds,
-		buckets:   make([]atomic.Int64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
-	}
-}
-
 // fixtureHist is an unregistered latency histogram, for registering
 // into a fixtures registry.
 func fixtureHist(name, help string) *Histogram {
-	h := newTestHist(latencyBuckets)
+	h := NewLocalHistogram(latencyBuckets)
 	h.desc = desc{name, "", help, "histogram"}
 	return h
 }
@@ -29,7 +17,7 @@ func fixtureHist(name, help string) *Histogram {
 func TestSnapshotQuantile(t *testing.T) {
 	Enable()
 	defer Disable()
-	h := newTestHist([]float64{0.001, 0.01, 0.1, 1})
+	h := NewLocalHistogram([]float64{0.001, 0.01, 0.1, 1})
 	// 90 observations in (0.001, 0.01], 10 in (0.01, 0.1].
 	for i := 0; i < 90; i++ {
 		h.Observe(5 * time.Millisecond)
@@ -67,7 +55,7 @@ func TestQuantileNoFiniteBounds(t *testing.T) {
 func TestSnapshotDelta(t *testing.T) {
 	Enable()
 	defer Disable()
-	h := newTestHist([]float64{0.01, 0.1})
+	h := NewLocalHistogram([]float64{0.01, 0.1})
 	h.Observe(time.Millisecond)
 	before := h.Snapshot()
 	h.Observe(50 * time.Millisecond)
@@ -88,7 +76,7 @@ func TestSnapshotDelta(t *testing.T) {
 func TestObserveValueOverflowSaturates(t *testing.T) {
 	Enable()
 	defer Disable()
-	h := newTestHist([]float64{1, 10, 100})
+	h := NewLocalHistogram([]float64{1, 10, 100})
 	huge := time.Duration(math.MaxInt64/2 + 1)
 	h.Observe(huge)
 	h.Observe(huge) // the unsaturated sum wraps negative here
@@ -115,7 +103,7 @@ func TestObserveValueOverflowSaturates(t *testing.T) {
 func TestNegativeObservationsDropped(t *testing.T) {
 	Enable()
 	defer Disable()
-	h := newTestHist([]float64{1, 10})
+	h := NewLocalHistogram([]float64{1, 10})
 	h.Observe(-time.Second)
 	h.Observe(time.Duration(math.MinInt64))
 	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 {

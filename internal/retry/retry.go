@@ -1,7 +1,7 @@
 // Package retry implements the bounded-retry policy shared by the two
 // stacks' notification delivery paths (wsn.Producer and wse.Source):
-// exponential backoff with full jitter, an attempt cap, an optional
-// per-attempt timeout, and context cancellation. Grid consumers of the
+// exponential backoff with full jitter, an attempt cap, and context
+// cancellation. Grid consumers of the
 // paper's era are transient by construction — one-shot HTTP servers
 // embedded in clients, raw-TCP SoapReceivers that vanish with the
 // process — so a single-attempt delivery turns every network hiccup
@@ -36,10 +36,6 @@ type Policy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the doubled delay; 0 means uncapped.
 	MaxBackoff time.Duration
-	// AttemptTimeout, when positive, bounds each attempt with a context
-	// deadline. Operations that ignore their context (for example an
-	// HTTP client carrying its own timeout) are unaffected.
-	AttemptTimeout time.Duration
 }
 
 func (p Policy) attempts() int {
@@ -88,15 +84,13 @@ func (p Policy) Backoff(n int) time.Duration {
 // Do runs op until it succeeds, the attempt cap is reached, or ctx is
 // cancelled, sleeping a jittered backoff between attempts. It returns
 // the number of attempts made and the final error (nil on success).
-// Each attempt receives a context derived from ctx, bounded by
-// AttemptTimeout when set.
+// Each attempt receives ctx; bounding one attempt is the operation's
+// own job (a delivery carries fanout.Knobs.DeliveryTimeout).
 func Do(ctx context.Context, p Policy, op func(context.Context) error) (attempts int, err error) {
 	max := p.attempts()
 	for n := 0; ; n++ {
 		attempts = n + 1
-		actx, cancel := attemptContext(ctx, p.AttemptTimeout)
-		err = op(actx)
-		cancel()
+		err = op(ctx)
 		if err == nil || attempts >= max {
 			return attempts, err
 		}
@@ -118,11 +112,4 @@ func Do(ctx context.Context, p Policy, op func(context.Context) error) (attempts
 		case <-t.C:
 		}
 	}
-}
-
-func attemptContext(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(ctx, timeout)
-	}
-	return ctx, func() {}
 }

@@ -77,21 +77,6 @@ func TestContextCancelStopsRetrying(t *testing.T) {
 	}
 }
 
-func TestAttemptTimeoutBoundsEachTry(t *testing.T) {
-	p := Policy{MaxAttempts: 2, BaseBackoff: time.Millisecond, AttemptTimeout: 20 * time.Millisecond}
-	start := time.Now()
-	attempts, err := Do(context.Background(), p, func(ctx context.Context) error {
-		<-ctx.Done() // an op that hangs until its per-attempt deadline
-		return ctx.Err()
-	})
-	if attempts != 2 || err == nil {
-		t.Fatalf("attempts=%d err=%v", attempts, err)
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("attempt timeout did not bound the hang: %v", elapsed)
-	}
-}
-
 // TestBackoffUncappedLargeAttemptDoesNotOverflow is the regression
 // test for the doubling-loop int64 overflow: with MaxBackoff == 0 the
 // pre-fix loop doubled base straight past math.MaxInt64 at high

@@ -30,6 +30,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -443,7 +444,11 @@ func (h *Home) cachePut(r *Resource) {
 	if h.cache == nil {
 		h.cache = map[string]*Resource{}
 	}
-	h.cache[r.ID] = cloneResource(r)
+	// The cached copy outlives the request, and a request-derived id
+	// aliases the whole parsed request: keep an id of its own.
+	cp := cloneResource(r)
+	cp.ID = strings.Clone(r.ID)
+	h.cache[cp.ID] = cp
 	h.mu.Unlock()
 }
 

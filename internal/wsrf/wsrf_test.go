@@ -4,9 +4,12 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"altstacks/internal/xmldb"
 	"altstacks/internal/xmlutil"
@@ -435,4 +438,46 @@ func TestResourceLocksReleased(t *testing.T) {
 	if n := len(h.locks); n != 0 {
 		t.Fatalf("%d resource locks left after every operation ended, want 0", n)
 	}
+}
+
+// TestCacheDoesNotPinRequests: the write-through cache outlives the
+// request that last read or wrote a resource. Viewed and mutated
+// through an id sliced out of a 3 KB request-sized string, neither the
+// cache key nor the cached Resource.ID may point into that string.
+func TestCacheDoesNotPinRequests(t *testing.T) {
+	h := newHome(true)
+	epr, err := h.Create(counterState(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := epr.Property("urn:counter", "CounterID")
+	req := strings.Repeat("x", 3000) + id + strings.Repeat("y", 100)
+	reqID := req[3000 : 3000+len(id)]
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(req)))
+	inReq := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return p >= lo && p < lo+uintptr(len(req))
+	}
+
+	if err := h.View(reqID, func(*Resource) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Mutate(reqID, func(r *Resource) error {
+		r.State.Child("urn:counter", "cv").Text = "1"
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.cache) != 1 {
+		t.Fatalf("%d cached resources, want 1", len(h.cache))
+	}
+	for key, r := range h.cache {
+		if inReq(key) || inReq(r.ID) {
+			t.Fatalf("cache key or cached ID points into the request (key %v, ID %v)", inReq(key), inReq(r.ID))
+		}
+	}
+	runtime.KeepAlive(req)
 }

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Observability smoke test: build counterd and gridctl, start a
-# two-instance cluster with the admin endpoints enabled, scrape
-# /metrics through `gridctl metrics`, and assert every migrated counter
-# family plus the per-stage latency histogram is exposed. Also
-# exercises `gridctl trace` against /traces, the fleet view
-# (`gridctl top` across both admins, over their /metrics.json
+# Observability smoke test: build counterd, gridboxd and gridctl, start
+# a two-instance cluster with the admin endpoints enabled (a counterd,
+# and a gridboxd that federates it, so both daemons' admin wiring
+# runs), scrape /metrics through `gridctl metrics`, and assert every
+# migrated counter family plus the per-stage latency histogram is
+# exposed. Also exercises `gridctl trace` against /traces, the fleet
+# view (`gridctl top` across both admins, over their /metrics.json
 # snapshots), server-side federation (`gridctl federate` on the
-# peer-configured instance), and the SLO and flight-recorder endpoints.
+# peer-configured gridboxd), and its SLO and flight-recorder endpoints.
 # Run via `make obs-smoke`.
 set -euo pipefail
 
@@ -22,6 +23,7 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$tmp/counterd" ./cmd/counterd
+go build -o "$tmp/gridboxd" ./cmd/gridboxd
 go build -o "$tmp/gridctl" ./cmd/gridctl
 
 # The daemon prints its admin endpoint once the listener is up; poll
@@ -32,14 +34,14 @@ wait_admin() { # logfile pidvar -> echoes admin URL
         admin="$(sed -n 's/.*admin endpoint: *//p' "$log" | head -n 1)"
         [ -n "$admin" ] && break
         if ! kill -0 "$dpid" 2>/dev/null; then
-            echo "obs-smoke: counterd exited early:" >&2
+            echo "obs-smoke: daemon exited early:" >&2
             cat "$log" >&2
             exit 1
         fi
         sleep 0.1
     done
     if [ -z "$admin" ]; then
-        echo "obs-smoke: counterd never printed its admin endpoint:" >&2
+        echo "obs-smoke: daemon never printed its admin endpoint:" >&2
         cat "$log" >&2
         exit 1
     fi
@@ -50,10 +52,11 @@ wait_admin() { # logfile pidvar -> echoes admin URL
 pid=$!
 admin="$(wait_admin "$tmp/counterd.log" "$pid")"
 
-# Second instance federates the first through its /federate endpoint.
-"$tmp/counterd" -admin 127.0.0.1:0 -peers "$admin" >"$tmp/counterd2.log" 2>&1 &
+# Second instance, a gridboxd, federates the first through its
+# /federate endpoint.
+"$tmp/gridboxd" -admin 127.0.0.1:0 -peers "$admin" -data "$tmp/grid" >"$tmp/gridboxd.log" 2>&1 &
 pid2=$!
-admin2="$(wait_admin "$tmp/counterd2.log" "$pid2")"
+admin2="$(wait_admin "$tmp/gridboxd.log" "$pid2")"
 
 "$tmp/gridctl" -admin "$admin" metrics >"$tmp/metrics.txt"
 
@@ -131,8 +134,8 @@ if ! grep -q '^# TYPE ogsa_stage_duration_seconds histogram$' "$tmp/federate.txt
     exit 1
 fi
 
-# SLO engine: the daemon evaluates once at startup, so the objectives
-# table is populated immediately.
+# SLO engine on the gridboxd: the daemon evaluates once at startup, so
+# the objectives table is populated immediately.
 "$tmp/gridctl" -admin "$admin2" slo >"$tmp/slo.txt"
 if ! grep -q 'OBJECTIVE' "$tmp/slo.txt" || ! grep -q 'availability' "$tmp/slo.txt"; then
     echo "obs-smoke: gridctl slo shows no availability objective:" >&2
@@ -140,7 +143,11 @@ if ! grep -q 'OBJECTIVE' "$tmp/slo.txt" || ! grep -q 'availability' "$tmp/slo.tx
     exit 1
 fi
 
-# Flight recorder: dump must exit clean even when the ring is empty.
-"$tmp/gridctl" -admin "$admin2" dump >"$tmp/dump.txt"
+# Flight recorder: dump must answer even when the ring is empty.
+if ! "$tmp/gridctl" -admin "$admin2" dump >"$tmp/dump.txt"; then
+    echo "obs-smoke: gridctl dump against gridboxd failed:" >&2
+    cat "$tmp/dump.txt" >&2
+    exit 1
+fi
 
-echo "obs-smoke: ok ($(grep -c '^ogsa_' "$tmp/metrics.txt") samples exposed, 2-instance fleet federated)"
+echo "obs-smoke: ok ($(grep -c '^ogsa_' "$tmp/metrics.txt") samples exposed, counterd + gridboxd fleet federated)"

@@ -14,12 +14,12 @@ import (
 	"time"
 
 	"altstacks/internal/container"
+	"altstacks/internal/core"
+	"altstacks/internal/experiments"
 	"altstacks/internal/faultinject"
 	"altstacks/internal/obs"
 	"altstacks/internal/obs/slo"
 	"altstacks/internal/retry"
-	"altstacks/internal/wsn"
-	"altstacks/internal/xmldb"
 	"altstacks/internal/xmlutil"
 )
 
@@ -33,55 +33,19 @@ func TestSLOBreachAndHeal(t *testing.T) {
 		obs.ResetEvents()
 	}()
 
+	// Two subscribers: the first stays healthy, the second is doomed.
 	in := faultinject.New()
-	c := container.New(container.SecurityNone)
-	defer c.Close()
-	setup := container.NewClient(container.ClientConfig{})
-	deliver := container.NewClient(container.ClientConfig{})
-
-	p := wsn.NewProducer(xmldb.NewMemory(xmldb.CostModel{}), "subs",
-		func() string { return c.BaseURL() + "/manager" }, deliver)
+	f, err := experiments.NewFanout(core.StackWSRF, "slo", 2, 2, container.ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p := f.Producer
 	p.Deliver = in.WrapClient(p.Deliver)
 	p.DeliveryTimeout = 200 * time.Millisecond
 	p.Retry = retry.Policy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
 	p.EvictAfter = 0 // keep the dead subscriber failing: a sustained burn, not a strike-out
-	svc := &container.Service{Path: "/producer", Actions: map[string]container.ActionFunc{}}
-	for a, fn := range p.ProducerPortType().Actions() {
-		svc.Actions[a] = fn
-	}
-	c.Register(svc)
-	c.Register(p.ManagerService("/manager"))
-	if _, err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	quit := make(chan struct{})
-	defer close(quit)
-	newConsumer := func() *wsn.Consumer {
-		cons, err := wsn.NewConsumer(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cons.Close)
-		go func() {
-			for {
-				select {
-				case <-cons.Ch:
-				case <-quit:
-					return
-				}
-			}
-		}()
-		if _, err := wsn.Subscribe(setup, c.EPR("/producer"), cons.EPR(),
-			wsn.SubscribeOptions{Topic: wsn.Concrete("slo/tick")}); err != nil {
-			t.Fatal(err)
-		}
-		return cons
-	}
-	healthy := newConsumer()
-	_ = healthy
-	doomed := newConsumer()
-	doomedKey := faultinject.Key(doomed.EPR().Address)
+	doomedKey := faultinject.Key(f.Sinks[1].Address)
 
 	// The engine is driven synchronously with a hand-cranked clock; the
 	// objective reads the producer's real cumulative delivery totals.
