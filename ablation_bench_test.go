@@ -18,6 +18,7 @@ import (
 
 	"altstacks/internal/certs"
 	"altstacks/internal/container"
+	"altstacks/internal/core"
 	"altstacks/internal/soap"
 	"altstacks/internal/wsa"
 	"altstacks/internal/wse"
@@ -131,7 +132,7 @@ func BenchmarkAblationDeliveryChannel(b *testing.B) {
 	}
 }
 
-func awaitEvent(ch chan wse.Event) error {
+func awaitEvent(ch <-chan core.Event) error {
 	select {
 	case <-ch:
 		return nil

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"altstacks/internal/container"
+	"altstacks/internal/core"
 	"altstacks/internal/wsa"
 	"altstacks/internal/wse"
 	"altstacks/internal/wsn"
@@ -209,7 +210,7 @@ func wsEventingTour() {
 	fmt.Println("unsubscribed")
 }
 
-func drain(label string, ch chan wsn.Notification, n int) {
+func drain(label string, ch <-chan core.Event, n int) {
 	timeout := time.NewTimer(5 * time.Second)
 	defer timeout.Stop()
 	for i := 0; i < n; i++ {

@@ -105,7 +105,7 @@ func (c *Client) Call(epr wsa.EPR, action string, body *xmlutil.Element) (*xmlut
 // ctx is done, so retry backoff and shutdown deadlines propagate into
 // the wire exchange itself.
 func (c *Client) CallContext(ctx context.Context, epr wsa.EPR, action string, body *xmlutil.Element) (*xmlutil.Element, error) {
-	env, err := c.callEnvelope(ctx, epr, action, nil, body)
+	env, err := c.callEnvelope(ctx, epr, action, body)
 	if err != nil {
 		return nil, err
 	}
@@ -115,32 +115,28 @@ func (c *Client) CallContext(ctx context.Context, epr wsa.EPR, action string, bo
 // CallEnvelope is Call but returns the whole response envelope, for
 // callers that need response headers.
 func (c *Client) CallEnvelope(epr wsa.EPR, action string, body *xmlutil.Element) (*soap.Envelope, error) {
-	return c.callEnvelope(context.Background(), epr, action, nil, body)
+	return c.callEnvelope(context.Background(), epr, action, body)
 }
 
 // Deliver sends a one-way message (a notification, an event, a
 // subscription-end notice) with optional extra header blocks, and
 // reports only whether the consumer acknowledged it: a SOAP fault comes
 // back as a *soap.Fault error, as from Call. The acknowledgement
-// carries nothing else the sender uses, so when the client verifies no
-// responses (every ForDelivery client) it is checked in place, without
-// building an envelope that outlives the call. With a Verifier the
-// exchange is Call's.
+// carries nothing else the sender uses and is unsigned, so it is
+// checked in place, without building an envelope that outlives the
+// call, and never verified; callers deliver through a ForDelivery
+// client, which carries no Verifier.
 func (c *Client) Deliver(ctx context.Context, epr wsa.EPR, action string, headers []*xmlutil.Element, body *xmlutil.Element) error {
-	if c.Verifier != nil {
-		_, err := c.callEnvelope(ctx, epr, action, headers, body)
-		return err
-	}
 	span := obs.SpanFromContext(ctx)
 	return c.exchange(ctx, span, epr, action, headers, body, func(resp []byte, status int) error {
 		return checkAck(resp, status, span)
 	})
 }
 
-func (c *Client) callEnvelope(ctx context.Context, epr wsa.EPR, action string, headers []*xmlutil.Element, body *xmlutil.Element) (*soap.Envelope, error) {
+func (c *Client) callEnvelope(ctx context.Context, epr wsa.EPR, action string, body *xmlutil.Element) (*soap.Envelope, error) {
 	span := obs.SpanFromContext(ctx)
 	var respEnv *soap.Envelope
-	err := c.exchange(ctx, span, epr, action, headers, body, func(resp []byte, status int) error {
+	err := c.exchange(ctx, span, epr, action, nil, body, func(resp []byte, status int) error {
 		// soap.Parse copies what it keeps.
 		env, err := soap.Parse(resp)
 		if err != nil {

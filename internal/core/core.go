@@ -7,7 +7,8 @@
 // stack-neutral client interfaces that both the WSRF/WSN counter and
 // the WS-Transfer/WS-Eventing counter satisfy (what §5's "switching
 // stacks" discussion calls building a client against one stack and
-// re-aiming it), and (c) the experiment Fixture that assembles the
+// re-aiming it) and the one notification Event both stacks' consumer
+// endpoints deliver, and (c) the experiment Fixture that assembles the
 // paper's six measurement scenarios (3 security modes × co-located /
 // distributed) with shared PKI, TLS, and link models.
 package core
@@ -50,8 +51,12 @@ type ResourceClient interface {
 	Destroy(resource wsa.EPR) error
 }
 
-// Event is one asynchronous notification, stack-neutrally.
+// Event is one asynchronous notification, stack-neutrally: what every
+// consumer endpoint of both stacks (wsn.Consumer, wse.HTTPSink,
+// wse.TCPSink) delivers on its channel.
 type Event struct {
+	// Topic is the published topic path; a WSN raw delivery, which
+	// carries the bare payload, has none.
 	Topic   string
 	Message *xmlutil.Element
 }
@@ -63,13 +68,20 @@ type EventStream interface {
 	Cancel() error
 }
 
-// Notifier is the stack-neutral subscription interface (WS-Notification
-// Subscribe vs WS-Eventing Subscribe).
-type Notifier interface {
-	// Subscribe registers interest in a topic at the event source and
-	// returns the live stream.
-	Subscribe(source wsa.EPR, topic string) (EventStream, error)
+// NewStream returns the EventStream over a consumer endpoint's
+// channel. cancel unsubscribes and closes the endpoint; ch is never
+// closed, so after Cancel it just stops receiving.
+func NewStream(ch <-chan Event, cancel func() error) EventStream {
+	return stream{ch, cancel}
 }
+
+type stream struct {
+	ch     <-chan Event
+	cancel func() error
+}
+
+func (s stream) Events() <-chan Event { return s.ch }
+func (s stream) Cancel() error        { return s.cancel() }
 
 // Fixture bundles the security material and link model for one
 // measurement scenario. Containers and clients built from the same

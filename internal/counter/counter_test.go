@@ -269,32 +269,6 @@ func TestWSRFSetRejectsNonInteger(t *testing.T) {
 	}
 }
 
-func TestWSTHTTPDeliveryMode(t *testing.T) {
-	cl, _ := startWST(t)
-	wcl := cl.(*WSTClient)
-	wcl.UseTCPDelivery = false
-	epr, err := cl.Create(Representation(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := cl.SubscribeValueChanged(epr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Cancel() //nolint:errcheck
-	if err := cl.Set(epr, Representation(3)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-stream.Events():
-		if ev.Message.ChildText(NS, "Value") != "3" {
-			t.Fatalf("event = %s", ev.Message)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("no HTTP-mode event")
-	}
-}
-
 func TestStackNeutralInterfaceSatisfied(t *testing.T) {
 	// §5's switching question: both clients behind one interface.
 	var _ core.ResourceClient = (*WSRFClient)(nil)

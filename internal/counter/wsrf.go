@@ -195,39 +195,9 @@ func (c *WSRFClient) SubscribeValueChanged(resource wsa.EPR) (core.EventStream, 
 		cons.Close()
 		return nil, err
 	}
-	stream := &wsnStream{cons: cons, events: make(chan core.Event, 16), done: make(chan struct{})}
-	stream.cancel = func() error {
-		close(stream.done)
+	return core.NewStream(cons.Ch, func() error {
 		err := wsn.Unsubscribe(c.C, subEPR)
 		cons.Close()
 		return err
-	}
-	go stream.pump()
-	return stream, nil
+	}), nil
 }
-
-// wsnStream adapts a wsn.Consumer to core.EventStream.
-type wsnStream struct {
-	cons   *wsn.Consumer
-	events chan core.Event
-	done   chan struct{}
-	cancel func() error
-}
-
-func (s *wsnStream) pump() {
-	for {
-		select {
-		case n := <-s.cons.Ch:
-			select {
-			case s.events <- core.Event{Topic: n.Topic, Message: n.Message}:
-			case <-s.done:
-				return
-			}
-		case <-s.done:
-			return
-		}
-	}
-}
-
-func (s *wsnStream) Events() <-chan core.Event { return s.events }
-func (s *wsnStream) Cancel() error             { return s.cancel() }

@@ -77,9 +77,6 @@ type WSTClient struct {
 	Factory wsa.EPR
 	// EventSource is the WS-Eventing source EPR.
 	EventSource wsa.EPR
-	// UseTCPDelivery selects the Plumbwork raw-TCP channel for
-	// notifications (the default; it is what the paper measured).
-	UseTCPDelivery bool
 }
 
 var _ Client = (*WSTClient)(nil)
@@ -87,10 +84,9 @@ var _ Client = (*WSTClient)(nil)
 // NewWSTClient builds the client given the container base URL.
 func NewWSTClient(c *container.Client, baseURL string) *WSTClient {
 	return &WSTClient{
-		T:              &wst.Client{C: c},
-		Factory:        wsa.NewEPR(baseURL + "/counter"),
-		EventSource:    wsa.NewEPR(baseURL + "/counter-events"),
-		UseTCPDelivery: true,
+		T:           &wst.Client{C: c},
+		Factory:     wsa.NewEPR(baseURL + "/counter"),
+		EventSource: wsa.NewEPR(baseURL + "/counter-events"),
 	}
 }
 
@@ -119,19 +115,13 @@ func (c *WSTClient) Destroy(resource wsa.EPR) error {
 }
 
 // SubscribeValueChanged subscribes to the counter's value-change
-// events over WS-Eventing, by default through a raw-TCP sink.
+// events over WS-Eventing, through Plumbwork's raw-TCP channel: the
+// notification path the paper measured.
 func (c *WSTClient) SubscribeValueChanged(resource wsa.EPR) (core.EventStream, error) {
 	id, ok := resource.Property(NS, "ResourceID")
 	if !ok {
 		return nil, fmt.Errorf("counter: EPR has no ResourceID")
 	}
-	if c.UseTCPDelivery {
-		return c.subscribeTCP(id)
-	}
-	return c.subscribeHTTP(id)
-}
-
-func (c *WSTClient) subscribeTCP(id string) (core.EventStream, error) {
 	sink, err := wse.NewTCPSink(16)
 	if err != nil {
 		return nil, err
@@ -145,63 +135,9 @@ func (c *WSTClient) subscribeTCP(id string) (core.EventStream, error) {
 		sink.Close()
 		return nil, err
 	}
-	stream := newWSEStream(sink.Ch, func() error {
-		err := wse.Unsubscribe(c.T.C, res.Manager)
-		sink.Close()
-		return err
-	})
-	return stream, nil
-}
-
-func (c *WSTClient) subscribeHTTP(id string) (core.EventStream, error) {
-	sink, err := wse.NewHTTPSink(16)
-	if err != nil {
-		return nil, err
-	}
-	res, err := wse.Subscribe(c.T.C, c.EventSource, wse.SubscribeOptions{
-		NotifyTo: sink.EPR(),
-		Filter:   wse.TopicFilter(eventTopic(id)),
-	})
-	if err != nil {
-		sink.Close()
-		return nil, err
-	}
-	return newWSEStream(sink.Ch, func() error {
+	return core.NewStream(sink.Ch, func() error {
 		err := wse.Unsubscribe(c.T.C, res.Manager)
 		sink.Close()
 		return err
 	}), nil
 }
-
-// wseStream adapts a wse event channel to core.EventStream.
-type wseStream struct {
-	events chan core.Event
-	done   chan struct{}
-	cancel func() error
-}
-
-func newWSEStream(src chan wse.Event, cancel func() error) *wseStream {
-	s := &wseStream{events: make(chan core.Event, 16), done: make(chan struct{})}
-	s.cancel = func() error {
-		close(s.done)
-		return cancel()
-	}
-	go func() {
-		for {
-			select {
-			case ev := <-src:
-				select {
-				case s.events <- core.Event{Topic: ev.Topic, Message: ev.Message}:
-				case <-s.done:
-					return
-				}
-			case <-s.done:
-				return
-			}
-		}
-	}()
-	return s
-}
-
-func (s *wseStream) Events() <-chan core.Event { return s.events }
-func (s *wseStream) Cancel() error             { return s.cancel() }

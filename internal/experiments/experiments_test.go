@@ -7,8 +7,8 @@ import (
 
 	"altstacks/internal/container"
 	"altstacks/internal/core"
+	"altstacks/internal/fanout"
 	"altstacks/internal/netlat"
-	"altstacks/internal/wsn"
 	"altstacks/internal/xmldb"
 	"altstacks/internal/xmlutil"
 )
@@ -79,10 +79,10 @@ func TestGridOpsBothStacks(t *testing.T) {
 // TestSignedScenario runs Get and Set under X.509 signing, then Notify
 // past the producer's eviction threshold: were signed delivery to fail
 // (the producer verifying the consumer's unsigned acknowledgement),
-// the subscription would be evicted after wsn.DefaultEvictAfter
+// the subscription would be evicted after fanout.DefaultEvictAfter
 // publishes and a later Notify would time out. Each failed publish can
-// queue up to wsn.DefaultMaxAttempts retried copies before that, so the
-// loop runs long enough to outlast them all.
+// queue up to fanout.DefaultMaxAttempts retried copies before that, so
+// the loop runs long enough to outlast them all.
 func TestSignedScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RSA-heavy")
@@ -100,7 +100,7 @@ func TestSignedScenario(t *testing.T) {
 			if err := notify.Prep(); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i <= wsn.DefaultMaxAttempts*wsn.DefaultEvictAfter; i++ {
+			for i := 0; i <= fanout.DefaultMaxAttempts*fanout.DefaultEvictAfter; i++ {
 				if err := notify.Run(); err != nil {
 					t.Fatalf("Notify %d: %v", i+1, err)
 				}

@@ -136,7 +136,7 @@ func (f *Fanout) startSink(quit <-chan struct{}) (wsa.EPR, error) {
 }
 
 // drain empties a sink's channel until quit closes.
-func drain[T any](wg *sync.WaitGroup, ch <-chan T, quit <-chan struct{}) {
+func drain(wg *sync.WaitGroup, ch <-chan core.Event, quit <-chan struct{}) {
 	defer wg.Done()
 	for {
 		select {

@@ -36,6 +36,30 @@ type Knobs struct {
 	EvictAfter int
 }
 
+// The delivery-robustness defaults both stacks start from.
+const (
+	DefaultMaxAttempts = 3
+	DefaultBaseBackoff = 25 * time.Millisecond
+	DefaultMaxBackoff  = 500 * time.Millisecond
+	DefaultEvictAfter  = 3
+)
+
+// DefaultKnobs returns the knobs wsn.NewProducer and wse.NewSource
+// start from: DefaultMaxAttempts attempts per delivery with backoff
+// between DefaultBaseBackoff and DefaultMaxBackoff, eviction after
+// DefaultEvictAfter consecutive failed publishes, GOMAXPROCS workers
+// and no per-attempt timeout.
+func DefaultKnobs() Knobs {
+	return Knobs{
+		Retry: retry.Policy{
+			MaxAttempts: DefaultMaxAttempts,
+			BaseBackoff: DefaultBaseBackoff,
+			MaxBackoff:  DefaultMaxBackoff,
+		},
+		EvictAfter: DefaultEvictAfter,
+	}
+}
+
 // Health is the per-subscription delivery ledger: consecutive failed
 // publishes (retries exhausted), the last error, and the last
 // success/failure instants. Any successful delivery resets the failure

@@ -206,28 +206,11 @@ func (g *WSRFGridClient) SubscribeJobExited(job wsa.EPR) (core.EventStream, erro
 		cons.Close()
 		return nil, err
 	}
-	events := make(chan core.Event, 8)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case n := <-cons.Ch:
-				select {
-				case events <- core.Event{Topic: n.Topic, Message: n.Message}:
-				case <-done:
-					return
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-	return &funcStream{events: events, cancel: func() error {
-		close(done)
+	return core.NewStream(cons.Ch, func() error {
 		err := wsn.Unsubscribe(g.C, subEPR)
 		cons.Close()
 		return err
-	}}, nil
+	}), nil
 }
 
 // DestroyReservation releases a reservation explicitly (used by
@@ -249,15 +232,6 @@ func (g *WSRFGridClient) DestroyDirectory(dir wsa.EPR) error {
 	rlc := rl.Client{C: g.C}
 	return rlc.Destroy(dir)
 }
-
-// funcStream is a channel-backed core.EventStream.
-type funcStream struct {
-	events chan core.Event
-	cancel func() error
-}
-
-func (s *funcStream) Events() <-chan core.Event { return s.events }
-func (s *funcStream) Cancel() error             { return s.cancel() }
 
 func responseEPR(resp *xmlutil.Element) (wsa.EPR, error) {
 	el := resp.Child(wsa.NS, "EndpointReference")

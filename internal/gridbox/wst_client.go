@@ -252,28 +252,11 @@ func (g *WSTGridClient) SubscribeJobExited(job wsa.EPR) (core.EventStream, error
 		sink.Close()
 		return nil, err
 	}
-	events := make(chan core.Event, 8)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case ev := <-sink.Ch:
-				select {
-				case events <- core.Event{Topic: ev.Topic, Message: ev.Message}:
-				case <-done:
-					return
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-	return &funcStream{events: events, cancel: func() error {
-		close(done)
+	return core.NewStream(sink.Ch, func() error {
 		err := wse.Unsubscribe(g.T.C, res.Manager)
 		sink.Close()
 		return err
-	}}, nil
+	}), nil
 }
 
 // RunJob executes the full workflow on the WS-Transfer stack: discover

@@ -22,9 +22,11 @@ import (
 // bucket, exemplars keep the most recent — and Render writes any
 // snapshot, local or merged, as Prometheus text. The /federate admin
 // endpoint serves exactly that: the local registry merged with every
-// configured peer's snapshot, so `gridctl top` pointed at any one
-// daemon sees the whole fleet. Text is for external scrapers only;
-// nothing here reads it back.
+// configured peer's snapshot, so a Prometheus scrape of any one
+// daemon's /federate sees the whole fleet. `gridctl top` does its own
+// merge over each -admin URL's /metrics.json and never reads
+// /federate. Text is for external scrapers only; nothing here reads it
+// back.
 
 // Exposition is a registry snapshot: every metric family with its
 // current series.

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"altstacks/internal/container"
+	"altstacks/internal/core"
 	"altstacks/internal/fanout"
 	"altstacks/internal/obs"
-	"altstacks/internal/retry"
 	"altstacks/internal/soap"
 	"altstacks/internal/uuid"
 	"altstacks/internal/wsa"
@@ -19,14 +19,6 @@ import (
 
 // DefaultExpiry is the lifetime granted when a Subscribe names none.
 const DefaultExpiry = time.Hour
-
-// Default delivery-robustness knobs, applied by NewSource.
-const (
-	DefaultMaxAttempts = 3
-	DefaultBaseBackoff = 25 * time.Millisecond
-	DefaultMaxBackoff  = 500 * time.Millisecond
-	DefaultEvictAfter  = 3
-)
 
 // Registry counters, aggregated across every Source instance;
 // DeliveryStats stays the per-instance view. wseDelivery holds the
@@ -63,7 +55,7 @@ type Source struct {
 	// eng runs delivery: retry, the health ledger (written through to
 	// the store on transitions, so a restart resumes the count),
 	// eviction, and the shared counters.
-	eng             *fanout.Engine[*Subscription, topicEvent]
+	eng             *fanout.Engine[*Subscription, core.Event]
 	endNoticeErrors atomic.Int64
 }
 
@@ -82,31 +74,24 @@ type DeliveryStats struct {
 type stats = fanout.Stats
 
 // NewSource builds an event source with the default retry and
-// eviction policy (3 attempts per delivery, eviction after 3
-// consecutive failed publishes).
+// eviction policy (fanout.DefaultKnobs: 3 attempts per delivery,
+// eviction after 3 consecutive failed publishes).
 func NewSource(store *Store, managerEndpoint func() string, httpClient *container.Client) *Source {
 	s := &Source{
 		Store:           store,
 		ManagerEndpoint: managerEndpoint,
 		HTTP:            httpClient,
 		TCP:             NewTCPDeliverer(),
-		knobs: knobs{
-			Retry: retry.Policy{
-				MaxAttempts: DefaultMaxAttempts,
-				BaseBackoff: DefaultBaseBackoff,
-				MaxBackoff:  DefaultMaxBackoff,
-			},
-			EvictAfter: DefaultEvictAfter,
-		},
+		knobs:           fanout.DefaultKnobs(),
 	}
-	s.eng = fanout.NewEngine(&s.knobs, fanout.Stack[*Subscription, topicEvent]{
+	s.eng = fanout.NewEngine(&s.knobs, fanout.Stack[*Subscription, core.Event]{
 		Name:     "wse",
 		Counters: wseDelivery,
 		ID:       func(sub *Subscription) string { return sub.ID },
 		Match:    matches,
 		Annotate: func(sub *Subscription, sp *obs.Span) { sp.SetAttr("mode", sub.Mode) },
 		Evict: func(sub *Subscription, cause error) bool {
-			return s.cancel(s.endClient(), sub, StatusDeliveryFailure, cause.Error())
+			return s.cancel(s.deliveryClient(), sub, StatusDeliveryFailure, cause.Error())
 		},
 		LoadHealth: func(id string) SubscriptionHealth {
 			h, _ := s.Store.GetHealth(id)
@@ -330,7 +315,7 @@ func (s *Source) PublishContext(ctx context.Context, topic string, message *xmlu
 	ctx, pspan := obs.StartSpan(ctx, "wse.publish")
 	pspan.SetAttr("topic", topic)
 	defer pspan.End()
-	e := topicEvent{Topic: topic, Message: message}
+	e := core.Event{Topic: topic, Message: message}
 	matched := s.eng.Match(s.live(), e)
 	if len(matched) == 0 {
 		return 0, nil
@@ -339,20 +324,11 @@ func (s *Source) PublishContext(ctx context.Context, topic string, message *xmlu
 	// Both channels serialize fresh envelopes per delivery from shared
 	// bodies: soap.Envelope shares the body tree at marshal time, so one
 	// tree serves every subscriber and the old clone-per-subscriber is
-	// avoided. Push delivery is always pooled — the persistent connections are
-	// the stack's paper-era behavior — and rides ForDelivery so dials
-	// versus reuses show up in the shared delivery metrics.
-	httpClient := s.HTTP.ForDelivery(container.DeliveryPooled).WithTimeout(s.DeliveryTimeout)
+	// avoided.
+	httpClient := s.deliveryClient()
 	return s.eng.Deliver(ctx, matched, func(ctx context.Context, sub *Subscription) error {
 		return s.deliverOnce(ctx, httpClient, sub, e)
 	})
-}
-
-// topicEvent is the (topic, payload) pair a subscription's filter is
-// matched against.
-type topicEvent struct {
-	Topic   string
-	Message *xmlutil.Element
 }
 
 // live returns the unexpired subscriptions, in id order.
@@ -369,7 +345,7 @@ func (s *Source) live() []*Subscription {
 }
 
 // matches applies sub's filter to one event.
-func matches(sub *Subscription, e topicEvent) (bool, error) {
+func matches(sub *Subscription, e core.Event) (bool, error) {
 	f := sub.Filter
 	if f.IsZero() {
 		return true, nil
@@ -386,7 +362,7 @@ func matches(sub *Subscription, e topicEvent) (bool, error) {
 
 // eventEnvelope frames one event for the TCP channel: the payload as
 // the body, topic and action as header blocks.
-func eventEnvelope(e topicEvent) *soap.Envelope {
+func eventEnvelope(e core.Event) *soap.Envelope {
 	env := soap.New(e.Message)
 	env.AddHeader(
 		xmlutil.NewText(NS, "Topic", e.Topic),
@@ -395,7 +371,7 @@ func eventEnvelope(e topicEvent) *soap.Envelope {
 	return env
 }
 
-func (s *Source) deliverOnce(ctx context.Context, client *container.Client, sub *Subscription, e topicEvent) error {
+func (s *Source) deliverOnce(ctx context.Context, client *container.Client, sub *Subscription, e core.Event) error {
 	switch sub.Mode {
 	case DeliveryModeTCP:
 		// The frame write is bounded by the channel's write deadline;
@@ -446,11 +422,15 @@ func (s *Source) noteEndNoticeError(error) {
 	wseEndNoticeErrorsTotal.Inc()
 }
 
-// endClient bounds end-notice deliveries with the per-delivery
-// timeout: an EndTo endpoint is just another consumer and may be as
+// deliveryClient is the client push events and end notices ride. Push
+// delivery is always pooled — the persistent connections are the
+// stack's paper-era behavior — and rides ForDelivery, so dials versus
+// reuses show up in the shared delivery metrics and the unsigned
+// acknowledgements are not verified. DeliveryTimeout bounds each
+// exchange: an EndTo endpoint is just another consumer and may be as
 // dead as the subscription being ended.
-func (s *Source) endClient() *container.Client {
-	return s.HTTP.WithTimeout(s.DeliveryTimeout)
+func (s *Source) deliveryClient() *container.Client {
+	return s.HTTP.ForDelivery(container.DeliveryPooled).WithTimeout(s.DeliveryTimeout)
 }
 
 // Shutdown cancels every live subscription with SourceShuttingDown.
@@ -459,7 +439,7 @@ func (s *Source) endClient() *container.Client {
 // most one timeout instead of stalling it forever.
 func (s *Source) Shutdown() {
 	subs := s.Store.All()
-	client := s.endClient()
+	client := s.deliveryClient()
 	fanout.Do(len(subs), s.Workers, func(i int) {
 		s.cancel(client, subs[i], StatusSourceShuttingDown, "event source shutting down")
 	})
@@ -591,7 +571,7 @@ func Unsubscribe(c *container.Client, manager wsa.EPR) error {
 // buffer (or drain) accordingly and can watch Dropped for loss.
 type HTTPSink struct {
 	C    *container.Container
-	Ch   chan Event
+	Ch   chan core.Event
 	Ends chan string // SubscriptionEnd status URIs
 	// Dropped counts events (and end notices) discarded because their
 	// channel was full.
@@ -602,14 +582,14 @@ type HTTPSink struct {
 func NewHTTPSink(buffer int) (*HTTPSink, error) {
 	s := &HTTPSink{
 		C:    container.New(container.SecurityNone),
-		Ch:   make(chan Event, buffer),
+		Ch:   make(chan core.Event, buffer),
 		Ends: make(chan string, 4),
 	}
 	s.C.Register(&container.Service{
 		Path: "/sink",
 		Actions: map[string]container.ActionFunc{
 			ActionEvent: func(ctx *container.Ctx) (*xmlutil.Element, error) {
-				ev := Event{Message: ctx.Envelope.Body}
+				ev := core.Event{Message: ctx.Envelope.Body}
 				if h := ctx.Envelope.Header(NS, "Topic"); h != nil {
 					ev.Topic = h.TrimText()
 				}

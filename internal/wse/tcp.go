@@ -12,9 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"altstacks/internal/core"
 	"altstacks/internal/obs"
 	"altstacks/internal/soap"
-	"altstacks/internal/xmlutil"
 )
 
 // Frame format for the raw-TCP delivery channel: a 4-byte big-endian
@@ -27,19 +27,13 @@ import (
 // container's request cap).
 const maxFrame = 16 << 20
 
-// Event is one delivered notification.
-type Event struct {
-	Topic   string
-	Message *xmlutil.Element
-}
-
 // TCPSink is the consumer-side SoapReceiver: it accepts connections
-// and surfaces each framed envelope as an Event on Ch. Like HTTPSink,
+// and surfaces each framed envelope as a core.Event on Ch. Like HTTPSink,
 // overflow is drop-with-count: a full Ch discards the event and bumps
 // Dropped rather than blocking the wire.
 type TCPSink struct {
 	ln net.Listener
-	Ch chan Event
+	Ch chan core.Event
 	// Dropped counts events discarded because Ch was full.
 	Dropped atomic.Int64
 
@@ -54,7 +48,7 @@ func NewTCPSink(buffer int) (*TCPSink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wse: sink listen: %w", err)
 	}
-	s := &TCPSink{ln: ln, Ch: make(chan Event, buffer), conns: map[net.Conn]bool{}}
+	s := &TCPSink{ln: ln, Ch: make(chan core.Event, buffer), conns: map[net.Conn]bool{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -118,7 +112,7 @@ func (s *TCPSink) readLoop(conn net.Conn) {
 		if err != nil {
 			continue // skip malformed frames, keep the connection
 		}
-		ev := Event{}
+		ev := core.Event{}
 		if h := env.Header(NS, "Topic"); h != nil {
 			ev.Topic = h.TrimText()
 		}

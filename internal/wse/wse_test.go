@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"altstacks/internal/container"
+	"altstacks/internal/core"
+	"altstacks/internal/netlat"
 	"altstacks/internal/wsa"
 	"altstacks/internal/xmlutil"
 )
@@ -41,14 +43,14 @@ func httpSink(t *testing.T) *HTTPSink {
 	return s
 }
 
-func recvEvent(t *testing.T, ch chan Event) Event {
+func recvEvent(t *testing.T, ch <-chan core.Event) core.Event {
 	t.Helper()
 	select {
 	case e := <-ch:
 		return e
 	case <-time.After(2 * time.Second):
 		t.Fatal("no event arrived")
-		return Event{}
+		return core.Event{}
 	}
 }
 
@@ -256,23 +258,48 @@ func TestDeliveryFailureSendsSubscriptionEnd(t *testing.T) {
 	}
 }
 
+// TestShutdownSendsSourceShuttingDown: each EndTo receives one
+// SubscriptionEnd, and a delivered notice is not counted lost, also
+// from a source that signs, as a producer under X.509 does: the sink's
+// acknowledgement is unsigned, and end notices, like events, do not
+// verify it.
 func TestShutdownSendsSourceShuttingDown(t *testing.T) {
-	src, client, source := startSource(t, "")
-	sink := httpSink(t)
-	if _, err := Subscribe(client, source, SubscribeOptions{
-		NotifyTo: sink.EPR(),
-		EndTo:    sink.EPR(),
-	}); err != nil {
+	fix, err := core.NewFixture(container.SecuritySign, netlat.CoLocated)
+	if err != nil {
 		t.Fatal(err)
 	}
-	src.Shutdown()
-	select {
-	case status := <-sink.Ends:
-		if status != StatusSourceShuttingDown {
-			t.Fatalf("status = %q", status)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no SubscriptionEnd on shutdown")
+	for _, tc := range []struct {
+		name    string
+		deliver *container.Client // nil keeps startSource's unsigned client
+	}{
+		{"unsigned", nil},
+		{"signed", fix.NewNotifyClient()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, client, source := startSource(t, "")
+			if tc.deliver != nil {
+				src.HTTP = tc.deliver
+			}
+			sink := httpSink(t)
+			if _, err := Subscribe(client, source, SubscribeOptions{
+				NotifyTo: sink.EPR(),
+				EndTo:    sink.EPR(),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			src.Shutdown()
+			select {
+			case status := <-sink.Ends:
+				if status != StatusSourceShuttingDown {
+					t.Fatalf("status = %q", status)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("no SubscriptionEnd on shutdown")
+			}
+			if n := src.DeliveryStats().EndNoticeErrors; n != 0 {
+				t.Fatalf("EndNoticeErrors = %d for a delivered notice, want 0", n)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"altstacks/internal/container"
 	"altstacks/internal/fanout"
 	"altstacks/internal/obs"
-	"altstacks/internal/retry"
 	"altstacks/internal/soap"
 	"altstacks/internal/wsa"
 	"altstacks/internal/wsrf"
@@ -30,14 +29,6 @@ const (
 	ActionPause             = NSNT + "/PauseSubscription"
 	ActionResume            = NSNT + "/ResumeSubscription"
 	ActionGetCurrentMessage = NSNT + "/GetCurrentMessage"
-)
-
-// Default delivery-robustness knobs, applied by NewProducer.
-const (
-	DefaultMaxAttempts = 3
-	DefaultBaseBackoff = 25 * time.Millisecond
-	DefaultMaxBackoff  = 500 * time.Millisecond
-	DefaultEvictAfter  = 3
 )
 
 // Subscription is the decoded state of one subscription resource.
@@ -59,6 +50,17 @@ type Subscription struct {
 	// of §3.1).
 	UseRaw bool
 	Paused bool
+	// Termination is the subscription resource's scheduled termination
+	// time (InitialTerminationTime, then SetTerminationTime); zero means
+	// none. It is resource lifetime, kept by the Home, not encoded state.
+	Termination time.Time
+}
+
+// Expired reports whether the subscription's termination time has
+// passed at now. An expired subscription receives nothing, whether or
+// not a lifetime sweeper has destroyed it yet.
+func (s *Subscription) Expired(now time.Time) bool {
+	return !s.Termination.IsZero() && s.Termination.Before(now)
 }
 
 func (s *Subscription) encode() *xmlutil.Element {
@@ -78,7 +80,7 @@ func (s *Subscription) encode() *xmlutil.Element {
 }
 
 func decodeSubscription(r *wsrf.Resource) (*Subscription, error) {
-	s := &Subscription{ID: r.ID}
+	s := &Subscription{ID: r.ID, Termination: r.Termination}
 	consEl := r.State.Child(NSNT, "ConsumerReference")
 	if consEl == nil {
 		return nil, fmt.Errorf("wsn: subscription %s has no consumer reference", r.ID)
@@ -170,14 +172,7 @@ func NewProducer(db *xmldb.DB, collection string, managerEndpoint func() string,
 		// pooled fast path and the paper-faithful per-message behavior
 		// (one-shot consumer HTTP servers, §4.1.3) without rewiring.
 		Deliver: deliver,
-		knobs: knobs{
-			Retry: retry.Policy{
-				MaxAttempts: DefaultMaxAttempts,
-				BaseBackoff: DefaultBaseBackoff,
-				MaxBackoff:  DefaultMaxBackoff,
-			},
-			EvictAfter: DefaultEvictAfter,
-		},
+		knobs:   fanout.DefaultKnobs(),
 	}
 	p.eng = fanout.NewEngine(&p.knobs, fanout.Stack[*Subscription, topicMessage]{
 		Name:        "wsn",
@@ -238,6 +233,14 @@ func (p *Producer) getCurrentMessage(ctx *container.Ctx) (*xmlutil.Element, erro
 func (p *Producer) ManagerService(path string) *container.Service {
 	svc := &container.Service{Path: path}
 	wsrf.Aggregate(svc, managerPT{p}, rl.NewPortType(p.Subs))
+	// A new termination time changes which subscriptions are live, so it
+	// invalidates the subscription cache like any other change.
+	setTermination := svc.Actions[rl.ActionSetTerminationTime]
+	svc.Actions[rl.ActionSetTerminationTime] = func(ctx *container.Ctx) (*xmlutil.Element, error) {
+		resp, err := setTermination(ctx)
+		p.changed()
+		return resp, err
+	}
 	return svc
 }
 
@@ -393,8 +396,9 @@ func (p *Producer) HasActiveSubscriber(topic string) bool {
 	if err != nil {
 		return false
 	}
+	now := time.Now()
 	for _, s := range subs {
-		if s.Paused {
+		if s.Paused || s.Expired(now) {
 			continue
 		}
 		if ok, _ := s.Topic.Matches(topic); ok {
@@ -406,13 +410,13 @@ func (p *Producer) HasActiveSubscriber(topic string) bool {
 
 // Notify delivers a message on a topic to every matching subscriber
 // and returns how many deliveries were made. Matching applies, in
-// order, the paused flag, the topic filter, the message-content
-// filter, and the producer-properties filter (paper §2.1 lists all
-// three filter kinds). A filter whose evaluation errors no longer
-// silently drops the subscriber from the fan-out: it is counted as a
-// delivery fault against that subscription (FilterErrors in the
-// stats), feeding the same health ledger — and eviction threshold —
-// as failed deliveries.
+// order, the paused flag and the termination time, the topic filter,
+// the message-content filter, and the producer-properties filter
+// (paper §2.1 lists all three filter kinds). A filter whose evaluation
+// errors no longer silently drops the subscriber from the fan-out: it
+// is counted as a delivery fault against that subscription
+// (FilterErrors in the stats), feeding the same health ledger — and
+// eviction threshold — as failed deliveries.
 // Matching runs up front on the caller's goroutine (filters touch
 // shared producer state and are cheap); the matched deliveries then
 // fan out over a bounded worker pool, since each one is an independent
@@ -449,7 +453,7 @@ func (p *Producer) NotifyContext(ctx context.Context, topic string, message *xml
 	if err != nil {
 		return 0, err
 	}
-	matched := p.eng.Match(subs, topicMessage{Topic: topic, Message: message})
+	matched := p.eng.Match(subs, topicMessage{Topic: topic, Message: message, Now: time.Now()})
 	if len(matched) == 0 {
 		return 0, nil
 	}
@@ -481,10 +485,12 @@ func (p *Producer) NotifyContext(ctx context.Context, topic string, message *xml
 }
 
 // topicMessage is the (topic, payload) pair a subscription's filters
-// are matched against.
+// are matched against, with the publish's clock reading, which every
+// subscription's termination time is checked against.
 type topicMessage struct {
 	Topic   string
 	Message *xmlutil.Element
+	Now     time.Time
 }
 
 // buildNotify wraps a message as a wsnt:Notify body with one
@@ -540,7 +546,7 @@ func (p *Producer) loadCurrentMessage(topic string) *xmlutil.Element {
 }
 
 func (p *Producer) matches(sub *Subscription, m topicMessage) (bool, error) {
-	if sub.Paused {
+	if sub.Paused || sub.Expired(m.Now) {
 		return false, nil
 	}
 	if sub.Topic.Expr != "" {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"altstacks/internal/container"
+	"altstacks/internal/core"
 	"altstacks/internal/wsa"
 	"altstacks/internal/wsrf/rl"
 	"altstacks/internal/xmldb"
@@ -47,14 +48,14 @@ func newConsumer(t *testing.T) *Consumer {
 	return cons
 }
 
-func recv(t *testing.T, cons *Consumer) Notification {
+func recv(t *testing.T, cons *Consumer) core.Event {
 	t.Helper()
 	select {
 	case n := <-cons.Ch:
 		return n
 	case <-time.After(2 * time.Second):
 		t.Fatal("no notification arrived")
-		return Notification{}
+		return core.Event{}
 	}
 }
 
@@ -112,7 +113,7 @@ func TestSubscribeAndNotify(t *testing.T) {
 		t.Fatalf("delivered = %d, want 1", n)
 	}
 	got := recv(t, cons)
-	if got.Topic != "jobs/exited" || got.Raw {
+	if got.Topic != "jobs/exited" {
 		t.Fatalf("notification = %+v", got)
 	}
 	if got.Message.ChildText(nsJob, "ExitCode") != "0" {
@@ -195,11 +196,12 @@ func TestRawDelivery(t *testing.T) {
 	if n, _ := p.Notify("jobs/exited", jobExited(3)); n != 1 {
 		t.Fatal("raw delivery failed")
 	}
+	// A raw delivery is the bare payload, with no topic.
 	got := recv(t, cons)
-	if !got.Raw || got.Topic != "" {
+	if got.Topic != "" {
 		t.Fatalf("notification = %+v", got)
 	}
-	if got.Message.Name.Local != "JobExited" {
+	if got.Message.Name.Local != "JobExited" || got.Message.ChildText(nsJob, "ExitCode") != "3" {
 		t.Fatalf("payload = %s", got.Message)
 	}
 }
@@ -219,7 +221,7 @@ func TestConsumerAcceptsMultiMessageNotify(t *testing.T) {
 	}
 	for i, topic := range []string{"job/exited", "job/started"} {
 		got := recv(t, cons)
-		if got.Raw || got.Topic != topic || got.Message.ChildText(nsJob, "ExitCode") != itoa(i) {
+		if got.Topic != topic || got.Message.ChildText(nsJob, "ExitCode") != itoa(i) {
 			t.Fatalf("notification %d = %+v, want topic %q code %d", i, got, topic, i)
 		}
 	}
@@ -285,6 +287,46 @@ func TestInitialTerminationTimeExpiry(t *testing.T) {
 	if n, _ := p.Notify("t", jobExited(0)); n != 0 {
 		t.Fatal("expired subscription received a message")
 	}
+}
+
+// TestExpiredSubscriptionSkippedWithoutSweeper: no deployment runs a
+// lifetime sweeper over a producer's subscriptions, so Notify itself
+// honors termination times. A subscription whose termination has passed
+// receives nothing and is no demand; one cut short by SetTerminationTime
+// after Notify has cached the subscription set stops receiving too.
+func TestExpiredSubscriptionSkippedWithoutSweeper(t *testing.T) {
+	p, client, producerEPR := startProducer(t, nil)
+	cons := newConsumer(t)
+	if _, err := Subscribe(client, producerEPR, cons.EPR(), SubscribeOptions{
+		Topic:              Concrete("t"),
+		InitialTermination: time.Now().Add(-time.Second),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.Notify("t", jobExited(0)); n != 0 || err != nil {
+		t.Fatalf("Notify = %d, %v; an expired subscription must receive nothing", n, err)
+	}
+	if p.HasActiveSubscriber("t") {
+		t.Fatal("an expired subscription counts as demand")
+	}
+	expectNone(t, cons)
+
+	subEPR, err := Subscribe(client, producerEPR, cons.EPR(), SubscribeOptions{Topic: Concrete("t")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := p.Notify("t", jobExited(1)); n != 1 {
+		t.Fatal("live subscription missed the message")
+	}
+	recv(t, cons)
+	rlc := rl.Client{C: client}
+	if err := rlc.SetTerminationTime(subEPR, time.Now().Add(-time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := p.Notify("t", jobExited(2)); n != 0 {
+		t.Fatal("a subscription terminated by SetTerminationTime still received")
+	}
+	expectNone(t, cons)
 }
 
 func TestSubscribeBadFilterFaults(t *testing.T) {

@@ -1,35 +1,42 @@
 package wsn
 
 import (
+	"sync/atomic"
+
 	"altstacks/internal/container"
+	"altstacks/internal/core"
+	"altstacks/internal/obs"
 	"altstacks/internal/wsa"
 	"altstacks/internal/xmlutil"
 )
 
-// Notification is one message received by a consumer.
-type Notification struct {
-	// Topic is the published topic path ("" for raw deliveries).
-	Topic string
-	// Message is the notification payload.
-	Message *xmlutil.Element
-	// Raw marks an unwrapped delivery.
-	Raw bool
-}
+// wsnConsumerDroppedTotal mirrors Consumer.Dropped across every
+// consumer, as ogsa_wse_sink_dropped_total does for the wse sinks.
+var wsnConsumerDroppedTotal = obs.NewCounter("ogsa_wsn_consumer_dropped_total", "",
+	"notifications dropped by saturated consumers")
 
 // Consumer is the client-side notification endpoint — the "custom
 // HTTP server that clients include" in WSRF.NET (paper §4.1.3). It
-// runs its own minimal container and hands received notifications to
-// a channel.
+// runs its own minimal container and hands each received notification
+// to Ch as a core.Event; a raw delivery is the bare payload with an
+// empty Topic.
+//
+// Overflow is drop-with-count, as on the wse sinks: when Ch is full the
+// notification is discarded, Dropped is incremented, and the delivery
+// is still acknowledged, so a blocked consumer never wedges the
+// producer's fan-out.
 type Consumer struct {
 	C  *container.Container
-	Ch chan Notification
+	Ch chan core.Event
+	// Dropped counts notifications discarded because Ch was full.
+	Dropped atomic.Int64
 }
 
 // NewConsumer starts a consumer endpoint on a fresh loopback port.
 func NewConsumer(buffer int) (*Consumer, error) {
 	cons := &Consumer{
 		C:  container.New(container.SecurityNone),
-		Ch: make(chan Notification, buffer),
+		Ch: make(chan core.Event, buffer),
 	}
 	cons.C.Register(&container.Service{
 		Path:    "/consumer",
@@ -56,23 +63,23 @@ func (c *Consumer) onNotify(ctx *container.Ctx) (*xmlutil.Element, error) {
 	}
 	if body.Name.Space == NSNT && body.Name.Local == "Notify" {
 		for _, nm := range body.ChildrenNamed(NSNT, "NotificationMessage") {
-			n := Notification{Topic: nm.ChildText(NSNT, "Topic")}
+			n := core.Event{Topic: nm.ChildText(NSNT, "Topic")}
 			if msg := nm.Child(NSNT, "Message"); msg != nil && len(msg.Children) > 0 {
 				n.Message = msg.Children[0].Clone()
 			}
 			c.push(n)
 		}
 	} else {
-		c.push(Notification{Message: body.Clone(), Raw: true})
+		c.push(core.Event{Message: body.Clone()})
 	}
 	return xmlutil.New(NSNT, "NotifyResponse"), nil
 }
 
-func (c *Consumer) push(n Notification) {
+func (c *Consumer) push(n core.Event) {
 	select {
 	case c.Ch <- n:
 	default:
-		// Drop on overflow: notification delivery is best-effort and a
-		// blocked consumer must not wedge the producer's dispatch loop.
+		c.Dropped.Add(1)
+		wsnConsumerDroppedTotal.Inc()
 	}
 }

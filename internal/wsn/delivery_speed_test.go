@@ -1,14 +1,16 @@
 package wsn
 
 // Tests for the delivery-speed work: connection pooling on the notify
-// path, and the wire compatibility of the Notify body with the
-// historical single-message format.
+// path, and the Notify body on the wire, pinned by a golden file.
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"sync/atomic"
 	"testing"
 
@@ -75,29 +77,44 @@ func TestDeliveryModeConnections(t *testing.T) {
 	}
 }
 
-// TestBatchOfOneWireIdentical is the differential test for the Notify
-// body: buildNotify must serialize byte-for-byte identically to the
-// historical single-message construction, so consumers see the same
-// wire format.
-func TestBatchOfOneWireIdentical(t *testing.T) {
-	msg := jobExited(7)
-	built := buildNotify("job/exited", msg)
-	// The historical construction, verbatim.
-	legacy := xmlutil.New(NSNT, "Notify").Add(
-		xmlutil.New(NSNT, "NotificationMessage").Add(
-			xmlutil.NewText(NSNT, "Topic", "job/exited").SetAttr("", "Dialect", DialectConcrete),
-			xmlutil.New(NSNT, "Message").Add(msg),
-		),
-	)
-	if !bytes.Equal(built.Marshal(), legacy.Marshal()) {
-		t.Fatalf("Notify body diverged from single-message body:\n%s\nvs\n%s",
-			built.Marshal(), legacy.Marshal())
+// TestGoldenNotifyBody captures the SOAP body of the HTTP POST a
+// consumer receives for one wrapped notification and compares it, with
+// the consumer's port and the fresh MessageID masked, against
+// testdata/notify-body.xml.
+func TestGoldenNotifyBody(t *testing.T) {
+	ack := soap.New(xmlutil.New(NSNT, "NotifyResponse")).Marshal()
+	bodies := make(chan []byte, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		select {
+		case bodies <- body:
+		default:
+		}
+		w.Header().Set("Content-Type", "text/xml; charset=utf-8")
+		w.Write(ack)
+	}))
+	t.Cleanup(srv.Close)
+
+	p, client, producerEPR := startProducer(t, nil)
+	const topic = "jobs/7/done"
+	if _, err := Subscribe(client, producerEPR, wsa.NewEPR(srv.URL+"/consumer"),
+		SubscribeOptions{Topic: Concrete(topic)}); err != nil {
+		t.Fatal(err)
 	}
-	// And through full envelope serialization (the bytes on the wire).
-	var a, b bytes.Buffer
-	soap.New(built).MarshalTo(&a)
-	soap.New(legacy).MarshalTo(&b)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("Notify envelope diverged:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
+	// A payload whose text needs escaping.
+	msg := xmlutil.New(nsJob, "JobDone").Add(xmlutil.NewText(nsJob, "Code", "1 < 2 & \"quoted\""))
+	if n, err := p.Notify(topic, msg); n != 1 || err != nil {
+		t.Fatalf("notify = %d, %v", n, err)
+	}
+	body := <-bodies
+	body = bytes.ReplaceAll(body, []byte(srv.Listener.Addr().String()), []byte("127.0.0.1:PORT"))
+	body = regexp.MustCompile(`<wsa:MessageID>[^<]*</wsa:MessageID>`).
+		ReplaceAll(body, []byte("<wsa:MessageID>MASKED</wsa:MessageID>"))
+	want, err := os.ReadFile("testdata/notify-body.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("notify-body.xml changed\n got: %q\nwant: %q", body, want)
 	}
 }

@@ -105,3 +105,38 @@ func TestDeliveryCountersMirrorStats(t *testing.T) {
 		}
 	}
 }
+
+// TestConsumerOverflowDropsWithCount: a full consumer still
+// acknowledges each delivery, so the producer sees no failure and
+// starts no retry, and every notification it discards is counted in
+// Dropped and in ogsa_wsn_consumer_dropped_total, as on the wse sinks.
+func TestConsumerOverflowDropsWithCount(t *testing.T) {
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	p, client, producer := startProducer(t, nil)
+	cons, err := NewConsumer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cons.Close)
+	if _, err := Subscribe(client, producer, cons.EPR(), SubscribeOptions{Topic: Concrete("t")}); err != nil {
+		t.Fatal(err)
+	}
+
+	before := obs.Values()["ogsa_wsn_consumer_dropped_total"]
+	// Nothing drains Ch, so only the first notification fits.
+	for i := 0; i < 3; i++ {
+		if n, err := p.Notify("t", jobExited(i)); n != 1 || err != nil {
+			t.Fatalf("Notify %d = %d, %v; a full consumer must still acknowledge", i, n, err)
+		}
+	}
+	if d := cons.Dropped.Load(); d != 2 {
+		t.Fatalf("consumer dropped %d notifications, want 2", d)
+	}
+	if d := obs.Values()["ogsa_wsn_consumer_dropped_total"] - before; d != 2 {
+		t.Fatalf("ogsa_wsn_consumer_dropped_total moved %d, want 2", d)
+	}
+	if got := recv(t, cons); got.Message.ChildText(nsJob, "ExitCode") != "0" {
+		t.Fatalf("kept %s, want the first notification", got.Message)
+	}
+}

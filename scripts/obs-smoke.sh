@@ -79,6 +79,7 @@ ogsa_wsn_evictions_total
 ogsa_wsn_state_write_errors_total
 ogsa_wsn_broker_control_calls_total
 ogsa_wsn_broker_control_errors_total
+ogsa_wsn_consumer_dropped_total
 ogsa_wse_deliveries_total
 ogsa_wse_delivery_failures_total
 ogsa_wse_sink_dropped_total
