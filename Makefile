@@ -106,13 +106,17 @@ soak-smoke:
 # panic on adversarial bytes: the hand-rolled XML parser, a peer's
 # metrics snapshot through decode, merge, render, and quantiles, a
 # peer's HTTP reply through the container's client transport (which
-# must also never pool a connection after an incomplete reply), and a
-# subscriber's WS-Topics expression (whose Full-dialect matches must
-# also agree with the reference matcher).
+# must also never pool a connection after an incomplete reply), a
+# client's request bytes through the container's server (one reply per
+# complete request, as net/http's request reader counts them, and no
+# read past the head cap or the body bound), and a subscriber's
+# WS-Topics expression (whose Full-dialect matches must also agree with
+# the reference matcher).
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s ./internal/xmlutil/
 	$(GO) test -run NONE -fuzz FuzzDecodeSnapshot -fuzztime 10s ./internal/obs/
 	$(GO) test -run NONE -fuzz FuzzTransportResponse -fuzztime 10s ./internal/container/
+	$(GO) test -run NONE -fuzz FuzzServeConn -fuzztime 10s ./internal/container/
 	$(GO) test -run NONE -fuzz FuzzTopicMatch -fuzztime 10s ./internal/wsn/
 
 # End-to-end check of the observability surface: counterd -admin and a

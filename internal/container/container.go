@@ -7,7 +7,10 @@
 // security handler (which signs it when message-level security is on).
 //
 // The paper built this on ASP.NET/IIS with WSE; here the same
-// architecture sits on net/http. Lifetime management and the
+// architecture sits on the container's own HTTP/1.1 server and client
+// (server.go, transport.go): one goroutine per inbound connection
+// serves its requests in turn, and the calling goroutine runs each
+// outbound exchange. Lifetime management and the
 // notification/eventing producer are "independent activities within
 // the container" (paper §3) and live in the wsrf/rl, wsn, and wse
 // packages, which register themselves as services and background
@@ -21,12 +24,10 @@ import (
 	"crypto/x509"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"altstacks/internal/obs"
 	"altstacks/internal/soap"
@@ -79,10 +80,13 @@ func (m SecurityMode) String() string {
 
 // Ctx carries one request through a service action.
 type Ctx struct {
-	// Context is the request's context: it is canceled when the client
-	// disconnects or the container shuts down, and handlers must thread
-	// it into any delivery work they trigger (notifications, retries)
-	// so that work stays bounded by the request that caused it.
+	// Context is the request's context: it is canceled when the
+	// container closes, and handlers must thread it into any delivery
+	// work they trigger (notifications, retries) so that work stays
+	// bounded by the container that runs it. A client that hangs up
+	// mid-request does not cancel it: no reader watches the socket while
+	// the handler runs, so the hang-up is noticed when the reply is
+	// written.
 	Context context.Context
 	// Envelope is the parsed request.
 	Envelope *soap.Envelope
@@ -133,15 +137,16 @@ type Container struct {
 	// concurrent requests never serialize on routing.
 	mu       sync.RWMutex
 	services map[string]*Service
-	server   *http.Server
-	listener net.Listener
+	srv      server
 	baseURL  string
 	closers  []func()
 }
 
 // New returns an empty container in the given security mode.
 func New(mode SecurityMode) *Container {
-	return &Container{Mode: mode, services: map[string]*Service{}}
+	c := &Container{Mode: mode, services: map[string]*Service{}}
+	c.srv.ctx, c.srv.cancel = context.WithCancel(context.Background())
+	return c
 }
 
 // Register adds a service endpoint. It panics on duplicate paths —
@@ -183,17 +188,8 @@ func (c *Container) Start() (string, error) {
 		ln = tls.NewListener(ln, c.TLS)
 		scheme = "https"
 	}
-	c.listener = ln
 	c.baseURL = fmt.Sprintf("%s://%s", scheme, ln.Addr().String())
-	c.server = &http.Server{
-		Handler:           http.HandlerFunc(c.serveHTTP),
-		ReadHeaderTimeout: 10 * time.Second,
-		// Handshake failures from deliberately-untrusting benchmark
-		// clients would otherwise spam stderr.
-		ErrorLog: log.New(io.Discard, "", 0),
-	}
-	//lint:ignore ogsalint/soapfault Serve returns only when the listener fails or Close runs (http.ErrServerClosed); clients see either as a refused connection
-	go c.server.Serve(ln)
+	c.serve(ln)
 	return c.baseURL, nil
 }
 
@@ -203,11 +199,11 @@ func (c *Container) BaseURL() string { return c.baseURL }
 // EPR returns a bare endpoint reference for a registered service path.
 func (c *Container) EPR(path string) wsa.EPR { return wsa.NewEPR(c.baseURL + path) }
 
-// Close stops the listener and runs shutdown hooks.
+// Close cancels every request's context, closes the listener and every
+// connection, waits for the serving goroutines to return, and runs the
+// shutdown hooks.
 func (c *Container) Close() {
-	if c.server != nil {
-		c.server.Close()
-	}
+	c.srv.close()
 	c.mu.Lock()
 	hooks := c.closers
 	c.closers = nil
@@ -227,8 +223,9 @@ const (
 
 // bodyPool recycles message body buffers for both directions: request
 // reads (soap.Parse copies the bytes it keeps, so the buffer can be
-// reused as soon as the parse returns) and response serialization
-// (net/http copies on Write, so the buffer is free once Write returns).
+// reused as soon as the parse returns) and response serialization (the
+// reply is copied behind its head into a wire buffer, so the body
+// buffer is free once that copy is made).
 var bodyPool = sync.Pool{New: func() any { return new(wireBuf) }}
 
 // wireBuf is a pooled message buffer with the bounded reader that
@@ -245,49 +242,49 @@ func (b *wireBuf) release() {
 }
 
 // readFrom reads r to EOF, keeping at most maxRequestBody bytes.
-func (b *wireBuf) readFrom(r io.Reader) error {
-	b.lim = io.LimitedReader{R: r, N: maxRequestBody}
+func (b *wireBuf) readFrom(r io.Reader) error { return b.readN(r, maxRequestBody) }
+
+// readN reads n bytes from r, or fewer if r ends first.
+func (b *wireBuf) readN(r io.Reader, n int64) error {
+	b.lim = io.LimitedReader{R: r, N: n}
 	_, err := b.ReadFrom(&b.lim)
 	b.lim.R = nil
 	return err
 }
 
-// xmlContentType is the Content-Type of every message, in the form
-// http.Header stores: net/http only reads header values, so every
-// request and response head shares this one slice.
+// xmlContentType is the Content-Type of every request, in the form
+// http.Header stores: the transport only reads header values, so every
+// request head shares this one slice.
 var xmlContentType = []string{"text/xml; charset=utf-8"}
 
-func (c *Container) serveHTTP(w http.ResponseWriter, r *http.Request) {
+// serveHTTP answers one request read off w's connection: its path, its
+// method (POST or not) and its body, which is valid until serveHTTP
+// returns. The reply is written after serveHTTP returns, so the
+// dispatch span does not hold the socket write.
+func (c *Container) serveHTTP(w *srvConn, path []byte, post bool, body []byte) {
 	c.mu.RLock()
-	svc := c.services[r.URL.Path]
+	svc := c.services[string(path)]
 	c.mu.RUnlock()
 	if svc == nil {
-		http.NotFound(w, r)
+		w.reply(http.StatusNotFound, false, notFoundText)
 		return
 	}
-	if r.Method != http.MethodPost {
-		http.Error(w, "SOAP endpoints accept POST only", http.StatusMethodNotAllowed)
+	if !post {
+		w.reply(http.StatusMethodNotAllowed, false, postOnlyText)
 		return
 	}
 	// The dispatch span is the trace root: every downstream stage
 	// (verify, handler, storage, serialize, deliver) parents under the
 	// context minted here.
 	t0 := obs.Start()
-	reqCtx, span := obs.StartSpan(r.Context(), "container.dispatch")
-	span.SetAttr("path", r.URL.Path)
+	reqCtx, span := obs.StartSpan(c.srv.ctx, "container.dispatch")
+	span.SetAttr("path", svc.Path)
 	requestsTotal.Inc()
 	defer func() {
 		obs.StageDispatch.ObserveSinceSpan(t0, span)
 		span.End()
 	}()
-	buf := bodyPool.Get().(*wireBuf)
-	buf.Reset()
-	defer buf.release()
-	if err := buf.readFrom(r.Body); err != nil {
-		http.Error(w, "read error", http.StatusBadRequest)
-		return
-	}
-	env, err := soap.Parse(buf.Bytes())
+	env, err := soap.Parse(body)
 	if err != nil {
 		span.Fail(err)
 		c.writeFault(reqCtx, w, "", faultOf(err))
@@ -367,7 +364,7 @@ func (c *Container) dispatch(reqCtx context.Context, svc *Service, env *soap.Env
 	return resp, nil
 }
 
-func (c *Container) writeFault(ctx context.Context, w http.ResponseWriter, relatesTo string, f *soap.Fault) {
+func (c *Container) writeFault(ctx context.Context, w *srvConn, relatesTo string, f *soap.Fault) {
 	faultsTotal.Inc()
 	env := &soap.Envelope{Fault: f}
 	wsa.StampReply(env, relatesTo, wsa.NS+"/fault")
@@ -385,25 +382,20 @@ func (c *Container) writeFault(ctx context.Context, w http.ResponseWriter, relat
 	c.writeResponse(ctx, w, status, env)
 }
 
-func (c *Container) writeResponse(ctx context.Context, w http.ResponseWriter, status int, env *soap.Envelope) {
+// writeResponse marshals env into a pooled buffer and makes it the
+// reply's body.
+func (c *Container) writeResponse(ctx context.Context, w *srvConn, status int, env *soap.Envelope) {
 	st := obs.Start()
 	sspan := obs.ChildSpan(ctx, "xmlutil.serialize")
 	buf := bodyPool.Get().(*wireBuf)
 	buf.Reset()
 	env.MarshalTo(&buf.Buffer)
 	obs.StageSerialize.ObserveSinceSpan(st, sspan)
-	size := strconv.Itoa(buf.Len())
-	sspan.SetAttr("bytes", size)
+	if sspan != nil {
+		sspan.SetAttr("bytes", strconv.Itoa(buf.Len()))
+	}
 	sspan.End()
-	// Keys already canonical, as Header.Set would make them.
-	h := w.Header()
-	h["Content-Type"] = xmlContentType
-	h["Content-Length"] = []string{size}
-	w.WriteHeader(status)
-	// A failed response write means the client hung up: there is no one
-	// left to fault to, and the ResponseWriter has no ledger.
-	//lint:ignore ogsalint/soapfault client disconnects are benign; no recipient remains for a fault
-	w.Write(buf.Bytes()) //nolint:errcheck // client disconnects are benign
+	w.reply(status, true, buf.Bytes())
 	buf.release()
 }
 

@@ -127,6 +127,65 @@ func captureRequestHead(t *testing.T) (addr string, heads <-chan capturedHead) {
 	return ln.Addr().String(), ch
 }
 
+// echoRequest is a fixed unsigned request envelope for action, whose
+// body says said.
+func echoRequest(action, said string) string {
+	return `<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/" xmlns:wsa="` + wsa.NS + `">` +
+		`<soap:Header><wsa:Action>` + action + `</wsa:Action>` +
+		`<wsa:MessageID>urn:uuid:00000000-0000-4000-8000-000000000001</wsa:MessageID></soap:Header>` +
+		`<soap:Body><e:Echo xmlns:e="urn:echo">` + said + `</e:Echo></soap:Body></soap:Envelope>`
+}
+
+// rawPostText is a POST of req to path with the given extra head lines.
+func rawPostText(path, extra, req string) string {
+	return "POST " + path + " HTTP/1.1\r\nHost: golden\r\n" + extra + "Content-Type: text/xml; charset=utf-8\r\n" +
+		"Content-Length: " + strconv.Itoa(len(req)) + "\r\n\r\n" + req
+}
+
+// TestGoldenPlainReplies pins the replies TestGoldenResponseHeads does
+// not reach, over a raw connection: a 404 for an unknown path and a 405
+// for a GET, head and body, and the head of the reply to a request that
+// asks to close, after which the server closes the connection.
+func TestGoldenPlainReplies(t *testing.T) {
+	c, _ := startPlain(t)
+	req := echoRequest("urn:echo/Echo", "hello")
+	post := func(path, extra string) string { return rawPostText(path, extra, req) }
+	for _, tc := range []struct {
+		golden, request string
+		closes          bool
+	}{
+		{"notfound-reply.txt", post("/missing", ""), false},
+		{"get-reply.txt", "GET /echo HTTP/1.1\r\nHost: golden\r\n\r\n", false},
+		{"close-response-head.txt", post("/echo", "Connection: close\r\n"), true},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			conn, err := net.Dial("tcp", strings.TrimPrefix(c.BaseURL(), "http://"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			io.WriteString(conn, tc.request)
+			br := bufio.NewReader(conn)
+			head, err := readHead(br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := make([]byte, contentLength(head))
+			if _, err := io.ReadFull(br, body); err != nil {
+				t.Fatal(err)
+			}
+			if !tc.closes {
+				checkHead(t, tc.golden, append(head, body...))
+				return
+			}
+			checkHead(t, tc.golden, head)
+			if n, err := br.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("after a Connection: close reply: read %d, %v; want EOF", n, err)
+			}
+		})
+	}
+}
+
 // TestGoldenResponseHeads posts a fixed request over a raw connection
 // and captures the heads writeResponse writes for a reply and a fault.
 func TestGoldenResponseHeads(t *testing.T) {

@@ -51,16 +51,16 @@ type transport struct {
 }
 
 const (
-	// maxReplyHead bounds the bytes read for a reply head, interim 1xx
-	// heads included; the container's server allows request heads the
-	// same.
-	maxReplyHead = http.DefaultMaxHeaderBytes
+	// maxHead bounds an HTTP head in either direction: the bytes the
+	// transport reads for a reply head, interim 1xx heads included, and
+	// the bytes the server reads for a request head.
+	maxHead = http.DefaultMaxHeaderBytes
 	// idleConnTimeout closes a connection left idle this long.
 	idleConnTimeout = 90 * time.Second
 )
 
 var (
-	errReplyHeadTooLarge = fmt.Errorf("reply head exceeds %d bytes", maxReplyHead)
+	errReplyHeadTooLarge = fmt.Errorf("reply head exceeds %d bytes", maxHead)
 	errBodyClosed        = errors.New("read on closed reply body")
 	// aLongTimeAgo is the deadline that interrupts a blocked read or
 	// write when an exchange's context is cancelled.
@@ -221,7 +221,7 @@ func (pc *conn) exchange(req *http.Request, wire []byte) (*http.Response, error)
 	if _, err := pc.nc.Write(wire); err != nil {
 		return nil, err
 	}
-	pc.headLeft = maxReplyHead
+	pc.headLeft = maxHead
 	for {
 		resp, err := http.ReadResponse(pc.br, req)
 		if err != nil {
@@ -576,8 +576,8 @@ func appendField(b []byte, k, v string) []byte {
 func textTrim(s string) string { return strings.Trim(s, " \t") }
 
 // validFieldName reports whether k is an HTTP token.
-func validFieldName(k string) bool {
-	if k == "" {
+func validFieldName[S string | []byte](k S) bool {
+	if len(k) == 0 {
 		return false
 	}
 	for i := 0; i < len(k); i++ {
@@ -591,7 +591,7 @@ func validFieldName(k string) bool {
 }
 
 // validFieldValue reports whether v holds no control byte but a tab.
-func validFieldValue(v string) bool {
+func validFieldValue[S string | []byte](v S) bool {
 	for i := 0; i < len(v); i++ {
 		if c := v[i]; c < ' ' && c != '\t' || c == 0x7f {
 			return false

@@ -387,7 +387,7 @@ func TestTransportCancelDuringBodyRead(t *testing.T) {
 }
 
 // TestTransportEndlessReplyHead: a peer streaming a head that never
-// ends fails the exchange once the head passes maxReplyHead, without
+// ends fails the exchange once the head passes maxHead, without
 // the client's memory growing with what the peer sends.
 func TestTransportEndlessReplyHead(t *testing.T) {
 	lines := []byte(strings.Repeat("X-Pad: "+strings.Repeat("a", 1000)+"\r\n", 64))
@@ -395,7 +395,7 @@ func TestTransportEndlessReplyHead(t *testing.T) {
 		if _, err := io.WriteString(w, "HTTP/1.1 200 OK\r\n"); err != nil {
 			return false
 		}
-		for sent := 0; sent < 64*maxReplyHead; sent += len(lines) {
+		for sent := 0; sent < 64*maxHead; sent += len(lines) {
 			if _, err := w.Write(lines); err != nil {
 				return false
 			}
@@ -409,8 +409,8 @@ func TestTransportEndlessReplyHead(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), errReplyHeadTooLarge.Error()) {
 		t.Fatalf("endless head = %v, want %q", err, errReplyHeadTooLarge)
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*maxReplyHead {
-		t.Fatalf("endless head allocated %d bytes, want at most %d", grew, 16*maxReplyHead)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*maxHead {
+		t.Fatalf("endless head allocated %d bytes, want at most %d", grew, 16*maxHead)
 	}
 }
 

@@ -55,9 +55,10 @@ func TestCrossProcessTrace(t *testing.T) {
 		t.Fatal("notification never arrived")
 	}
 
-	// The consumer's dispatch span flushes when its serveHTTP returns,
-	// which can trail the producer seeing the delivery response by a
-	// beat — poll until the stitched trace is complete.
+	// The consumer's dispatch span ends when its serveHTTP returns,
+	// before the reply is written, but the stitched trace also waits on
+	// the producer's spans, which end after it reads that reply — poll
+	// until the stitched trace is complete.
 	trace, ok := awaitStitchedTrace(t, 2*time.Second)
 	if !ok {
 		t.Fatalf("no stitched trace with a wsn.deliver span; traces:\n%s", dumpTraces())
