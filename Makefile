@@ -105,19 +105,21 @@ soak-smoke:
 # Short fuzz passes over the network-boundary decoders that must never
 # panic on adversarial bytes: the hand-rolled XML parser, a peer's
 # metrics snapshot through decode, merge, render, and quantiles, a
-# peer's HTTP reply through the container's client transport (which
-# must also never pool a connection after an incomplete reply), a
+# peer's HTTP reply through both entry points of the container's
+# client transport (which must agree, and never pool a connection after
+# an incomplete reply), a
 # client's request bytes through the container's server (one reply per
 # complete request, as net/http's request reader counts them, and no
 # read past the head cap or the body bound), and a subscriber's
 # WS-Topics expression (whose Full-dialect matches must also agree with
-# the reference matcher).
+# the reference matcher). Minimising a new input is bounded at 1s, so
+# the passes spend their 10s finding inputs rather than shrinking them.
 fuzz-smoke:
-	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s ./internal/xmlutil/
-	$(GO) test -run NONE -fuzz FuzzDecodeSnapshot -fuzztime 10s ./internal/obs/
-	$(GO) test -run NONE -fuzz FuzzTransportResponse -fuzztime 10s ./internal/container/
-	$(GO) test -run NONE -fuzz FuzzServeConn -fuzztime 10s ./internal/container/
-	$(GO) test -run NONE -fuzz FuzzTopicMatch -fuzztime 10s ./internal/wsn/
+	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/xmlutil/
+	$(GO) test -run NONE -fuzz FuzzDecodeSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/
+	$(GO) test -run NONE -fuzz FuzzTransportResponse -fuzztime 10s -fuzzminimizetime 1s ./internal/container/
+	$(GO) test -run NONE -fuzz FuzzServeConn -fuzztime 10s -fuzzminimizetime 1s ./internal/container/
+	$(GO) test -run NONE -fuzz FuzzTopicMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/wsn/
 
 # End-to-end check of the observability surface: counterd -admin and a
 # peer-configured gridboxd -admin must come up, `gridctl metrics` must

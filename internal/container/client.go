@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/tls"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptrace"
 	"net/url"
@@ -42,8 +43,9 @@ type Client struct {
 	Verifier *wssec.Verifier
 
 	// traceConns counts each exchange's connection as a delivery dial
-	// or reuse (set by ForDelivery).
-	traceConns bool
+	// or reuse, and closeConns closes it after the exchange (both set by
+	// ForDelivery).
+	traceConns, closeConns bool
 }
 
 // ClientConfig assembles a Client for one experimental scenario.
@@ -229,47 +231,71 @@ func (c *Client) exchange(ctx context.Context, span *obs.Span, epr wsa.EPR, acti
 		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
 		defer cancel()
 	}
-	if c.traceConns {
-		ctx = withDeliveryTrace(ctx)
-	}
-	// The request marshals straight into a pooled buffer; bytes.NewReader
-	// gives the transport a view of it.
+	// The request marshals straight into a pooled buffer.
 	buf := bodyPool.Get().(*wireBuf)
 	buf.Reset()
 	env.MarshalTo(&buf.Buffer)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, epr.Address, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		buf.release()
-		return fmt.Errorf("container: build request: %w", err)
-	}
-	// Keys already canonical, as Header.Set would make them.
-	req.Header["Content-Type"] = xmlContentType
-	req.Header["Soapaction"] = []string{action}
-	req.ContentLength = int64(buf.Len())
-	// SOAP follows no redirects, so the transport is called directly:
-	// http.Client.Do would copy the headers for redirect handling on
-	// every call. The error reads as Do's.
-	rt := hc.Transport
-	if rt == nil {
-		rt = defaultTransport
-	}
-	httpResp, err := rt.RoundTrip(req)
+	status, reply, err := c.send(ctx, hc.Transport, epr.Address, action, buf.Bytes())
 	// The transport and its wrappers run the exchange on this goroutine,
-	// so once RoundTrip returns nothing holds the request bytes.
+	// so once send returns nothing holds the request bytes.
 	buf.release()
 	if err != nil {
-		return fmt.Errorf("container: %s: %w", action, &url.Error{Op: "Post", URL: req.URL.String(), Err: err})
+		return err
 	}
 	resp := bodyPool.Get().(*wireBuf)
 	resp.Reset()
 	defer resp.release()
-	err = resp.readFrom(httpResp.Body)
+	err = resp.readFrom(reply)
 	// Closing before the reply is read hands the connection back first.
-	httpResp.Body.Close()
+	reply.Close()
 	if err != nil {
 		return fmt.Errorf("container: read response: %w", err)
 	}
-	return read(resp.Bytes(), httpResp.StatusCode)
+	return read(resp.Bytes(), status)
+}
+
+// send POSTs env, a SOAP envelope for action, to addr through rt and
+// returns the reply's status and body. The container's own transport
+// takes a plain address straight from the call; a wrapped transport, or
+// an address only url.Parse reads, is handed an http.Request. SOAP
+// follows no redirects, so either way the transport is called directly:
+// http.Client.Do would copy the headers for redirect handling on every
+// call. Errors read as Do's.
+func (c *Client) send(ctx context.Context, rt http.RoundTripper, addr, action string, env []byte) (int, io.ReadCloser, error) {
+	if rt == nil {
+		rt = defaultTransport
+	}
+	if t, ok := rt.(*transport); ok {
+		if dst, ok := parseAddress(addr); ok {
+			status, body, err := t.post(ctx, dst, action, env, c.closeConns, c.traceConns)
+			if err != nil {
+				return 0, nil, postError(action, addr, err)
+			}
+			return status, body, nil
+		}
+	}
+	if c.traceConns {
+		ctx = withDeliveryTrace(ctx)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr, bytes.NewReader(env))
+	if err != nil {
+		return 0, nil, fmt.Errorf("container: build request: %w", err)
+	}
+	// Keys already canonical, as Header.Set would make them.
+	req.Header["Content-Type"] = xmlContentType
+	req.Header["Soapaction"] = []string{action}
+	req.ContentLength = int64(len(env))
+	req.Close = c.closeConns
+	resp, err := rt.RoundTrip(req)
+	if err != nil {
+		return 0, nil, postError(action, req.URL.String(), err)
+	}
+	return resp.StatusCode, resp.Body, nil
+}
+
+// postError is a failed exchange's error, as http.Client.Do words it.
+func postError(action, addr string, err error) error {
+	return fmt.Errorf("container: %s: %w", action, &url.Error{Op: "Post", URL: addr, Err: err})
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -306,17 +332,21 @@ func (m DeliveryMode) String() string {
 	return "pooled"
 }
 
-// deliveryTrace counts connection establishment versus reuse on the
-// delivery path. Attaching the shared trace allocates only the
-// per-request context, keeping per-delivery allocations flat.
+// countDeliveryConn counts a delivery's connection as established or
+// reused.
+func countDeliveryConn(reused bool) {
+	if reused {
+		obs.DeliveryConnsReused.Inc()
+	} else {
+		obs.DeliveryConnsDialed.Inc()
+	}
+}
+
+// deliveryTrace counts a delivery's connection when the exchange goes
+// through a wrapped transport's RoundTrip, which the client reaches only
+// through the request's context.
 var deliveryTrace = &httptrace.ClientTrace{
-	GotConn: func(info httptrace.GotConnInfo) {
-		if info.Reused {
-			obs.DeliveryConnsReused.Inc()
-		} else {
-			obs.DeliveryConnsDialed.Inc()
-		}
-	},
+	GotConn: func(info httptrace.GotConnInfo) { countDeliveryConn(info.Reused) },
 }
 
 // withDeliveryTrace attaches deliveryTrace to ctx. httptrace composes a
@@ -349,17 +379,13 @@ func withDeliveryTrace(ctx context.Context) context.Context {
 // verifies no responses.
 func (c *Client) ForDelivery(mode DeliveryMode) *Client {
 	hc := *c.httpClient()
-	if mode == DeliveryPerMessage {
-		base := hc.Transport
-		if base == nil {
-			base = defaultTransport
-		}
-		hc.Transport = closingTransport{base}
-	}
 	cp := *c
 	cp.HTTP = &hc
 	cp.Verifier = nil
 	cp.traceConns = true
+	if mode == DeliveryPerMessage {
+		cp.closeConns = true
+	}
 	return &cp
 }
 
@@ -376,11 +402,4 @@ func (c *Client) WithTimeout(d time.Duration) *Client {
 	cp := *c
 	cp.HTTP = &hc
 	return &cp
-}
-
-type closingTransport struct{ base http.RoundTripper }
-
-func (t closingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	req.Close = true
-	return t.base.RoundTrip(req)
 }

@@ -64,29 +64,37 @@ func checkHead(t *testing.T, name string, head []byte) {
 
 // TestGoldenRequestHead captures the request head Client writes for an
 // unsigned exchange on a raw listener, which answers with a plain
-// reply, through both entry points: Call and the one-way Deliver.
+// reply, through each entry point: Call, the one-way Deliver, and a
+// per-message Deliver, which asks the peer to close.
 func TestGoldenRequestHead(t *testing.T) {
 	body := xmlutil.NewText("urn:echo", "Echo", "hello")
-	for name, call := range map[string]func(*Client, wsa.EPR) error{
-		"Call": func(c *Client, epr wsa.EPR) error {
+	deliver := func(mode DeliveryMode) func(*Client, wsa.EPR) error {
+		return func(c *Client, epr wsa.EPR) error {
+			return c.ForDelivery(mode).Deliver(context.Background(), epr, "urn:echo/Echo", nil, body)
+		}
+	}
+	for _, tc := range []struct {
+		name, golden string
+		call         func(*Client, wsa.EPR) error
+	}{
+		{"Call", "request-head.txt", func(c *Client, epr wsa.EPR) error {
 			_, err := c.Call(epr, "urn:echo/Echo", body)
 			return err
-		},
-		"Deliver": func(c *Client, epr wsa.EPR) error {
-			return c.ForDelivery(DeliveryPooled).Deliver(context.Background(), epr, "urn:echo/Echo", nil, body)
-		},
+		}},
+		{"Deliver", "request-head.txt", deliver(DeliveryPooled)},
+		{"DeliverPerMessage", "request-head-close.txt", deliver(DeliveryPerMessage)},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			addr, heads := captureRequestHead(t)
 			epr := wsa.NewEPR("http://"+addr+"/consumer").WithProperty("urn:svc", "SubID", "s-42")
-			if err := call(NewClient(ClientConfig{}), epr); err != nil {
+			if err := tc.call(NewClient(ClientConfig{}), epr); err != nil {
 				t.Fatal(err)
 			}
 			got := <-heads
 			if got.err != nil {
 				t.Fatal(got.err)
 			}
-			checkHead(t, "request-head.txt", bytes.ReplaceAll(got.head, []byte(addr), []byte("127.0.0.1:PORT")))
+			checkHead(t, tc.golden, bytes.ReplaceAll(got.head, []byte(addr), []byte("127.0.0.1:PORT")))
 		})
 	}
 }

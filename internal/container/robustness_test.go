@@ -91,8 +91,9 @@ func TestUnknownMustUnderstandHeaderFaults(t *testing.T) {
 }
 
 func TestHandlerPanicSafety(t *testing.T) {
-	// A panicking handler must not take down the server; net/http
-	// recovers per-connection, and subsequent requests succeed.
+	// A panicking handler must not take down the server; serveConn's
+	// deferred recover drops that connection only, and subsequent
+	// requests succeed.
 	c := New(SecurityNone)
 	calls := 0
 	c.Register(&Service{

@@ -273,13 +273,15 @@ func (sc *srvConn) readHead() (reject string, err error) {
 	return reject, sc.nc.SetReadDeadline(time.Time{})
 }
 
-// Head fields the server acts on.
+// Head fields the server or the transport acts on.
 const (
 	fieldOther = iota
 	fieldContentLength
 	fieldTransferEncoding
 	fieldConnection
 	fieldHost
+	fieldContentEncoding
+	fieldTrailer
 )
 
 // headState is what a head's fields say, once read.
@@ -294,7 +296,7 @@ type headState struct {
 // as it is read, and what the fields say once the head has ended.
 func (sc *srvConn) parseHead() (string, error) {
 	sc.left = maxHead
-	line, err := sc.readLine()
+	line, err := readLine(sc.br, &sc.left, errRequestHeadTooLarge)
 	if err != nil {
 		return "", err
 	}
@@ -305,7 +307,7 @@ func (sc *srvConn) parseHead() (string, error) {
 	var h headState
 	field := fieldOther
 	for first := true; ; first = false {
-		line, err := sc.readLine()
+		line, err := readLine(sc.br, &sc.left, errRequestHeadTooLarge)
 		if err != nil {
 			return "", err
 		}
@@ -433,7 +435,8 @@ func parseVersion(p []byte) (major, minor int, ok bool) {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// fieldOf names the head field the server acts on, or fieldOther.
+// fieldOf names the head field the server or the transport acts on, or
+// fieldOther.
 func fieldOf(name []byte) int {
 	switch {
 	case fieldIs(name, "content-length"):
@@ -444,6 +447,10 @@ func fieldOf(name []byte) int {
 		return fieldConnection
 	case fieldIs(name, "host"):
 		return fieldHost
+	case fieldIs(name, "content-encoding"):
+		return fieldContentEncoding
+	case fieldIs(name, "trailer"):
+		return fieldTrailer
 	}
 	return fieldOther
 }
@@ -481,21 +488,22 @@ func hasToken(v []byte, token string) bool {
 // trimOWS trims the spaces and tabs around a field value.
 func trimOWS(v []byte) []byte { return bytes.Trim(v, " \t") }
 
-// readLine returns the next head line without its line ending, charging
-// it to the head's allowance. The line aliases br's buffer, unless it is
-// longer than the buffer, and is valid until the next read.
-func (sc *srvConn) readLine() ([]byte, error) {
-	line, err := sc.br.ReadSlice('\n')
+// readLine returns the next head line from br without its line ending,
+// charging it to the head's allowance, *left: a line that overdraws it
+// fails with tooLarge. The line aliases br's buffer, unless it is longer
+// than the buffer, and is valid until the next read.
+func readLine(br *bufio.Reader, left *int, tooLarge error) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		long := append([]byte(nil), line...)
-		for err == bufio.ErrBufferFull && len(long) <= sc.left {
-			line, err = sc.br.ReadSlice('\n')
+		for err == bufio.ErrBufferFull && len(long) <= *left {
+			line, err = br.ReadSlice('\n')
 			long = append(long, line...)
 		}
 		line = long
 	}
-	if sc.left -= len(line); sc.left < 0 {
-		return nil, errRequestHeadTooLarge
+	if *left -= len(line); *left < 0 {
+		return nil, tooLarge
 	}
 	if err != nil {
 		return nil, err

@@ -2,16 +2,18 @@ package container
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"context"
 	"crypto/tls"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptrace"
+	"net/http/httputil"
+	"net/textproto"
 	"net/url"
 	"os"
 	"slices"
@@ -25,16 +27,24 @@ import (
 // transport is the HTTP/1.1 client under every SOAP exchange. The
 // calling goroutine does the whole exchange: it checks out a pooled
 // connection to the scheme and host (or dials one), writes the request
-// head and body in one write, and reads the reply head with
-// http.ReadResponse on the connection's buffered reader. The connection
-// goes back to the pool when the caller closes a body it read to EOF.
-// No goroutine of the transport outlives the call.
+// head and body in one write, reads the reply head with the
+// container's own parser on the connection's buffered reader, and
+// reads the body through the connection. The connection goes back to
+// the pool when the caller closes a body it read to EOF. No goroutine
+// of the transport outlives the call.
+//
+// An unwrapped Client calls post, which writes the SOAP request head
+// itself from the address and the action, so its exchange builds no
+// http.Request, url.URL, header map or http.Response. RoundTrip serves
+// wrapped transports (netlat, faultinject, perfbench's meter) over the
+// same pool, reply parser and body reader.
 //
 // The request head is byte for byte the one net/http's client writes,
-// and the pool keeps its per-host idle limit, idle timeout and LIFO
-// reuse. Connections are the container's own to cache, which is what
-// makes the HTTPS scenario fast ("due to socket caching, HTTPS
-// performance is much faster", §4.1.3).
+// replies are framed by http.ReadResponse's rules, and the pool keeps
+// net/http's per-host idle limit, idle timeout and LIFO reuse.
+// Connections are the container's own to cache, which is what makes
+// the HTTPS scenario fast ("due to socket caching, HTTPS performance is
+// much faster", §4.1.3).
 type transport struct {
 	// tls configures https dials; each dial uses a clone with ServerName
 	// taken from the host. nil selects the default configuration.
@@ -62,6 +72,7 @@ const (
 var (
 	errReplyHeadTooLarge = fmt.Errorf("reply head exceeds %d bytes", maxHead)
 	errBodyClosed        = errors.New("read on closed reply body")
+	errTrailerEOF        = errors.New("http: unexpected EOF reading trailer")
 	// aLongTimeAgo is the deadline that interrupts a blocked read or
 	// write when an exchange's context is cancelled.
 	aLongTimeAgo = time.Unix(1, 0)
@@ -95,14 +106,32 @@ type conn struct {
 	// raw is the TCP socket under nc, probed when the connection leaves
 	// the pool; nil when the dialed connection exposes none.
 	raw syscall.RawConn
-	// br reads through the conn, within headLeft. Only a checked-out
-	// connection holds one: readers lends them.
+	// br reads nc. Only a checked-out connection holds one: readers
+	// lends them.
 	br *bufio.Reader
-	// headLeft is what the reply head being read may still take.
-	headLeft int64
 	// deadline reports a context deadline set on nc.
 	deadline bool
 	reused   bool
+
+	// The exchange in progress: its context and the registration that
+	// aborts it when the context is done (nil without one).
+	ctx  context.Context
+	stop func() bool
+	// The reply: its status, whether it or the request asked to close,
+	// and its body's framing. The body is chunked (chunks decodes it),
+	// sized (left bytes still to read) or ends at EOF (left < 0).
+	status       int
+	length       int64 // the body length the head gives, -1 if unknown
+	closes, keep bool  // the reply closes; neither side closes
+	gzip         bool  // the body is gzip-encoded; zr decodes it
+	chunks       io.Reader
+	left         int64
+	zr           *gzip.Reader
+	eof          bool  // the body was read to its end
+	err          error // the first body read error other than EOF
+	// val holds the value of the head field being read, when the
+	// transport acts on it; cl holds the reply's first Content-Length.
+	val, cl []byte
 
 	// While idle: the next older idle connection to the same host, the
 	// idle connections from this one down, when it went idle, and the
@@ -117,19 +146,6 @@ type conn struct {
 	probeFn           func(fd uintptr) bool
 	probeBuf          [1]byte
 	probeLive         bool
-}
-
-// Read feeds br, charging a reply head's bytes against headLeft.
-func (pc *conn) Read(p []byte) (int, error) {
-	if pc.headLeft <= 0 {
-		return 0, errReplyHeadTooLarge
-	}
-	if int64(len(p)) > pc.headLeft {
-		p = p[:pc.headLeft]
-	}
-	n, err := pc.nc.Read(p)
-	pc.headLeft -= int64(n)
-	return n, err
 }
 
 // abort interrupts the exchange blocked on pc; a cancelled context runs
@@ -160,9 +176,87 @@ func (pc *conn) probe(fd uintptr) bool {
 	return true
 }
 
-// RoundTrip runs one exchange on the calling goroutine.
+// request is what the transport must know of a request beyond its
+// bytes.
+type request struct {
+	gzip       bool // it asks for gzip, so a gzip-encoded reply is decoded
+	close      bool // it asks the peer to close the connection
+	head       bool // a HEAD request: the reply has no body
+	countConns bool // count the connection as a delivery dial or reuse
+}
+
+// address is a plain http or https URL split for the wire: the pool
+// key, the Host field and the request target.
+type address struct {
+	key       connKey
+	host, uri string
+}
+
+// parseAddress splits a URL of the form scheme://name[:port][/path]
+// whose name and path need no escaping, which url.Parse and
+// Request.RequestURI would pass through unchanged. Any other URL
+// reports false: it needs url.Parse's rules, and RoundTrip's.
+func parseAddress(s string) (a address, ok bool) {
+	rest, ok := strings.CutPrefix(s, "http://")
+	if !ok {
+		if rest, ok = strings.CutPrefix(s, "https://"); !ok {
+			return a, false
+		}
+		a.key.https = true
+	}
+	a.host, a.uri = rest, "/"
+	if i := strings.IndexByte(rest, '/'); i >= 0 {
+		a.host, a.uri = rest[:i], rest[i:]
+	}
+	name, port, hasPort := strings.Cut(a.host, ":")
+	if name == "" || hasPort && (port == "" || strings.Trim(port, "0123456789") != "") ||
+		!plainChars(name, ".-_") || !plainChars(a.uri, ".-_~/!$&'()*+,;=:@") {
+		return a, false
+	}
+	a.key.addr = a.host
+	if !hasPort {
+		a.key.addr = name + ":80"
+		if a.key.https {
+			a.key.addr = name + ":443"
+		}
+	}
+	return a, true
+}
+
+// plainChars reports whether s holds only ASCII letters and digits and
+// the bytes of extra.
+func plainChars(s, extra string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || isDigit(c) || strings.IndexByte(extra, c) >= 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// post is the exchange of an unwrapped Client: it POSTs env, a SOAP
+// envelope for action, to dst and returns the reply's status and body,
+// which the caller reads and closes. closeConn asks the peer to close
+// the connection after the reply, and closes it; countConns counts the
+// connection as a delivery dial or reuse.
+func (t *transport) post(ctx context.Context, dst address, action string, env []byte, closeConn, countConns bool) (int, io.ReadCloser, error) {
+	if !validFieldValue(action) {
+		return 0, nil, errors.New(`net/http: invalid header field value for "Soapaction"`)
+	}
+	wire := wirePool.Get().(*[]byte)
+	defer putWire(wire)
+	*wire = appendPost((*wire)[:0], dst, action, env, closeConn)
+	pc, err := t.send(ctx, dst.key, *wire, request{gzip: true, close: closeConn, countConns: countConns})
+	if err != nil {
+		return 0, nil, err
+	}
+	return pc.status, reply{pc}, nil
+}
+
+// RoundTrip runs one exchange on the calling goroutine, for a wrapped
+// transport. The response carries the reply's status, framing and
+// body, and an empty Header: the SOAP client reads nothing else.
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	ctx := req.Context()
 	wire := wirePool.Get().(*[]byte)
 	defer putWire(wire)
 	gz := gzipWanted(req)
@@ -178,9 +272,26 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	pc, err := t.send(req.Context(), key, *wire, request{gzip: gz, close: req.Close, head: req.Method == http.MethodHead})
+	if err != nil {
+		return nil, err
+	}
+	return &http.Response{
+		StatusCode: pc.status, Header: http.Header{}, Body: &body{r: reply{pc}}, ContentLength: pc.length,
+		Close: pc.closes, Uncompressed: pc.gzip, Request: req,
+	}, nil
+}
+
+// send checks out a connection to key, writes wire, a whole request,
+// and reads the reply head. The caller reads the reply's body from the
+// connection and closes it.
+func (t *transport) send(ctx context.Context, key connKey, wire []byte, req request) (*conn, error) {
 	pc, err := t.get(ctx, key)
 	if err != nil {
 		return nil, err
+	}
+	if req.countConns {
+		countDeliveryConn(pc.reused)
 	}
 	if trace := httptrace.ContextClientTrace(ctx); trace != nil && trace.GotConn != nil {
 		trace.GotConn(httptrace.GotConnInfo{Conn: pc.nc, Reused: pc.reused, WasIdle: pc.reused})
@@ -190,51 +301,334 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		pc.nc.SetDeadline(d) //nolint:errcheck // see above
 		pc.deadline = true
 	}
-	var stop func() bool
+	pc.ctx = ctx
 	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, pc.abortFn)
+		pc.stop = context.AfterFunc(ctx, pc.abortFn)
 	}
-	resp, err := pc.exchange(req, *wire)
-	if err != nil {
-		if stop != nil {
-			stop()
+	if err := pc.exchange(wire, req); err != nil {
+		if pc.stop != nil {
+			pc.stop()
 		}
+		pc.ctx, pc.stop = nil, nil
 		t.put(pc, false)
 		return nil, ctxErr(ctx, err)
 	}
-	b := &body{pc: pc, ctx: ctx, raw: resp.Body, stop: stop, eof: resp.Body == http.NoBody,
-		keep: !resp.Close && !req.Close && resp.StatusCode != http.StatusSwitchingProtocols}
-	if gz && strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		b.gzip = true
-		resp.Header.Del("Content-Encoding")
-		resp.Header.Del("Content-Length")
-		resp.ContentLength = -1
-		resp.Uncompressed = true
-	}
-	resp.Body = b
-	return resp, nil
+	return pc, nil
 }
 
 // exchange writes the request and reads the reply head, skipping
-// interim 1xx replies.
-func (pc *conn) exchange(req *http.Request, wire []byte) (*http.Response, error) {
+// interim 1xx replies; the heads read share one maxHead allowance.
+func (pc *conn) exchange(wire []byte, req request) error {
 	if _, err := pc.nc.Write(wire); err != nil {
-		return nil, err
+		return err
 	}
-	pc.headLeft = maxHead
+	left := maxHead
 	for {
-		resp, err := http.ReadResponse(pc.br, req)
-		if err != nil {
-			if pc.headLeft <= 0 {
-				err = errReplyHeadTooLarge
+		if err := pc.readHead(&left, req); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
-			return nil, err
+			return err
 		}
-		if resp.StatusCode >= 200 || resp.StatusCode == http.StatusSwitchingProtocols {
-			pc.headLeft = math.MaxInt64
-			return resp, nil
+		if pc.status >= 200 || pc.status == http.StatusSwitchingProtocols {
+			return nil
 		}
 	}
+}
+
+// replyFields is what a reply head's fields say, once read.
+type replyFields struct {
+	lengths, encodings int  // Content-Length and Transfer-Encoding fields
+	badLength, chunked bool // the lengths differ; the first encoding is chunked
+	close, keepAlive   bool // Connection tokens
+	coded, gzip        bool // a Content-Encoding was read; the first is gzip
+	badTrailer         bool // a Trailer field names a framing field
+}
+
+// readHead reads one reply head and sets pc's reply from it, judging
+// it by http.ReadResponse's rules: the status line, the field lines
+// (obs-fold continuations included) and, once the head has ended, the
+// body's framing.
+func (pc *conn) readHead(left *int, req request) error {
+	line, err := readLine(pc.br, left, errReplyHeadTooLarge)
+	if err != nil {
+		return err
+	}
+	major, minor, err := pc.statusLine(line)
+	if err != nil {
+		return err
+	}
+	var f replyFields
+	field := fieldOther
+	for first := true; ; first = false {
+		line, err := readLine(pc.br, left, errReplyHeadTooLarge)
+		if err != nil {
+			return err
+		}
+		if len(line) > 0 && (line[0] == ' ' || line[0] == '\t') {
+			// A continuation line (obs-fold) extends the previous field.
+			v := trimOWS(line)
+			if first || !validFieldValue(v) {
+				return fmt.Errorf("malformed MIME header line: %q", line)
+			}
+			if field != fieldOther {
+				pc.val = append(append(pc.val, ' '), v...)
+			}
+			continue
+		}
+		pc.apply(&f, field)
+		if len(line) == 0 {
+			break
+		}
+		name, value, ok := bytes.Cut(line, []byte{':'})
+		if !ok || !validReplyFieldName(name) || !validFieldValue(value) {
+			return fmt.Errorf("malformed MIME header line: %q", line)
+		}
+		if field = fieldOf(name); field != fieldOther {
+			pc.val = append(pc.val[:0], trimOWS(value)...)
+		}
+	}
+	return pc.frame(major, minor, &f, req)
+}
+
+// statusLine parses "HTTP/x.y code reason" into pc.status. The code is
+// read as http.ReadResponse reads it, with strconv.Atoi, which takes a
+// sign; only a negative code is refused.
+func (pc *conn) statusLine(line []byte) (major, minor int, err error) {
+	proto, status, ok := bytes.Cut(line, []byte{' '})
+	if !ok {
+		return 0, 0, fmt.Errorf("malformed HTTP response %q", line)
+	}
+	code, _, _ := bytes.Cut(bytes.TrimLeft(status, " "), []byte{' '})
+	if pc.status, err = strconv.Atoi(string(code)); len(code) != 3 || err != nil || pc.status < 0 {
+		return 0, 0, fmt.Errorf("malformed HTTP status code %q", code)
+	}
+	if major, minor, ok = parseVersion(proto); !ok {
+		return 0, 0, fmt.Errorf("malformed HTTP version %q", proto)
+	}
+	return major, minor, nil
+}
+
+// validReplyFieldName reports whether name is a field name
+// http.ReadResponse reads: a token, in which it tolerates spaces (and
+// then matches no field it acts on).
+func validReplyFieldName(name []byte) bool {
+	for _, c := range name {
+		if c != ' ' && !tokenByte(c) {
+			return false
+		}
+	}
+	return len(name) > 0
+}
+
+// apply records what the field just read says.
+func (pc *conn) apply(f *replyFields, field int) {
+	switch field {
+	case fieldContentLength:
+		v := trimOWS(pc.val)
+		if f.lengths == 0 {
+			pc.cl = append(pc.cl[:0], v...)
+		} else if !bytes.Equal(v, pc.cl) {
+			f.badLength = true
+		}
+		f.lengths++
+	case fieldTransferEncoding:
+		if f.encodings == 0 {
+			f.chunked = fieldIs(pc.val, "chunked")
+		}
+		f.encodings++
+	case fieldConnection:
+		f.close = f.close || hasToken(pc.val, "close")
+		f.keepAlive = f.keepAlive || hasToken(pc.val, "keep-alive")
+	case fieldContentEncoding:
+		if !f.coded {
+			f.coded, f.gzip = true, fieldIs(pc.val, "gzip")
+		}
+	case fieldTrailer:
+		f.badTrailer = f.badTrailer || hasToken(pc.val, "transfer-encoding") || hasToken(pc.val, "trailer") ||
+			hasToken(pc.val, "content-length")
+	}
+}
+
+// frame sets the reply's body framing and connection fate from its
+// head, as http.ReadResponse's readTransfer does.
+func (pc *conn) frame(major, minor int, f *replyFields, req request) error {
+	pc.closes = major < 1 || f.close || major == 1 && minor == 0 && !f.keepAlive
+	if major == 0 && minor == 0 {
+		major, minor = 1, 1 // framed as HTTP/1.1
+	}
+	chunked := false
+	if f.encodings > 0 && (major > 1 || major == 1 && minor >= 1) {
+		if f.encodings > 1 || !f.chunked {
+			return errors.New("http: unsupported transfer encoding")
+		}
+		chunked = true
+	}
+	length := int64(-1)
+	if f.lengths > 0 {
+		if f.badLength {
+			return errors.New("http: message cannot contain multiple Content-Length headers")
+		}
+		n, err := strconv.ParseUint(string(pc.cl), 10, 63)
+		if err != nil {
+			return fmt.Errorf("bad Content-Length %q", pc.cl)
+		}
+		length = int64(n)
+	}
+	if chunked && f.badTrailer {
+		return errors.New("http: bad trailer key")
+	}
+	pc.length, pc.left, pc.chunks = 0, 0, nil
+	switch {
+	case req.head:
+		pc.length = length
+	case pc.status/100 == 1 || pc.status == http.StatusNoContent || pc.status == http.StatusNotModified:
+	case chunked:
+		pc.length = -1
+		pc.chunks = httputil.NewChunkedReader(pc.br)
+	case length >= 0:
+		pc.length, pc.left = length, length
+	default:
+		// Neither a length nor chunks: the body ends when the peer closes.
+		pc.length, pc.left, pc.closes = -1, -1, true
+	}
+	pc.gzip = req.gzip && f.gzip
+	if pc.gzip {
+		pc.length = -1
+	}
+	pc.keep = !pc.closes && !req.close && pc.status != http.StatusSwitchingProtocols
+	pc.eof, pc.err = pc.chunks == nil && pc.left == 0, nil
+	return nil
+}
+
+// reply is the body of the reply read on a checked-out connection;
+// closing it ends the exchange.
+type reply struct{ pc *conn }
+
+// Read reads the body, decoded if it is gzip-encoded.
+func (r reply) Read(p []byte) (n int, err error) {
+	pc := r.pc
+	if pc.err != nil {
+		return 0, pc.err
+	}
+	switch {
+	case !pc.gzip:
+		n, err = pc.readRaw(p)
+	case pc.zr == nil:
+		if pc.zr, err = gzip.NewReader(rawBody{pc}); err == nil {
+			n, err = pc.zr.Read(p)
+		}
+	default:
+		n, err = pc.zr.Read(p)
+	}
+	if err != nil && err != io.EOF {
+		err = ctxErr(pc.ctx, err)
+		pc.err = err
+	}
+	return n, err
+}
+
+// Close releases the connection: it is pooled if the body was read to
+// its end and neither side asked to close, and closed otherwise.
+func (r reply) Close() error {
+	pc := r.pc
+	reuse := pc.keep && pc.eof && pc.err == nil
+	if pc.stop != nil && !pc.stop() {
+		reuse = false // the cancel has interrupted, or is interrupting, the connection
+	}
+	pc.ctx, pc.stop, pc.chunks, pc.zr = nil, nil, nil, nil
+	pc.t.put(pc, reuse)
+	return nil
+}
+
+// readRaw reads the body as the wire carries it, noting its end. A
+// sized body reports EOF with its last bytes, as net/http's does.
+func (pc *conn) readRaw(p []byte) (n int, err error) {
+	switch {
+	case pc.eof:
+		return 0, io.EOF
+	case pc.chunks != nil:
+		if n, err = pc.chunks.Read(p); err == io.EOF {
+			if terr := readTrailer(pc.br); terr != nil {
+				err = terr
+			}
+		}
+	case pc.left < 0:
+		n, err = pc.br.Read(p)
+	default:
+		if int64(len(p)) > pc.left {
+			p = p[:pc.left]
+		}
+		n, err = pc.br.Read(p)
+		pc.left -= int64(n)
+		switch {
+		case pc.left == 0 && (err == nil || err == io.EOF):
+			err = io.EOF
+		case err == io.EOF:
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err == io.EOF {
+		pc.eof = true
+	}
+	return n, err
+}
+
+// rawBody is the reader a gzip-encoded body decodes from.
+type rawBody struct{ pc *conn }
+
+func (r rawBody) Read(p []byte) (int, error) { return r.pc.readRaw(p) }
+
+// readTrailer reads the trailer section after a chunked body's last
+// chunk, as net/http did: it must end within the read buffer.
+func readTrailer(br *bufio.Reader) error {
+	buf, err := br.Peek(2)
+	switch {
+	case string(buf) == "\r\n":
+		_, err := br.Discard(2)
+		return err
+	case len(buf) < 2:
+		return errTrailerEOF
+	case err != nil:
+		return err
+	}
+	for n := 4; ; n++ {
+		buf, err := br.Peek(n)
+		if bytes.HasSuffix(buf, []byte("\r\n\r\n")) {
+			break
+		}
+		if err != nil {
+			return errors.New("http: suspiciously long trailer after chunked body")
+		}
+	}
+	if _, err := textproto.NewReader(br).ReadMIMEHeader(); err != nil {
+		if err == io.EOF {
+			return errTrailerEOF
+		}
+		return err
+	}
+	return nil
+}
+
+// body is a RoundTrip reply's body, which refuses use after Close.
+type body struct {
+	r    reply
+	done bool
+}
+
+func (b *body) Read(p []byte) (int, error) {
+	if b.done {
+		return 0, errBodyClosed
+	}
+	return b.r.Read(p)
+}
+
+func (b *body) Close() error {
+	if b.done {
+		return nil
+	}
+	b.done = true
+	return b.r.Close()
 }
 
 // get checks out the most recently pooled live connection to key, or
@@ -301,7 +695,7 @@ var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
 func (pc *conn) lendReader() {
 	pc.br = readers.Get().(*bufio.Reader)
-	pc.br.Reset(pc)
+	pc.br.Reset(pc.nc)
 }
 
 // put takes back a checked-out connection: it pools pc when reuse
@@ -365,77 +759,6 @@ func (pc *conn) expire() {
 		p.nc.Close()
 		p = next
 	}
-}
-
-// body is a reply body on a checked-out connection. Closing it pools
-// the connection if the reply was read to EOF and neither side asked to
-// close, and closes the connection otherwise.
-type body struct {
-	pc   *conn
-	ctx  context.Context
-	raw  io.ReadCloser // http.ReadResponse's body
-	stop func() bool   // unregisters the cancel; nil without one
-	keep bool          // neither side asked to close
-	gzip bool          // raw is gzip-encoded; zr decodes it
-	zr   *gzip.Reader
-	eof  bool  // raw was read to EOF
-	err  error // the first read error other than EOF
-	done bool
-}
-
-func (b *body) Read(p []byte) (int, error) {
-	if b.done {
-		return 0, errBodyClosed
-	}
-	var n int
-	var err error
-	switch {
-	case !b.gzip:
-		n, err = b.readRaw(p)
-	case b.zr == nil:
-		if b.zr, err = gzip.NewReader(rawBody{b}); err == nil {
-			n, err = b.zr.Read(p)
-		}
-	default:
-		n, err = b.zr.Read(p)
-	}
-	if err != nil && err != io.EOF {
-		err = ctxErr(b.ctx, err)
-		if b.err == nil {
-			b.err = err
-		}
-	}
-	return n, err
-}
-
-// readRaw reads the body as the wire carries it, noting its end.
-func (b *body) readRaw(p []byte) (int, error) {
-	n, err := b.raw.Read(p)
-	if err == io.EOF {
-		b.eof = true
-	}
-	return n, err
-}
-
-// rawBody is the reader a gzip-encoded body decodes from.
-type rawBody struct{ b *body }
-
-func (r rawBody) Read(p []byte) (int, error) { return r.b.readRaw(p) }
-
-// Close releases the connection. The raw body is not closed: net/http
-// drains an unfinished body on Close, and an unfinished body's
-// connection is closed instead.
-func (b *body) Close() error {
-	if b.done {
-		return nil
-	}
-	b.done = true
-	reuse := b.keep && b.eof && b.err == nil
-	if b.stop != nil && !b.stop() {
-		reuse = false // the cancel has interrupted, or is interrupting, the connection
-	}
-	b.pc.t.put(b.pc, reuse)
-	return nil
 }
 
 // ctxErr reports an I/O error a done context caused as the context's
@@ -565,6 +888,27 @@ func appendRequest(b []byte, req *http.Request, gz bool) ([]byte, error) {
 	return b, nil
 }
 
+// appendPost appends the request appendRequest writes for a Client's
+// SOAP POST of env to dst, field for field.
+func appendPost(b []byte, dst address, action string, env []byte, closeConn bool) []byte {
+	b = append(b, "POST "...)
+	b = append(b, dst.uri...)
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = append(b, dst.host...)
+	b = append(b, "\r\nUser-Agent: Go-http-client/1.1\r\n"...)
+	if closeConn {
+		b = append(b, "Connection: close\r\n"...)
+	}
+	b = append(b, "Content-Length: "...)
+	b = strconv.AppendInt(b, int64(len(env)), 10)
+	b = append(b, "\r\nContent-Type: "...)
+	b = append(b, xmlContentType[0]...)
+	b = append(b, "\r\nSoapaction: "...)
+	b = append(b, textTrim(action)...)
+	b = append(b, "\r\nAccept-Encoding: gzip\r\n\r\n"...)
+	return append(b, env...)
+}
+
 func appendField(b []byte, k, v string) []byte {
 	b = append(b, k...)
 	b = append(b, ": "...)
@@ -581,13 +925,15 @@ func validFieldName[S string | []byte](k S) bool {
 		return false
 	}
 	for i := 0; i < len(k); i++ {
-		c := k[i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0 {
-			continue
+		if !tokenByte(k[i]) {
+			return false
 		}
-		return false
 	}
 	return true
+}
+
+func tokenByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0
 }
 
 // validFieldValue reports whether v holds no control byte but a tab.
