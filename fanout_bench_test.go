@@ -52,10 +52,42 @@ func deployFanout(b *testing.B, stack core.Stack, subs, sinks int, deliver conta
 }
 
 // BenchmarkNotifyFanout measures one Notify/Publish over N subscribers
-// on each stack, sequential vs pooled delivery.
+// on each stack, sequential vs pooled delivery, and then the perfbench
+// pubsub-fanout shape on each.
 func BenchmarkNotifyFanout(b *testing.B) {
 	b.Run("wsn", benchWSNFanout)
 	b.Run("wse", benchWSEFanout)
+	b.Run("pubsub1k", func(b *testing.B) {
+		b.Run("wsn", func(b *testing.B) { benchPubSub(b, core.StackWSRF) })
+		b.Run("wse", func(b *testing.B) { benchPubSub(b, core.StackWST) })
+	})
+}
+
+// benchPubSub publishes to 1000 subscriptions spread over 32 sinks on
+// plain loopback, with pooled delivery and every knob at its default
+// (GOMAXPROCS workers): the shape perfbench's pubsub-fanout workload
+// measures, where each sink receives 31 or 32 of a publish's
+// deliveries. It reports the process's CPU time per publish, the
+// workload's cpu_ms_per_op, both sides of every exchange included.
+func benchPubSub(b *testing.B, stack core.Stack) {
+	const subs, sinks = 1000, 32
+	f := deployFanout(b, stack, subs, sinks, container.ClientConfig{})
+	msg := fanoutPayload()
+	publish := func() (int, error) {
+		if f.Producer != nil {
+			return f.Producer.Notify("bench/tick", msg)
+		}
+		return f.Source.Publish("bench/tick", msg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	cpu := processCPU()
+	for i := 0; i < b.N; i++ {
+		if n, err := publish(); n != subs || err != nil {
+			b.Fatalf("publish = %d, %v; want %d", n, err, subs)
+		}
+	}
+	b.ReportMetric(float64(processCPU()-cpu)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
 }
 
 func benchWSNFanout(b *testing.B) {

@@ -123,22 +123,227 @@ func (c *Client) CallEnvelope(epr wsa.EPR, action string, body *xmlutil.Element)
 // Deliver sends a one-way message (a notification, an event, a
 // subscription-end notice) with optional extra header blocks, and
 // reports only whether the consumer acknowledged it: a SOAP fault comes
-// back as a *soap.Fault error, as from Call. The acknowledgement
-// carries nothing else the sender uses and is unsigned, so it is
-// checked in place, without building an envelope that outlives the
-// call, and never verified; callers deliver through a ForDelivery
-// client, which carries no Verifier.
+// back as a *soap.Fault error, as from Call. It is the one-message case
+// of DeliverEach.
 func (c *Client) Deliver(ctx context.Context, epr wsa.EPR, action string, headers []*xmlutil.Element, body *xmlutil.Element) error {
-	span := obs.SpanFromContext(ctx)
-	return c.exchange(ctx, span, epr, action, headers, body, func(resp []byte, status int) error {
-		return checkAck(resp, status, span)
-	})
+	var err error
+	c.DeliverEach(ctx, 1, func(int) Message {
+		return Message{Ctx: ctx, To: epr, Action: action, Headers: headers, Body: body}
+	}, func(_ int, e error) { err = e })
+	return err
+}
+
+// Message is one one-way message of DeliverEach.
+type Message struct {
+	// Ctx carries the span that records the message's MessageID and its
+	// acknowledgement's RelatesTo; the exchange runs under DeliverEach's
+	// context.
+	Ctx     context.Context
+	To      wsa.EPR
+	Action  string
+	Headers []*xmlutil.Element
+	Body    *xmlutil.Element
+}
+
+// DeliverEach sends n one-way messages, message(i) for i in [0, n), and
+// reports each one's outcome to done(i, err), in order, as Deliver
+// reports it. Each acknowledgement carries nothing else the sender uses
+// and is unsigned, so it is checked in place, without building an
+// envelope that outlives the call, and never verified; callers deliver
+// through a ForDelivery client, which carries no Verifier.
+//
+// A pooled client on the container's own transport pipelines messages
+// that go to the same address (see pipeline). Other clients make one
+// exchange per message: a wrapped transport's RoundTrip cannot
+// pipeline, and DeliveryPerMessage closes each connection after its
+// reply.
+func (c *Client) DeliverEach(ctx context.Context, n int, message func(int) Message, done func(int, error)) {
+	hc := c.httpClient()
+	t, _ := hc.Transport.(*transport)
+	if hc.Transport == nil {
+		t = defaultTransport
+	}
+	for i := 0; i < n; {
+		m := message(i)
+		if t != nil && !c.closeConns {
+			if dst, ok := parseAddress(m.To.Address); ok {
+				i = c.pipeline(ctx, t, hc.Timeout, dst, m.To.Address, i, n, message, checkAck, done)
+				continue
+			}
+		}
+		done(i, c.exchange(m.Ctx, obs.SpanFromContext(m.Ctx), &m, checkAck))
+		i++
+	}
+}
+
+// A pipelined run is at most maxRun requests and maxRunBytes bytes, so
+// that a peer's socket buffers take a whole run before it answers, and
+// neither side's write waits on the other's reads. The server holds at
+// most maxRunBytes of replies for one write, for the same reason.
+const (
+	maxRun      = 32
+	maxRunBytes = 64 << 10
+)
+
+// pending is one request of a pipelined run.
+type pending struct {
+	i      int       // its message's index
+	span   *obs.Span // records its exchange
+	action string
+	end    int   // where its bytes end in the run's wire
+	err    error // why it was not written
+}
+
+// readFunc makes a message's outcome of its reply's body and status;
+// span is the message's.
+type readFunc func(resp []byte, status int, span *obs.Span) error
+
+// pipeline sends message(i), and the messages after it that go to the
+// same address (addr, which dst splits for the wire), as HTTP/1.1
+// pipelined requests on one connection, and returns the index of the
+// first message it did not take. The requests are the ones post
+// writes, each with its own envelope, MessageID and signature. Each run
+// of them goes out in one write, and the replies are read in order,
+// each whole, within the client's timeout of the previous one; each
+// message's outcome is what read makes of its reply. Once a reply
+// fails, or closes the connection, every later message fails: they are
+// never written again, and a read that ran out of time or was
+// cancelled fails them as it failed, any other as if the peer hung up
+// before replying. The connection is pooled only after every reply was
+// read whole.
+func (c *Client) pipeline(ctx context.Context, t *transport, timeout time.Duration, dst address, addr string, i, n int,
+	message func(int) Message, read readFunc, done func(int, error)) int {
+	wire := wirePool.Get().(*[]byte)
+	defer putWire(wire)
+	*wire = (*wire)[:0]
+	env, resp := bodyPool.Get().(*wireBuf), bodyPool.Get().(*wireBuf)
+	defer env.release()
+	defer resp.release()
+	req := request{gzip: true}
+	var pc *conn
+	var run [maxRun]pending
+	// cause is what ended the connection, which every later message
+	// fails with.
+	var cause error
+	for k := 0; ; {
+		// Take messages until the run is full; at most the last one
+		// taken goes past maxRunBytes.
+		for k < maxRun && i < n && len(*wire) <= maxRunBytes {
+			m := message(i)
+			if m.To.Address != addr {
+				break
+			}
+			p := &run[k]
+			*p = pending{i: i, action: m.Action}
+			if cause == nil {
+				p.span = obs.SpanFromContext(m.Ctx)
+				if p.err = c.marshal(&m, p.span, env); p.err == nil && !validFieldValue(m.Action) {
+					p.err = postError(m.Action, addr, errBadAction)
+				}
+				if p.err == nil {
+					*wire = appendPost(*wire, dst, m.Action, env.Bytes(), false)
+				}
+			}
+			p.end = len(*wire)
+			i++
+			k++
+		}
+		if k == 0 {
+			break
+		}
+		// A request that took the run past maxRunBytes starts the next.
+		s := k
+		if k > 1 && run[k-1].end > maxRunBytes {
+			s--
+		}
+		cut := run[s-1].end
+		if cause == nil && cut > 0 {
+			if pc == nil {
+				pc, cause = t.checkout(ctx, dst.key, timeout)
+			}
+			if cause == nil {
+				if c.traceConns {
+					countDeliveryConns(pc.reused, written(run[:s]))
+					pc.reused = true
+				}
+				if _, err := pc.nc.Write((*wire)[:cut]); err != nil {
+					cause = pc.ctxErr(err)
+				}
+			}
+		}
+		for j := range run[:s] {
+			p := &run[j]
+			switch {
+			case p.err != nil:
+				done(p.i, p.err)
+			case cause != nil:
+				done(p.i, postError(p.action, addr, cause))
+			default:
+				var err error
+				err, cause = readReply(pc, req, p, resp, addr, read)
+				done(p.i, err)
+			}
+		}
+		// Carry the rest of the run over to the next.
+		*wire = append((*wire)[:0], (*wire)[cut:]...)
+		k = copy(run[:], run[s:k])
+		for j := range run[:k] {
+			run[j].end -= cut
+		}
+	}
+	if pc != nil {
+		pc.release(cause == nil && pc.reusable())
+	}
+	return i
+}
+
+// written counts the requests of a run that were written.
+func written(run []pending) int {
+	n := 0
+	for _, p := range run {
+		if p.err == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// readReply reads the reply to p's request from pc into resp. It
+// returns p's outcome and, when the connection can carry no further
+// reply, the cause the later messages fail with.
+func readReply(pc *conn, req request, p *pending, resp *wireBuf, addr string, read readFunc) (err, cause error) {
+	if err := pc.nextReply(req); err != nil {
+		err = pc.ctxErr(err)
+		return postError(p.action, addr, err), hungUp(err)
+	}
+	resp.Reset()
+	if err := resp.readFrom(reply{pc}); err != nil {
+		return fmt.Errorf("container: read response: %w", err), hungUp(err)
+	}
+	err = read(resp.Bytes(), pc.status, p.span)
+	if !pc.reusable() {
+		return err, io.ErrUnexpectedEOF
+	}
+	if pc.timeout > 0 {
+		pc.arm()
+	}
+	return err, nil
+}
+
+// hungUp is what the requests written behind a reply that failed with
+// err fail with: the same deadline or cancellation, or else what an
+// exchange reports when its peer hangs up before replying.
+func hungUp(err error) error {
+	if err == context.DeadlineExceeded || err == context.Canceled {
+		return err
+	}
+	return io.ErrUnexpectedEOF
 }
 
 func (c *Client) callEnvelope(ctx context.Context, epr wsa.EPR, action string, body *xmlutil.Element) (*soap.Envelope, error) {
 	span := obs.SpanFromContext(ctx)
 	var respEnv *soap.Envelope
-	err := c.exchange(ctx, span, epr, action, nil, body, func(resp []byte, status int) error {
+	err := c.exchange(ctx, span, &Message{To: epr, Action: action, Body: body}, func(resp []byte, status int, _ *obs.Span) error {
 		// soap.Parse copies what it keeps.
 		env, err := soap.Parse(resp)
 		if err != nil {
@@ -203,25 +408,38 @@ func checkAck(data []byte, status int, span *obs.Span) error {
 	return nil
 }
 
-// exchange stamps and sends one request, reads the whole response into
-// a pooled buffer, and returns what read makes of it; the buffer is
-// reused once read returns.
-func (c *Client) exchange(ctx context.Context, span *obs.Span, epr wsa.EPR, action string, headers []*xmlutil.Element, body *xmlutil.Element,
-	read func(resp []byte, status int) error) error {
-	if epr.Address == "" {
+// marshal stamps and signs m's envelope, recording its MessageID on
+// span, and marshals it into buf.
+func (c *Client) marshal(m *Message, span *obs.Span, buf *wireBuf) error {
+	if m.To.Address == "" {
 		return fmt.Errorf("container: call to empty EPR address")
 	}
-	env := soap.New(body)
-	env.AddHeader(headers...)
+	env := soap.New(m.Body)
+	env.AddHeader(m.Headers...)
 	// Record the outbound MessageID on the calling span (a deliver span
 	// during notification fan-out, a handler span for nested calls): the
 	// receiving container's dispatch root records the same ID, which is
 	// how obs.Stitch joins the two process-local traces.
-	span.SetMessageID(wsa.Stamp(env, epr, action))
+	span.SetMessageID(wsa.Stamp(env, m.To, m.Action))
 	if c.Signer != nil {
 		if err := c.Signer.Sign(env); err != nil {
 			return err
 		}
+	}
+	buf.Reset()
+	env.MarshalTo(&buf.Buffer)
+	return nil
+}
+
+// exchange sends m in an exchange of its own, reads the whole response
+// into a pooled buffer, and returns what read makes of it; the buffer
+// is reused once read returns.
+func (c *Client) exchange(ctx context.Context, span *obs.Span, m *Message, read readFunc) error {
+	// The request marshals straight into a pooled buffer.
+	buf := bodyPool.Get().(*wireBuf)
+	if err := c.marshal(m, span, buf); err != nil {
+		buf.release()
+		return err
 	}
 	hc := c.httpClient()
 	if hc.Timeout > 0 {
@@ -231,11 +449,7 @@ func (c *Client) exchange(ctx context.Context, span *obs.Span, epr wsa.EPR, acti
 		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
 		defer cancel()
 	}
-	// The request marshals straight into a pooled buffer.
-	buf := bodyPool.Get().(*wireBuf)
-	buf.Reset()
-	env.MarshalTo(&buf.Buffer)
-	status, reply, err := c.send(ctx, hc.Transport, epr.Address, action, buf.Bytes())
+	status, reply, err := c.send(ctx, hc.Transport, m.To.Address, m.Action, buf.Bytes())
 	// The transport and its wrappers run the exchange on this goroutine,
 	// so once send returns nothing holds the request bytes.
 	buf.release()
@@ -251,7 +465,7 @@ func (c *Client) exchange(ctx context.Context, span *obs.Span, epr wsa.EPR, acti
 	if err != nil {
 		return fmt.Errorf("container: read response: %w", err)
 	}
-	return read(resp.Bytes(), status)
+	return read(resp.Bytes(), status, span)
 }
 
 // send POSTs env, a SOAP envelope for action, to addr through rt and
@@ -332,21 +546,21 @@ func (m DeliveryMode) String() string {
 	return "pooled"
 }
 
-// countDeliveryConn counts a delivery's connection as established or
-// reused.
-func countDeliveryConn(reused bool) {
-	if reused {
-		obs.DeliveryConnsReused.Inc()
-	} else {
+// countDeliveryConns counts n deliveries written on one connection: the
+// first as a dial unless the connection was reused, the rest as reuses.
+func countDeliveryConns(reused bool, n int) {
+	if !reused {
 		obs.DeliveryConnsDialed.Inc()
+		n--
 	}
+	obs.DeliveryConnsReused.Add(int64(n))
 }
 
 // deliveryTrace counts a delivery's connection when the exchange goes
 // through a wrapped transport's RoundTrip, which the client reaches only
 // through the request's context.
 var deliveryTrace = &httptrace.ClientTrace{
-	GotConn: func(info httptrace.GotConnInfo) { countDeliveryConn(info.Reused) },
+	GotConn: func(info httptrace.GotConnInfo) { countDeliveryConns(info.Reused, 1) },
 }
 
 // withDeliveryTrace attaches deliveryTrace to ctx. httptrace composes a
@@ -392,7 +606,10 @@ func (c *Client) ForDelivery(mode DeliveryMode) *Client {
 // WithTimeout returns a client whose exchanges abort after d — the
 // per-delivery cap the notification fan-out paths use so one stalled
 // consumer cannot hold a worker (and with it the batch) indefinitely.
-// A non-positive d returns the client unchanged.
+// On the container's own transport a pipelined delivery arms it as a
+// connection deadline: it bounds the dial, and the wait for each reply
+// from the write or the reply before. A non-positive d returns the
+// client unchanged.
 func (c *Client) WithTimeout(d time.Duration) *Client {
 	if d <= 0 {
 		return c

@@ -24,11 +24,15 @@ import (
 // the fields the container acts on (Content-Length, Connection,
 // Transfer-Encoding, Host), reads the body into a pooled buffer, runs
 // the request through the container's pipeline and, once that has
-// returned, writes the reply's head and body in one write, as net/http
-// flushed a handler's buffered reply. A request builds no header map
-// and starts no goroutine, and no reader watches the socket while a
-// handler runs: a client that hangs up mid-request is noticed when its
-// reply is written.
+// returned, makes the reply's head and body. A reply is written in one
+// write, as net/http flushed a handler's buffered reply, unless the
+// next pipelined request is already in the read buffer: then it is
+// held, in a pooled buffer, and the replies held go out together in one
+// write before the server next reads the socket, or once they reach
+// maxRunBytes, the bound of a client's pipelined run. A request builds no header map and starts no
+// goroutine, and no reader watches the socket while a handler runs: a
+// client that hangs up mid-request is noticed when its reply is
+// written.
 //
 // The replies are byte for byte the ones net/http's server wrote
 // (testdata/*-head.txt, *-reply.txt), and so are its limits: a request
@@ -169,8 +173,11 @@ func (c *Container) serveConn(nc net.Conn) {
 		return // failed handshakes stay silent
 	}
 	sc := &srvConn{c: c, nc: nc, br: readers.Get().(*bufio.Reader)}
-	sc.br.Reset(nc)
+	// The read buffer fills through sc, which writes the replies held
+	// before it reads the socket.
+	sc.br.Reset(sc)
 	defer func() {
+		sc.flush() // what a panicking handler's predecessors were owed
 		sc.br.Reset(nil)
 		readers.Put(sc.br)
 	}()
@@ -208,8 +215,9 @@ type srvConn struct {
 	length int64 // Content-Length
 	close  bool  // the connection closes after the reply
 	linger bool  // part of the request stays unread: see hangUp
-	// wire is the reply, head and body, that serveOne writes.
-	wire []byte
+	// out holds the replies made and not yet written, from wirePool;
+	// nil when there are none.
+	out *[]byte
 }
 
 // serveOne reads one request and answers it, and reports whether the
@@ -219,14 +227,14 @@ func (sc *srvConn) serveOne() bool {
 	switch {
 	case err == errRequestHeadTooLarge:
 		// The peer may still be sending the head.
-		if sc.send([]byte(rejectHeadTooBig)) {
+		if sc.send(rejectHeadTooBig) {
 			sc.hangUp()
 		}
 		return false
 	case err != nil:
 		return false // the peer left, or stalled mid-head
 	case reject != "":
-		sc.send([]byte(reject))
+		sc.send(reject)
 		return false
 	}
 	n := min(sc.length, maxRequestBody)
@@ -240,20 +248,18 @@ func (sc *srvConn) serveOne() bool {
 		return false
 	}
 	sc.c.serveHTTP(sc, sc.path, sc.post, buf.Bytes())
-	sent := sc.send(sc.wire)
-	if cap(sc.wire) > maxPooledBody {
-		sc.wire = nil
-	}
 	switch {
-	case !sent:
-		return false
 	case sc.close:
-		if sc.linger {
+		if sc.flush() && sc.linger {
 			sc.hangUp()
 		}
 		return false
+	case sc.br.Buffered() > 0 && len(*sc.out) < maxRunBytes:
+		// The next request is already here: its reply goes out with this
+		// one.
+		return true
 	}
-	return true
+	return sc.flush()
 }
 
 // readHead reads a request head into sc. A non-empty reject is the
@@ -522,7 +528,7 @@ func readLine(br *bufio.Reader, left *int, tooLarge error) ([]byte, error) {
 // Content-Length; then Connection: close if the connection closes after
 // it.
 func (sc *srvConn) reply(status int, soapBody bool, body []byte) {
-	b := append(sc.wire[:0], "HTTP/1.1 "...)
+	b := append(*sc.held(), "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(status), 10)
 	b = append(b, ' ')
 	b = append(b, http.StatusText(status)...)
@@ -546,15 +552,51 @@ func (sc *srvConn) reply(status int, soapBody bool, body []byte) {
 	if !sc.noBody {
 		b = append(b, body...)
 	}
-	sc.wire = b
+	*sc.out = b
 }
 
-// send writes b to the peer. A failed write means the peer hung up, and
-// there is no one left to fault to: the connection closes.
-func (sc *srvConn) send(b []byte) bool {
-	_, err := sc.nc.Write(b)
+// send writes a rejection to the peer after the replies held. A failed
+// write means the peer hung up, and there is no one left to fault to:
+// the connection closes.
+func (sc *srvConn) send(reject string) bool {
+	out := sc.held()
+	*out = append(*out, reject...)
+	return sc.flush()
+}
+
+// held returns the buffer of the replies held, taken from the pool
+// when none are.
+func (sc *srvConn) held() *[]byte {
+	if sc.out == nil {
+		sc.out = wirePool.Get().(*[]byte)
+		*sc.out = (*sc.out)[:0]
+	}
+	return sc.out
+}
+
+// flush writes the replies held, in one write, and reports whether the
+// write succeeded.
+func (sc *srvConn) flush() bool {
+	if sc.out == nil {
+		return true
+	}
+	_, err := sc.nc.Write(*sc.out)
+	putWire(sc.out)
+	sc.out = nil
 	return err == nil
 }
+
+// Read fills the read buffer from the socket, once the replies held
+// are written: a peer that pipelines requests gets every reply it is
+// owed before the server waits on it.
+func (sc *srvConn) Read(p []byte) (int, error) {
+	if !sc.flush() {
+		return 0, errHungUp
+	}
+	return sc.nc.Read(p)
+}
+
+var errHungUp = errors.New("container: peer hung up before its replies were written")
 
 // hangUp ends a connection whose peer may still be sending the rest of
 // a request the server did not read. Closing with unread input resets

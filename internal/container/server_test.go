@@ -241,3 +241,28 @@ func TestEchoCallAllocs(t *testing.T) {
 		t.Fatalf("echo Call = %.1f allocs, want <= %.0f", allocs, limit)
 	}
 }
+
+// TestTimedDeliverAllocs pins what a pooled delivery through a client
+// with a timeout allocates, both sides of the exchange counted: the
+// timeout is a deadline on the connection, not a context, so it costs
+// nothing over an untimed delivery's 20 allocations, where a context
+// and its AfterFunc registration cost 9.
+func TestTimedDeliverAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	c, _ := startPlain(t)
+	delivery := NewClient(ClientConfig{}).ForDelivery(DeliveryPooled).WithTimeout(time.Minute)
+	epr := c.EPR("/echo")
+	body := xmlutil.NewText("urn:echo", "Echo", "hello")
+	deliver := func() {
+		if err := delivery.Deliver(context.Background(), epr, "urn:echo/Echo", nil, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliver()
+	const limit = 24.0
+	if allocs := testing.AllocsPerRun(200, deliver); allocs > limit {
+		t.Fatalf("timed Deliver = %.1f allocs, want <= %.0f", allocs, limit)
+	}
+}

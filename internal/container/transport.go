@@ -35,16 +35,21 @@ import (
 //
 // An unwrapped Client calls post, which writes the SOAP request head
 // itself from the address and the action, so its exchange builds no
-// http.Request, url.URL, header map or http.Response. RoundTrip serves
+// http.Request, url.URL, header map or http.Response. A pooled
+// delivery client pipelines instead: it checks out one connection,
+// writes a run of such requests in one write, and reads the replies in
+// order with the same parser (Client.pipeline). RoundTrip serves
 // wrapped transports (netlat, faultinject, perfbench's meter) over the
-// same pool, reply parser and body reader.
+// same pool, reply parser and body reader, one exchange per request.
 //
 // The request head is byte for byte the one net/http's client writes,
 // replies are framed by http.ReadResponse's rules, and the pool keeps
-// net/http's per-host idle limit, idle timeout and LIFO reuse.
-// Connections are the container's own to cache, which is what makes
-// the HTTPS scenario fast ("due to socket caching, HTTPS performance is
-// much faster", §4.1.3).
+// net/http's per-host idle limit, idle timeout and LIFO reuse. It
+// pools a connection only once the reply to every request written on
+// it was read whole, and never writes a request twice. Connections are the
+// container's own to cache, which is what makes the HTTPS scenario
+// fast ("due to socket caching, HTTPS performance is much faster",
+// §4.1.3).
 type transport struct {
 	// tls configures https dials; each dial uses a clone with ServerName
 	// taken from the host. nil selects the default configuration.
@@ -109,14 +114,16 @@ type conn struct {
 	// br reads nc. Only a checked-out connection holds one: readers
 	// lends them.
 	br *bufio.Reader
-	// deadline reports a context deadline set on nc.
+	// deadline reports a deadline set on nc.
 	deadline bool
 	reused   bool
 
-	// The exchange in progress: its context and the registration that
-	// aborts it when the context is done (nil without one).
-	ctx  context.Context
-	stop func() bool
+	// The exchange in progress: its context, the registration that
+	// aborts it when the context is done (nil without one), and the
+	// client's timeout, which bounds each reply's wait (0: none).
+	ctx     context.Context
+	stop    func() bool
+	timeout time.Duration
 	// The reply: its status, whether it or the request asked to close,
 	// and its body's framing. The body is chunked (chunks decodes it),
 	// sized (left bytes still to read) or ends at EOF (left < 0).
@@ -241,7 +248,7 @@ func plainChars(s, extra string) bool {
 // connection as a delivery dial or reuse.
 func (t *transport) post(ctx context.Context, dst address, action string, env []byte, closeConn, countConns bool) (int, io.ReadCloser, error) {
 	if !validFieldValue(action) {
-		return 0, nil, errors.New(`net/http: invalid header field value for "Soapaction"`)
+		return 0, nil, errBadAction
 	}
 	wire := wirePool.Get().(*[]byte)
 	defer putWire(wire)
@@ -252,6 +259,8 @@ func (t *transport) post(ctx context.Context, dst address, action string, env []
 	}
 	return pc.status, reply{pc}, nil
 }
+
+var errBadAction = errors.New(`net/http: invalid header field value for "Soapaction"`)
 
 // RoundTrip runs one exchange on the calling goroutine, for a wrapped
 // transport. The response carries the reply's status, framing and
@@ -286,42 +295,62 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 // and reads the reply head. The caller reads the reply's body from the
 // connection and closes it.
 func (t *transport) send(ctx context.Context, key connKey, wire []byte, req request) (*conn, error) {
-	pc, err := t.get(ctx, key)
+	pc, err := t.checkout(ctx, key, 0)
 	if err != nil {
 		return nil, err
 	}
 	if req.countConns {
-		countDeliveryConn(pc.reused)
+		countDeliveryConns(pc.reused, 1)
 	}
 	if trace := httptrace.ContextClientTrace(ctx); trace != nil && trace.GotConn != nil {
 		trace.GotConn(httptrace.GotConnInfo{Conn: pc.nc, Reused: pc.reused, WasIdle: pc.reused})
 	}
-	if d, ok := ctx.Deadline(); ok {
-		//lint:ignore ogsalint/soapfault only a closed conn refuses a deadline, and the write below fails on it
-		pc.nc.SetDeadline(d) //nolint:errcheck // see above
-		pc.deadline = true
+	if _, err = pc.nc.Write(wire); err == nil {
+		err = pc.nextReply(req)
 	}
-	pc.ctx = ctx
-	if ctx.Done() != nil {
-		pc.stop = context.AfterFunc(ctx, pc.abortFn)
-	}
-	if err := pc.exchange(wire, req); err != nil {
-		if pc.stop != nil {
-			pc.stop()
-		}
-		pc.ctx, pc.stop = nil, nil
-		t.put(pc, false)
-		return nil, ctxErr(ctx, err)
+	if err != nil {
+		err = pc.ctxErr(err)
+		pc.release(false)
+		return nil, err
 	}
 	return pc, nil
 }
 
-// exchange writes the request and reads the reply head, skipping
-// interim 1xx replies; the heads read share one maxHead allowance.
-func (pc *conn) exchange(wire []byte, req request) error {
-	if _, err := pc.nc.Write(wire); err != nil {
-		return err
+// checkout checks out a connection to key for an exchange under ctx:
+// a pooled live one, or one dialed within timeout. Its deadline is
+// armed for the first write and reply.
+func (t *transport) checkout(ctx context.Context, key connKey, timeout time.Duration) (*conn, error) {
+	pc, err := t.get(ctx, key, timeout)
+	if err != nil {
+		return nil, err
 	}
+	pc.ctx, pc.timeout = ctx, timeout
+	pc.arm()
+	if ctx.Done() != nil {
+		pc.stop = context.AfterFunc(ctx, pc.abortFn)
+	}
+	return pc, nil
+}
+
+// arm sets the deadline for what the exchange does next: the context's
+// deadline, or the timeout from now if that is sooner.
+func (pc *conn) arm() {
+	d, ok := pc.ctx.Deadline()
+	if pc.timeout > 0 {
+		if td := time.Now().Add(pc.timeout); !ok || td.Before(d) {
+			d, ok = td, true
+		}
+	}
+	if ok {
+		//lint:ignore ogsalint/soapfault only a closed conn refuses a deadline, and the next write or read fails on it
+		pc.nc.SetDeadline(d) //nolint:errcheck // see above
+		pc.deadline = true
+	}
+}
+
+// nextReply reads the next reply head, skipping interim 1xx replies; the
+// heads read share one maxHead allowance.
+func (pc *conn) nextReply(req request) error {
 	left := maxHead
 	for {
 		if err := pc.readHead(&left, req); err != nil {
@@ -335,6 +364,11 @@ func (pc *conn) exchange(wire []byte, req request) error {
 		}
 	}
 }
+
+// reusable reports whether the reply just read leaves the connection
+// fit for another: its body was read to the end, and neither side
+// asked to close.
+func (pc *conn) reusable() bool { return pc.keep && pc.eof && pc.err == nil }
 
 // replyFields is what a reply head's fields say, once read.
 type replyFields struct {
@@ -478,7 +512,7 @@ func (pc *conn) frame(major, minor int, f *replyFields, req request) error {
 	if chunked && f.badTrailer {
 		return errors.New("http: bad trailer key")
 	}
-	pc.length, pc.left, pc.chunks = 0, 0, nil
+	pc.length, pc.left, pc.chunks, pc.zr = 0, 0, nil, nil
 	switch {
 	case req.head:
 		pc.length = length
@@ -522,7 +556,7 @@ func (r reply) Read(p []byte) (n int, err error) {
 		n, err = pc.zr.Read(p)
 	}
 	if err != nil && err != io.EOF {
-		err = ctxErr(pc.ctx, err)
+		err = pc.ctxErr(err)
 		pc.err = err
 	}
 	return n, err
@@ -531,14 +565,18 @@ func (r reply) Read(p []byte) (n int, err error) {
 // Close releases the connection: it is pooled if the body was read to
 // its end and neither side asked to close, and closed otherwise.
 func (r reply) Close() error {
-	pc := r.pc
-	reuse := pc.keep && pc.eof && pc.err == nil
+	r.pc.release(r.pc.reusable())
+	return nil
+}
+
+// release ends the exchange on pc and hands it back: pooled when reuse
+// allows it, closed otherwise.
+func (pc *conn) release(reuse bool) {
 	if pc.stop != nil && !pc.stop() {
 		reuse = false // the cancel has interrupted, or is interrupting, the connection
 	}
 	pc.ctx, pc.stop, pc.chunks, pc.zr = nil, nil, nil, nil
 	pc.t.put(pc, reuse)
-	return nil
 }
 
 // readRaw reads the body as the wire carries it, noting its end. A
@@ -632,8 +670,8 @@ func (b *body) Close() error {
 }
 
 // get checks out the most recently pooled live connection to key, or
-// dials one.
-func (t *transport) get(ctx context.Context, key connKey) (*conn, error) {
+// dials one within timeout (0: no bound but ctx's).
+func (t *transport) get(ctx context.Context, key connKey, timeout time.Duration) (*conn, error) {
 	for {
 		t.mu.Lock()
 		pc := t.idle[key]
@@ -656,6 +694,11 @@ func (t *transport) get(ctx context.Context, key connKey) (*conn, error) {
 			return pc, nil
 		}
 		pc.nc.Close()
+	}
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
 	return t.dialConn(ctx, key)
 }
@@ -761,14 +804,15 @@ func (pc *conn) expire() {
 	}
 }
 
-// ctxErr reports an I/O error a done context caused as the context's
-// error, which is what net/http returned: the connection deadline that
-// stopped the call is the context's deadline, or its cancellation.
-func ctxErr(ctx context.Context, err error) error {
-	if cerr := ctx.Err(); cerr != nil {
+// ctxErr reports an I/O error the exchange's bounds caused as net/http
+// did: as the context's error once the context is done, and as
+// context.DeadlineExceeded when the deadline armed from the context or
+// the timeout stopped the call.
+func (pc *conn) ctxErr(err error) error {
+	if cerr := pc.ctx.Err(); cerr != nil {
 		return cerr
 	}
-	if _, ok := ctx.Deadline(); ok && errors.Is(err, os.ErrDeadlineExceeded) {
+	if pc.deadline && errors.Is(err, os.ErrDeadlineExceeded) {
 		return context.DeadlineExceeded
 	}
 	return err

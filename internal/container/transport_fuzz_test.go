@@ -12,6 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"altstacks/internal/obs"
+	"altstacks/internal/wsa"
 )
 
 // scriptConn is a connection whose peer's bytes are fixed: reads drain
@@ -35,7 +38,11 @@ func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 // gzip-encoded. It returns the status and the body, whether the reply
 // keeps the connection alive, and the error that ended the read early.
 func readReference(reply []byte) (status int, body []byte, keepAlive bool, err error) {
-	br := bufio.NewReader(bytes.NewReader(reply))
+	return readReferenceFrom(bufio.NewReader(bytes.NewReader(reply)))
+}
+
+// readReferenceFrom is readReference reading the next reply from br.
+func readReferenceFrom(br *bufio.Reader) (status int, body []byte, keepAlive bool, err error) {
 	for {
 		resp, err := http.ReadResponse(br, &http.Request{Method: http.MethodPost})
 		if err != nil {
@@ -186,6 +193,89 @@ func FuzzTransportResponse(f *testing.F) {
 		if (err == nil) != (post.err == nil) || err == nil && (status != post.status || !bytes.Equal(body, post.body)) {
 			t.Fatalf("transport and http.ReadResponse disagree on %q:\nReadResponse: status %d, body %q, err %v\ntransport:    status %d, body %q, err %v",
 				reply, status, body, err, post.status, post.body, post.err)
+		}
+	})
+}
+
+// FuzzPipelinedReplies serves fuzzed reply bytes to a pipelined run of
+// one to four deliveries, on a transport whose only connection replies
+// with those bytes. The transport must not panic. Reply by reply it
+// must agree with http.ReadResponse on status, body and failure, up to
+// the first reply that fails or does not keep the connection alive;
+// every delivery after that fails. It pools the connection only after
+// a run of complete keep-alive replies, and closes it otherwise.
+func FuzzPipelinedReplies(f *testing.F) {
+	ok := "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+	for _, seed := range []struct {
+		n     uint8
+		reply string
+	}{
+		{2, ok + ok},
+		{3, ok + "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n" + ok},
+		{2, "HTTP/1.1 100 Continue\r\n\r\n" + ok + "HTTP/1.1 500 Internal Server Error\r\nContent-Length: 1\r\n\r\nx"},
+		{3, ok + "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok" + ok},
+		{2, ok + "HTTP/1.1 200 OK\r\n\r\nclose-delimited"},
+		{4, ok + "HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\ncut"},
+		{1, ok + ok},
+		{2, ok},
+	} {
+		f.Add(seed.n, []byte(seed.reply))
+	}
+	dst, _ := parseAddress("http://peer.test/consumer")
+	f.Fuzz(func(t *testing.T, n uint8, reply []byte) {
+		runs := 1 + int(n%4)
+		tr := newTransport(nil, 2)
+		defer drainIdle(tr)
+		sc := &scriptConn{r: bytes.NewReader(reply)}
+		tr.dial = func(context.Context, string) (net.Conn, error) { return sc, nil }
+		client := &Client{HTTP: &http.Client{Transport: tr}}
+		type result struct {
+			status int
+			body   []byte
+			err    error
+		}
+		got := make([]result, runs)
+		// read sees each reply read whole, just before done reports it.
+		var read *result
+		client.pipeline(context.Background(), tr, 0, dst, "http://peer.test/consumer", 0, runs, func(int) Message {
+			return Message{Ctx: context.Background(), To: wsa.NewEPR("http://peer.test/consumer"), Action: "urn:echo/Echo", Body: echoBody}
+		}, func(resp []byte, status int, _ *obs.Span) error {
+			if len(resp) > maxRequestBody {
+				t.Fatalf("body read %d bytes, past the %d bound", len(resp), maxRequestBody)
+			}
+			read = &result{status: status, body: bytes.Clone(resp)}
+			return nil
+		}, func(i int, err error) {
+			if read != nil {
+				got[i], read = *read, nil
+			}
+			got[i].err = err
+		})
+
+		br := bufio.NewReader(bytes.NewReader(reply))
+		complete := true
+		for i, g := range got {
+			if !complete {
+				if g.err == nil {
+					t.Fatalf("delivery %d succeeded after the run ended\nreply: %q", i, reply)
+				}
+				continue
+			}
+			status, body, keepAlive, err := readReferenceFrom(br)
+			if (err == nil) != (g.err == nil) || err == nil && (status != g.status || !bytes.Equal(body, g.body)) {
+				t.Fatalf("reply %d: transport and http.ReadResponse disagree on %q:\nReadResponse: status %d, body %q, err %v\ntransport:    status %d, body %q, err %v",
+					i, reply, status, body, err, g.status, g.body, g.err)
+			}
+			complete = err == nil && keepAlive
+		}
+		tr.mu.Lock()
+		pooled := tr.idle[connKey{addr: "peer.test:80"}] != nil
+		tr.mu.Unlock()
+		switch {
+		case pooled && !complete:
+			t.Fatalf("connection pooled after an incomplete run %q", reply)
+		case !pooled && !sc.closed:
+			t.Fatalf("connection neither pooled nor closed after %q", reply)
 		}
 	})
 }

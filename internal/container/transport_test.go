@@ -37,7 +37,7 @@ type rawPeer struct {
 	requests atomic.Int32
 	// ended receives once per connection, when either side closed it.
 	ended chan struct{}
-	heads chan []byte // every request head, in arrival order
+	reqs  chan []byte // every request, head and body, in arrival order
 }
 
 func startRawPeer(t *testing.T, reply func(w io.Writer, n int) (keep bool)) *rawPeer {
@@ -46,7 +46,7 @@ func startRawPeer(t *testing.T, reply func(w io.Writer, n int) (keep bool)) *raw
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &rawPeer{addr: ln.Addr().String(), ended: make(chan struct{}, 1024), heads: make(chan []byte, 1024)}
+	p := &rawPeer{addr: ln.Addr().String(), ended: make(chan struct{}, 1024), reqs: make(chan []byte, 1024)}
 	var (
 		mu    sync.Mutex
 		conns []net.Conn
@@ -84,10 +84,11 @@ func startRawPeer(t *testing.T, reply func(w io.Writer, n int) (keep bool)) *raw
 					if err != nil {
 						return
 					}
-					if _, err := io.CopyN(io.Discard, br, int64(contentLength(head))); err != nil {
+					req := append(head, make([]byte, max(contentLength(head), 0))...)
+					if _, err := io.ReadFull(br, req[len(head):]); err != nil {
 						return
 					}
-					p.heads <- head
+					p.reqs <- req
 					if !reply(c, int(p.requests.Add(1))) {
 						return
 					}
@@ -204,7 +205,7 @@ func TestTransportPerMessageDelivery(t *testing.T) {
 		t.Fatalf("%d per-message deliveries dialed %d connections", n, got)
 	}
 	for i := 0; i < n; i++ {
-		if head := <-p.heads; !bytes.Contains(head, []byte("\r\nConnection: close\r\n")) {
+		if head := <-p.reqs; !bytes.Contains(head, []byte("\r\nConnection: close\r\n")) {
 			t.Fatalf("per-message request head lacks Connection: close: %q", head)
 		}
 	}

@@ -18,15 +18,22 @@ import (
 // p.Workers, src.EvictAfter, and so on.
 type Knobs struct {
 	// Workers bounds the delivery worker pool; 0 selects GOMAXPROCS.
-	// Width 1 forces the pre-overhaul sequential dispatch.
+	// A worker takes one chunk at a time: up to 32 deliveries to one
+	// consumer address, which a pooled HTTP client pipelines on one
+	// connection. So ogsa_fanout_tasks_total counts chunks, which are
+	// subscriptions only where no two share a consumer. Width 1 forces
+	// the pre-overhaul sequential dispatch.
 	Workers int
-	// DeliveryTimeout caps each outbound delivery attempt (an HTTP
-	// exchange or a TCP frame write) so one slow subscriber cannot stall
-	// a fan-out batch; 0 means no per-attempt cap.
+	// DeliveryTimeout caps each wait of an outbound delivery attempt so
+	// one slow subscriber cannot stall a fan-out batch: the dial and each
+	// reply of a pipelined chunk, or an HTTP exchange or a TCP frame
+	// write of its own. A hung consumer so costs one timeout per attempt
+	// of its chunk, not one per delivery. 0 means no cap.
 	DeliveryTimeout time.Duration
 	// Retry governs per-subscriber delivery attempts within one publish:
-	// exponential backoff with jitter between attempts. The zero policy
-	// performs a single attempt.
+	// exponential backoff with jitter between attempts, after each of
+	// which a chunk's failed deliveries go out again together. The zero
+	// policy performs a single attempt.
 	Retry retry.Policy
 	// EvictAfter ends a subscription after this many consecutive failed
 	// publishes, each already retried per Retry; 0 disables eviction.
@@ -181,6 +188,10 @@ type Stack[S, M any] struct {
 	Counters *Counters
 	// ID names a subscription in the ledger, spans, and events.
 	ID func(S) string
+	// Key names the connection a subscription's deliveries ride: its
+	// consumer address. Deliveries with the same key share chunks; ""
+	// gives each delivery a chunk of its own.
+	Key func(S) string
 	// Match applies a subscription's filters to one message.
 	Match func(S, M) (bool, error)
 	// Annotate adds stack attributes to a deliver span; it runs only
@@ -202,9 +213,11 @@ type Stack[S, M any] struct {
 // Engine is the delivery machinery both notification stacks share:
 // per-subscriber matching of one message, fan-out over the worker
 // pool, retry with backoff, the health ledger, eviction, and the
-// delivery counters. Its unit of work is one subscription receiving
-// one message. The stacks keep subscription storage, filter semantics,
-// wire formats, and where health persists.
+// delivery counters. A delivery is one subscription receiving one
+// message, and the ledger, counters and spans count deliveries; the
+// unit of work and of retry is a chunk of deliveries to one consumer.
+// The stacks keep subscription storage, filter semantics, wire formats,
+// and where health persists.
 type Engine[S, M any] struct {
 	knobs *Knobs
 	stack Stack[S, M]
@@ -286,26 +299,39 @@ func (e *Engine[S, M]) Match(subs []S, m M) []S {
 	return matched
 }
 
+// maxChunk bounds the deliveries of a chunk: as many as the container's
+// client pipelines in one run.
+const maxChunk = 32
+
+// Delivery is one subscription's delivery within a chunk. The stack's
+// send hook delivers Sub under Ctx, which carries the delivery's span,
+// and sets Err to the outcome.
+type Delivery[S any] struct {
+	Ctx context.Context
+	Sub S
+	Err error
+
+	i    int // its index among the matched subscriptions
+	id   string
+	span *obs.Span
+}
+
 // Deliver fans one message out to the matched subscriptions over the
-// worker pool. Each delivery runs under the Retry policy, attempt
-// making one try. A success resets the subscription's ledger; an
-// exhausted delivery counts toward EvictAfter. It returns how many
-// subscriptions were delivered to and the first error in subscription
-// order — the semantics of the sequential dispatch the pool replaced.
-func (e *Engine[S, M]) Deliver(ctx context.Context, matched []S, attempt func(context.Context, S) error) (int, error) {
+// worker pool. It splits them into chunks, in subscription order: the
+// deliveries that share a Key, maxChunk at most. send delivers one
+// chunk, which the workers take one at a time. A chunk runs under the
+// Retry policy: after each backoff its failed deliveries go out again
+// as one chunk, so each delivery gets at most Retry.MaxAttempts
+// attempts. A success resets the subscription's ledger; an exhausted
+// delivery counts toward EvictAfter. It returns how many subscriptions
+// were delivered to and the first error in subscription order — the
+// semantics of the sequential dispatch the pool replaced.
+func (e *Engine[S, M]) Deliver(ctx context.Context, matched []S, send func(context.Context, []Delivery[S])) (int, error) {
 	obs.SpanFromContext(ctx).SetAttr("matched", strconv.Itoa(len(matched)))
+	ds, chunks := e.chunk(matched)
 	errs := make([]error, len(matched))
-	Do(len(matched), e.knobs.Workers, func(i int) {
-		sub := matched[i]
-		id := e.stack.ID(sub)
-		if err := e.deliver(ctx, sub, id, attempt); err != nil {
-			errs[i] = err
-			e.add(cFailures, 1)
-			e.fault(sub, id, err)
-			return
-		}
-		e.add(cDeliveries, 1)
-		e.succeed(id)
+	Do(len(chunks)-1, e.knobs.Workers, func(c int) {
+		e.deliver(ctx, ds[chunks[c]:chunks[c+1]], errs, send)
 	})
 	delivered := 0
 	var firstErr error
@@ -319,31 +345,107 @@ func (e *Engine[S, M]) Deliver(ctx context.Context, matched []S, attempt func(co
 	return delivered, firstErr
 }
 
-// deliver runs one delivery under the retry policy inside a deliver
-// span, accounting the message, attempts, and retries.
-func (e *Engine[S, M]) deliver(ctx context.Context, sub S, id string, attempt func(context.Context, S) error) error {
-	e.add(cMessagesSent, 1)
-	t0 := obs.Start()
-	dctx, dspan := obs.StartSpan(ctx, e.deliverSpan)
-	dspan.SetAttr("subscription", id)
-	if e.stack.Annotate != nil && dspan != nil {
-		e.stack.Annotate(sub, dspan)
+// chunk lays the matched subscriptions out chunk after chunk, in the
+// order each chunk's first subscription was matched, and returns them
+// with the chunk boundaries: chunk c is ds[chunks[c]:chunks[c+1]].
+func (e *Engine[S, M]) chunk(matched []S) (ds []Delivery[S], chunks []int) {
+	// of[i] is subscription i's chunk; size[c] is chunk c's length.
+	of := make([]int, len(matched))
+	var size []int
+	open := map[string]int{}
+	for i, sub := range matched {
+		k := e.stack.Key(sub)
+		c, ok := open[k]
+		if !ok || k == "" || size[c] == maxChunk {
+			c = len(size)
+			size = append(size, 0)
+			open[k] = c
+		}
+		size[c]++
+		of[i] = c
 	}
-	attempts, err := retry.Do(dctx, e.knobs.Retry, func(actx context.Context) error {
-		return attempt(actx, sub)
+	chunks = make([]int, len(size)+1)
+	for c, n := range size {
+		chunks[c+1] = chunks[c] + n
+		size[c] = chunks[c] // now chunk c's next free slot
+	}
+	ds = make([]Delivery[S], len(matched))
+	for i, sub := range matched {
+		ds[size[of[i]]] = Delivery[S]{Sub: sub, i: i}
+		size[of[i]]++
+	}
+	return ds, chunks
+}
+
+// deliver runs one chunk under the retry policy, each delivery inside
+// its deliver span, and accounts each delivery once its outcome is
+// final: a success after the round that made it, a failure after the
+// last round. A failed delivery's error goes to errs.
+func (e *Engine[S, M]) deliver(ctx context.Context, chunk []Delivery[S], errs []error, send func(context.Context, []Delivery[S])) {
+	e.add(cMessagesSent, int64(len(chunk)))
+	t0 := obs.Start()
+	for j := range chunk {
+		d := &chunk[j]
+		d.id = e.stack.ID(d.Sub)
+		d.Ctx, d.span = obs.StartSpan(ctx, e.deliverSpan)
+		d.span.SetAttr("subscription", d.id)
+		if e.stack.Annotate != nil && d.span != nil {
+			e.stack.Annotate(d.Sub, d.span)
+		}
+	}
+	pending, round := chunk, 0
+	//lint:ignore ogsalint/soapfault each failed delivery's error is accounted below; Do's is the first of them again
+	retry.Do(ctx, e.knobs.Retry, func(ctx context.Context) error { //nolint:errcheck // see above
+		for j := range pending {
+			if d := &pending[j]; d.Err != nil {
+				if obs.Enabled() {
+					d.span.Annotate(fmt.Sprintf("attempt %d failed: %v", round, d.Err))
+				}
+				d.Err = nil
+			}
+		}
+		round++
+		send(ctx, pending)
+		var failed []Delivery[S] // a copy: pending may be the chunk itself
+		for j := range pending {
+			if d := &pending[j]; d.Err != nil {
+				failed = append(failed, *d)
+			} else {
+				e.account(t0, d, round, errs)
+			}
+		}
+		if pending = failed; len(pending) > 0 {
+			return pending[0].Err
+		}
+		return nil
 	})
-	obs.StageDeliver.ObserveSinceSpan(t0, dspan)
+	for j := range pending {
+		e.account(t0, &pending[j], round, errs)
+	}
+}
+
+// account records a delivery's final outcome after its attempts: the
+// counters, its deliver span, and the subscription's ledger.
+func (e *Engine[S, M]) account(t0 time.Time, d *Delivery[S], attempts int, errs []error) {
+	obs.StageDeliver.ObserveSinceSpan(t0, d.span)
 	e.add(cAttempts, int64(attempts))
 	if attempts > 1 {
 		e.add(cRetries, int64(attempts-1))
-		dspan.Annotate(fmt.Sprintf("retried: %d attempts", attempts))
-		obs.RecordEventCtx(dctx, e.retryEvent,
-			obs.Attr{K: "subscription", V: id},
+		d.span.Annotate(fmt.Sprintf("retried: %d attempts", attempts))
+		obs.RecordEventCtx(d.Ctx, e.retryEvent,
+			obs.Attr{K: "subscription", V: d.id},
 			obs.Attr{K: "attempts", V: strconv.Itoa(attempts)})
 	}
-	dspan.Fail(err)
-	dspan.End()
-	return err
+	d.span.Fail(d.Err)
+	d.span.End()
+	if d.Err != nil {
+		errs[d.i] = d.Err
+		e.add(cFailures, 1)
+		e.fault(d.Sub, d.id, d.Err)
+		return
+	}
+	e.add(cDeliveries, 1)
+	e.succeed(d.id)
 }
 
 // Health returns the delivery-health record for a subscription (zero

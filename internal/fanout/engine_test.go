@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ var testCounters = NewCounters("fanouttest")
 // nonzero (negative: forever), after an optional delay.
 type fakeSub struct {
 	id       string
+	key      string            // its consumer address: "" chunks it alone
 	accept   func(string) bool // nil accepts every message
 	failLeft atomic.Int32
 	delay    time.Duration
@@ -45,6 +47,7 @@ func newFakeStack(subs ...*fakeSub) *fakeStack {
 		Name:     "fanouttest",
 		Counters: testCounters,
 		ID:       func(s *fakeSub) string { return s.id },
+		Key:      func(s *fakeSub) string { return s.key },
 		Match: func(s *fakeSub, m string) (bool, error) {
 			if m == "bad" {
 				return false, errors.New("filter broke")
@@ -79,6 +82,20 @@ func newFakeStack(subs ...*fakeSub) *fakeStack {
 }
 
 func (f *fakeStack) publish(ctx context.Context, m string) (int, error) {
+	return f.publishWith(ctx, m, func(ctx context.Context, chunk []Delivery[*fakeSub]) {
+		for i := range chunk {
+			s := chunk[i].Sub
+			time.Sleep(s.delay)
+			if s.failLeft.Load() != 0 {
+				s.failLeft.Add(-1)
+				chunk[i].Err = fmt.Errorf("deliver to %s failed", s.id)
+			}
+		}
+	})
+}
+
+// publishWith publishes m to the live subscriptions through send.
+func (f *fakeStack) publishWith(ctx context.Context, m string, send func(context.Context, []Delivery[*fakeSub])) (int, error) {
 	f.mu.Lock()
 	var live []*fakeSub
 	for _, s := range f.subs {
@@ -87,14 +104,7 @@ func (f *fakeStack) publish(ctx context.Context, m string) (int, error) {
 		}
 	}
 	f.mu.Unlock()
-	return f.eng.Deliver(ctx, f.eng.Match(live, m), func(ctx context.Context, s *fakeSub) error {
-		time.Sleep(s.delay)
-		if s.failLeft.Load() != 0 {
-			s.failLeft.Add(-1)
-			return fmt.Errorf("deliver to %s failed", s.id)
-		}
-		return nil
-	})
+	return f.eng.Deliver(ctx, f.eng.Match(live, m), send)
 }
 
 func failing(id string, n int32) *fakeSub {
@@ -238,5 +248,212 @@ func TestEngineFirstErrorInSubscriptionOrder(t *testing.T) {
 	n, err := f.publish(context.Background(), "m")
 	if n != 3 || err == nil || !strings.Contains(err.Error(), "deliver to b") {
 		t.Fatalf("publish = %d, %v; want 3 delivered and b's error", n, err)
+	}
+}
+
+// scriptSender is a chunk sender that records the chunks it is handed
+// and fails each subscription's attempts as script says: its nth
+// attempt fails when script[id][n-1] is true, and attempts past the
+// script succeed. slow delays the chunks that hold that subscription.
+type scriptSender struct {
+	script map[string][]bool
+	slow   string
+
+	mu     sync.Mutex
+	tried  map[string]int
+	chunks [][]string
+}
+
+func (s *scriptSender) send(_ context.Context, chunk []Delivery[*fakeSub]) {
+	ids := make([]string, len(chunk))
+	for i := range chunk {
+		ids[i] = chunk[i].Sub.id
+		if ids[i] == s.slow {
+			time.Sleep(30 * time.Millisecond)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tried == nil {
+		s.tried = map[string]int{}
+	}
+	for i, id := range ids {
+		n := s.tried[id]
+		s.tried[id]++
+		if n < len(s.script[id]) && s.script[id][n] {
+			chunk[i].Err = fmt.Errorf("deliver to %s failed (attempt %d)", id, n+1)
+		}
+	}
+	s.chunks = append(s.chunks, ids)
+}
+
+// keyed returns n subscriptions s000, s001, … with the consumer
+// addresses key(i).
+func keyed(n int, key func(i int) string) []*fakeSub {
+	subs := make([]*fakeSub, n)
+	for i := range subs {
+		subs[i] = &fakeSub{id: fmt.Sprintf("s%03d", i), key: key(i)}
+	}
+	return subs
+}
+
+// TestEngineChunksByKeyOrderAndBound: a chunk holds deliveries to one
+// consumer address, in subscription order, maxChunk at most; a
+// subscription without a key gets a chunk of its own; chunks go out in
+// the order of their first subscription, and every subscription is in
+// exactly one.
+func TestEngineChunksByKeyOrderAndBound(t *testing.T) {
+	keys := []string{"A", "A", "B", ""}
+	subs := keyed(100, func(i int) string { return keys[i%4] })
+	f := newFakeStack(subs...)
+	f.knobs.Workers = 1
+	var s scriptSender
+	if n, err := f.publishWith(context.Background(), "m", s.send); n != len(subs) || err != nil {
+		t.Fatalf("publish = %d, %v", n, err)
+	}
+	key := map[string]string{}
+	for _, sub := range subs {
+		key[sub.id] = sub.key
+	}
+	var sizes []int
+	seen := map[string]bool{}
+	last := ""
+	for _, ids := range s.chunks {
+		k := key[ids[0]]
+		if len(ids) > maxChunk || k == "" && len(ids) != 1 {
+			t.Fatalf("chunk %v: %d deliveries for key %q", ids, len(ids), k)
+		}
+		if ids[0] <= last {
+			t.Fatalf("chunk %v went out after a chunk starting at %s", ids, last)
+		}
+		last = ids[0]
+		for j, id := range ids {
+			if key[id] != k || j > 0 && id <= ids[j-1] || seen[id] {
+				t.Fatalf("chunk %v: %s has key %q or is out of order or repeated", ids, id, key[id])
+			}
+			seen[id] = true
+		}
+		if k == "A" {
+			sizes = append(sizes, len(ids))
+		}
+	}
+	if len(seen) != len(subs) {
+		t.Fatalf("%d of %d subscriptions delivered", len(seen), len(subs))
+	}
+	if len(s.chunks) != 2+1+25 || len(sizes) != 2 || sizes[0] != maxChunk || sizes[1] != 50-maxChunk {
+		t.Fatalf("%d chunks, key A's of %v; want 28, of [%d %d]", len(s.chunks), sizes, maxChunk, 50-maxChunk)
+	}
+}
+
+// TestEngineChunkRetryMatchesPerMessage: over four publishes of a
+// scripted run of failures, retrying chunks leaves the counters, the
+// health ledger and the evictions just as retrying each delivery on its
+// own does. The reference is that per-message engine, played in
+// subscription order.
+func TestEngineChunkRetryMatchesPerMessage(t *testing.T) {
+	const publishes, maxAttempts, evictAfter = 4, 3, 2
+	subs := keyed(60, func(i int) string { return fmt.Sprintf("sink-%d", i%5) })
+	rng := rand.New(rand.NewPCG(1, 2))
+	// Subscription i fails each attempt with odds (i%4)/4.
+	script := map[string][]bool{}
+	for i, sub := range subs {
+		for a := 0; a < publishes*maxAttempts; a++ {
+			script[sub.id] = append(script[sub.id], rng.IntN(4) < i%4)
+		}
+	}
+
+	// The per-message engine, played from the same script.
+	var want Stats
+	consecutive, evicted, tried := map[string]int{}, map[string]bool{}, map[string]int{}
+	for p := 0; p < publishes; p++ {
+		for _, sub := range subs {
+			if evicted[sub.id] {
+				continue
+			}
+			attempts, ok := 0, false
+			for attempts < maxAttempts && !ok {
+				ok = !script[sub.id][tried[sub.id]]
+				tried[sub.id]++
+				attempts++
+			}
+			want.Attempts += int64(attempts)
+			want.Retries += int64(attempts - 1)
+			if ok {
+				want.Deliveries++
+				consecutive[sub.id] = 0
+				continue
+			}
+			want.Failures++
+			if consecutive[sub.id]++; consecutive[sub.id] >= evictAfter {
+				evicted[sub.id] = true
+				want.Evictions++
+			}
+		}
+	}
+
+	if want.Retries == 0 || want.Failures == 0 || want.Evictions == 0 {
+		t.Fatalf("the script exercises too little: %+v", want)
+	}
+
+	f := newFakeStack(subs...)
+	f.knobs.Workers = 3
+	f.knobs.EvictAfter = evictAfter
+	f.knobs.Retry = retry.Policy{MaxAttempts: maxAttempts, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+	s := scriptSender{script: script}
+	for p := 0; p < publishes; p++ {
+		_, _ = f.publishWith(context.Background(), "m", s.send)
+	}
+	if got := f.eng.Stats(); got != want {
+		t.Fatalf("chunked stats = %+v\nper-message     %+v", got, want)
+	}
+	for _, sub := range subs {
+		if h := f.eng.Health(sub.id); h.ConsecutiveFailures != consecutive[sub.id] || (h.LastError != "") != (consecutive[sub.id] > 0) {
+			t.Errorf("%s: health %+v, want %d consecutive failures", sub.id, h, consecutive[sub.id])
+		}
+		if f.removed[sub.id] != evicted[sub.id] {
+			t.Errorf("%s: evicted %v, want %v", sub.id, f.removed[sub.id], evicted[sub.id])
+		}
+	}
+}
+
+// TestEngineChunkFirstErrorInSubscriptionOrder: the error returned is
+// the earliest failing subscription's, even when it shares no chunk
+// with a later failure that is reported first.
+func TestEngineChunkFirstErrorInSubscriptionOrder(t *testing.T) {
+	subs := keyed(3, func(i int) string { return []string{"X", "Y", "X"}[i] })
+	f := newFakeStack(subs...)
+	f.knobs.Workers = 2
+	s := scriptSender{script: map[string][]bool{"s001": {true}, "s002": {true}}, slow: "s001"}
+	n, err := f.publishWith(context.Background(), "m", s.send)
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "deliver to s001") {
+		t.Fatalf("publish = %d, %v; want 1 delivered and s001's error", n, err)
+	}
+}
+
+// TestEngineDeadChunkCostsMaxAttemptsSends: a chunk whose consumer
+// always fails goes out exactly Retry.MaxAttempts times, whole, and
+// each of its deliveries counts every attempt.
+func TestEngineDeadChunkCostsMaxAttemptsSends(t *testing.T) {
+	subs := keyed(10, func(int) string { return "dead" })
+	script := map[string][]bool{}
+	for _, sub := range subs {
+		script[sub.id] = []bool{true, true, true, true}
+	}
+	f := newFakeStack(subs...)
+	f.knobs.Retry = retry.Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+	s := scriptSender{script: script}
+	if n, err := f.publishWith(context.Background(), "m", s.send); n != 0 || err == nil {
+		t.Fatalf("publish = %d, %v; want 0 and an error", n, err)
+	}
+	if len(s.chunks) != 3 {
+		t.Fatalf("dead chunk sent %d times, want 3", len(s.chunks))
+	}
+	for _, ids := range s.chunks {
+		if len(ids) != len(subs) {
+			t.Fatalf("a retry sent %d of the chunk's %d deliveries", len(ids), len(subs))
+		}
+	}
+	if st := f.eng.Stats(); st != (Stats{Attempts: 30, Retries: 20, Failures: 10}) {
+		t.Fatalf("stats = %+v", st)
 	}
 }

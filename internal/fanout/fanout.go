@@ -7,8 +7,9 @@
 // deliveries — rather than paying N sequential round trips — is what
 // makes large fan-outs scale (the messaging-layer throughput the DIRAC
 // and EU DataGrid writeups identify as the lifeline of grid
-// middleware). What differs between the stacks is the wire protocol,
-// which stays in each stack.
+// middleware). Deliveries to one consumer go out together, as a chunk
+// the stack can send on one connection. What differs between the
+// stacks is the wire protocol, which stays in each stack.
 package fanout
 
 import (

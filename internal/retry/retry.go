@@ -12,7 +12,6 @@ package retry
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
 	"time"
 
@@ -85,7 +84,8 @@ func (p Policy) Backoff(n int) time.Duration {
 // cancelled, sleeping a jittered backoff between attempts. It returns
 // the number of attempts made and the final error (nil on success).
 // Each attempt receives ctx; bounding one attempt is the operation's
-// own job (a delivery carries fanout.Knobs.DeliveryTimeout).
+// own job (a delivery carries fanout.Knobs.DeliveryTimeout), and so is
+// telling its spans about a failed attempt.
 func Do(ctx context.Context, p Policy, op func(context.Context) error) (attempts int, err error) {
 	max := p.attempts()
 	for n := 0; ; n++ {
@@ -98,12 +98,6 @@ func Do(ctx context.Context, p Policy, op func(context.Context) error) (attempts
 			return attempts, err
 		}
 		retriesTotal.Inc()
-		// Failure-path only: annotate the enclosing span (the deliver
-		// span, when ctx carries one) with the attempt that failed. The
-		// Enabled gate keeps the ctx.Value lookup off the happy path.
-		if obs.Enabled() {
-			obs.SpanFromContext(ctx).Annotate(fmt.Sprintf("attempt %d failed: %v", attempts, err))
-		}
 		t := time.NewTimer(p.Backoff(n))
 		select {
 		case <-ctx.Done():

@@ -88,6 +88,7 @@ func NewSource(store *Store, managerEndpoint func() string, httpClient *containe
 		Name:     "wse",
 		Counters: wseDelivery,
 		ID:       func(sub *Subscription) string { return sub.ID },
+		Key:      deliveryKey,
 		Match:    matches,
 		Annotate: func(sub *Subscription, sp *obs.Span) { sp.SetAttr("mode", sub.Mode) },
 		Evict: func(sub *Subscription, cause error) bool {
@@ -298,7 +299,8 @@ func (s *Source) unsubscribe(ctx *container.Ctx) (*xmlutil.Element, error) {
 // Expiry and filter checks run up front; a filter whose evaluation
 // errors counts as a delivery fault against its subscription (feeding
 // the same eviction ledger) rather than silently not matching. The
-// matched deliveries then fan out over a bounded worker pool; the
+// matched deliveries then fan out over a bounded worker pool, push
+// deliveries to one sink together, pipelined on one connection; the
 // returned error is the first failure in subscription order — the
 // same semantics as the sequential dispatch this replaces.
 func (s *Source) Publish(topic string, message *xmlutil.Element) (int, error) {
@@ -324,11 +326,34 @@ func (s *Source) PublishContext(ctx context.Context, topic string, message *xmlu
 	// Both channels serialize fresh envelopes per delivery from shared
 	// bodies: soap.Envelope shares the body tree at marshal time, so one
 	// tree serves every subscriber and the old clone-per-subscriber is
-	// avoided.
+	// avoided. The Topic header block is shared the same way.
 	httpClient := s.deliveryClient()
-	return s.eng.Deliver(ctx, matched, func(ctx context.Context, sub *Subscription) error {
-		return s.deliverOnce(ctx, httpClient, sub, e)
+	topicHeader := []*xmlutil.Element{xmlutil.NewText(NS, "Topic", e.Topic)}
+	return s.eng.Deliver(ctx, matched, func(ctx context.Context, chunk []fanout.Delivery[*Subscription]) {
+		if sub := chunk[0].Sub; sub.Mode == DeliveryModeTCP {
+			// deliveryKey gives each TCP delivery a chunk of its own. The
+			// frame write is bounded by the channel's write deadline; the
+			// attempt context bounds the dial, so a black-holed sink fails
+			// the attempt instead of hanging a fan-out worker in connect.
+			chunk[0].Err = s.TCP.DeliverContext(chunk[0].Ctx, sub.NotifyTo.Address, eventEnvelope(e), s.DeliveryTimeout)
+			return
+		}
+		// Push over HTTP: one-way SOAP POSTs to the sink, with the topic
+		// riding in a header block.
+		httpClient.DeliverEach(ctx, len(chunk), func(i int) container.Message {
+			return container.Message{Ctx: chunk[i].Ctx, To: chunk[i].Sub.NotifyTo, Action: ActionEvent, Headers: topicHeader, Body: e.Message}
+		}, func(i int, err error) { chunk[i].Err = err })
 	})
+}
+
+// deliveryKey chunks push deliveries by sink address. The raw-TCP
+// channel writes one frame per delivery, so a TCP delivery gets a chunk
+// of its own.
+func deliveryKey(sub *Subscription) string {
+	if sub.Mode == DeliveryModeTCP {
+		return ""
+	}
+	return sub.NotifyTo.Address
 }
 
 // live returns the unexpired subscriptions, in id order.
@@ -369,22 +394,6 @@ func eventEnvelope(e core.Event) *soap.Envelope {
 		xmlutil.NewText(wsa.NS, "Action", ActionEvent),
 	)
 	return env
-}
-
-func (s *Source) deliverOnce(ctx context.Context, client *container.Client, sub *Subscription, e core.Event) error {
-	switch sub.Mode {
-	case DeliveryModeTCP:
-		// The frame write is bounded by the channel's write deadline;
-		// the attempt context bounds the dial, so a black-holed sink
-		// fails the attempt instead of hanging a fan-out worker in
-		// connect.
-		return s.TCP.DeliverContext(ctx, sub.NotifyTo.Address, eventEnvelope(e), s.DeliveryTimeout)
-	default:
-		// Push over HTTP: a normal one-way SOAP POST to the sink, with
-		// the topic riding in a header block.
-		return client.Deliver(ctx, sub.NotifyTo, ActionEvent,
-			[]*xmlutil.Element{xmlutil.NewText(NS, "Topic", e.Topic)}, e.Message)
-	}
 }
 
 // cancel removes a subscription and notifies its EndTo endpoint over

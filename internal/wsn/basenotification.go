@@ -178,6 +178,7 @@ func NewProducer(db *xmldb.DB, collection string, managerEndpoint func() string,
 		Name:        "wsn",
 		Counters:    wsnDelivery,
 		ID:          func(s *Subscription) string { return s.ID },
+		Key:         func(s *Subscription) string { return s.Consumer.Address },
 		Match:       p.matches,
 		Evict:       p.evict,
 		LoadHealth:  p.loadHealth,
@@ -419,8 +420,9 @@ func (p *Producer) HasActiveSubscriber(topic string) bool {
 // eviction threshold — as failed deliveries.
 // Matching runs up front on the caller's goroutine (filters touch
 // shared producer state and are cheap); the matched deliveries then
-// fan out over a bounded worker pool, since each one is an independent
-// HTTP exchange whose latency dominates the batch. Each delivery is
+// fan out over a bounded worker pool, since their HTTP exchanges'
+// latency dominates the batch, in chunks of deliveries to one consumer
+// that a pooled client pipelines on one connection. Each delivery is
 // retried per the Retry policy; a subscriber that fails EvictAfter
 // consecutive publishes is evicted (its subscription resource
 // destroyed) so it stops taxing every subsequent fan-out. Delivery
@@ -472,15 +474,18 @@ func (p *Producer) NotifyContext(ctx context.Context, topic string, message *xml
 	// deliveries is safe and the old clone-per-subscriber is pure waste.
 	body := buildNotify(topic, message)
 	client := p.Deliver.ForDelivery(p.Mode).WithTimeout(p.DeliveryTimeout)
-	return p.eng.Deliver(ctx, matched, func(ctx context.Context, sub *Subscription) error {
-		if sub.UseRaw {
-			// Raw delivery posts the payload bare. The paper flags this
-			// mode as an interoperability hazard ("the information passed
-			// with a notification … is not well-defined", §3.1); it is
-			// provided for completeness.
-			return client.Deliver(ctx, sub.Consumer, ActionNotify, nil, message)
-		}
-		return client.Deliver(ctx, sub.Consumer, ActionNotify, nil, body)
+	return p.eng.Deliver(ctx, matched, func(ctx context.Context, chunk []fanout.Delivery[*Subscription]) {
+		client.DeliverEach(ctx, len(chunk), func(i int) container.Message {
+			m := container.Message{Ctx: chunk[i].Ctx, To: chunk[i].Sub.Consumer, Action: ActionNotify, Body: body}
+			if chunk[i].Sub.UseRaw {
+				// Raw delivery posts the payload bare. The paper flags this
+				// mode as an interoperability hazard ("the information
+				// passed with a notification … is not well-defined", §3.1);
+				// it is provided for completeness.
+				m.Body = message
+			}
+			return m
+		}, func(i int, err error) { chunk[i].Err = err })
 	})
 }
 
