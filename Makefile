@@ -35,8 +35,8 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # Full suite under the race detector, shuffled: the required CI gate
-# for the parallel core. The loadgen/soak harnesses stay advisory (see
-# soak-smoke); everything `go test` reaches races here.
+# for the parallel core. Everything `go test` reaches races here; the
+# soak runs as its own step (see soak-smoke).
 check-race:
 	$(GO) test -shuffle=on -race ./...
 
@@ -99,7 +99,10 @@ bench-obs:
 # Short churn soak on both stacks: scripted fault injection (flaky,
 # slow, and killed subscribers with resurrection) under sustained
 # publishing, asserting the exit invariants — quiesced delivery,
-# exactly-once eviction ledger, bounded caches, no goroutine leak.
+# exactly-once eviction ledger, bounded caches, no goroutine leak, and
+# the delivery SLO firing during the kills and resolving by exit. The
+# faults act on the delivery clients' connections, so the soak runs the
+# delivery path production runs. A required check.
 soak-smoke:
 	$(GO) run ./cmd/loadgen -soak -stack both -duration 10s
 
@@ -134,6 +137,6 @@ obs-smoke:
 	./scripts/obs-smoke.sh
 
 # Everything a change should pass before review.
-check: build vet fmt-check lint check-race race-delivery bench-smoke fuzz-smoke obs-smoke
+check: build vet fmt-check lint check-race race-delivery bench-smoke soak-smoke fuzz-smoke obs-smoke
 
 ci: check

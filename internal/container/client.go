@@ -6,8 +6,8 @@ import (
 	"crypto/tls"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptrace"
 	"net/url"
 	"strings"
 	"time"
@@ -35,7 +35,9 @@ type Client struct {
 	// NewClient installs the container's own HTTP/1.1 transport, whose
 	// pooled connections are what makes the HTTPS scenario fast ("due to
 	// socket caching, HTTPS performance is much faster", §4.1.3); a nil
-	// HTTP or Transport uses a shared one.
+	// HTTP or Transport uses a shared one. A Transport wrapped in another
+	// http.RoundTripper (perfbench's meter) makes one exchange per
+	// message, through the container transport's RoundTrip.
 	HTTP *http.Client
 	// Signer signs requests (X.509 scenarios); nil otherwise.
 	Signer *wssec.Signer
@@ -51,7 +53,8 @@ type Client struct {
 // ClientConfig assembles a Client for one experimental scenario.
 type ClientConfig struct {
 	Mode SecurityMode
-	// Link models the network between client and service.
+	// Link models the network between client and service: its Conn
+	// wraps every connection the client dials.
 	Link netlat.Profile
 	// TLS is required for SecurityTLS (trusting the container's CA).
 	TLS *tls.Config
@@ -87,7 +90,11 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 	// The pool is bounded per host only: a global cap below width × hosts
 	// would close pooled connections mid-fan-out.
-	c := &Client{HTTP: &http.Client{Transport: cfg.Link.Transport(newTransport(tlsCfg, pool))}}
+	t := newTransport(tlsCfg, pool)
+	if cfg.Link.Distributed() {
+		t.wrap = cfg.Link.Conn
+	}
+	c := &Client{HTTP: &http.Client{Transport: t}}
 	if cfg.Mode == SecuritySign {
 		c.Signer = cfg.Signer
 		c.Verifier = cfg.Verifier
@@ -153,21 +160,19 @@ type Message struct {
 // through a ForDelivery client, which carries no Verifier.
 //
 // A pooled client on the container's own transport pipelines messages
-// that go to the same address (see pipeline). Other clients make one
-// exchange per message: a wrapped transport's RoundTrip cannot
-// pipeline, and DeliveryPerMessage closes each connection after its
-// reply.
+// that go to the same address (see pipeline), whatever wraps its
+// connections. Other clients make one exchange per message:
+// DeliveryPerMessage closes each connection after its reply, and a
+// transport wrapped in an http.RoundTripper takes one request at a
+// time. A message to an address parseAddress refuses fails, as any
+// other failed exchange does.
 func (c *Client) DeliverEach(ctx context.Context, n int, message func(int) Message, done func(int, error)) {
-	hc := c.httpClient()
-	t, _ := hc.Transport.(*transport)
-	if hc.Transport == nil {
-		t = defaultTransport
-	}
+	t := c.ownTransport()
 	for i := 0; i < n; {
 		m := message(i)
 		if t != nil && !c.closeConns {
-			if dst, ok := parseAddress(m.To.Address); ok {
-				i = c.pipeline(ctx, t, hc.Timeout, dst, m.To.Address, i, n, message, checkAck, done)
+			if dst, err := parseAddress(m.To.Address); err == nil {
+				i = c.pipeline(ctx, t, c.httpClient().Timeout, dst, m.To.Address, i, n, message, checkAck, done)
 				continue
 			}
 		}
@@ -219,7 +224,6 @@ func (c *Client) pipeline(ctx context.Context, t *transport, timeout time.Durati
 	env, resp := bodyPool.Get().(*wireBuf), bodyPool.Get().(*wireBuf)
 	defer env.release()
 	defer resp.release()
-	req := request{gzip: true}
 	var pc *conn
 	var run [maxRun]pending
 	// cause is what ended the connection, which every later message
@@ -280,7 +284,7 @@ func (c *Client) pipeline(ctx context.Context, t *transport, timeout time.Durati
 				done(p.i, postError(p.action, addr, cause))
 			default:
 				var err error
-				err, cause = readReply(pc, req, p, resp, addr, read)
+				err, cause = readReply(pc, p, resp, addr, read)
 				done(p.i, err)
 			}
 		}
@@ -311,8 +315,8 @@ func written(run []pending) int {
 // readReply reads the reply to p's request from pc into resp. It
 // returns p's outcome and, when the connection can carry no further
 // reply, the cause the later messages fail with.
-func readReply(pc *conn, req request, p *pending, resp *wireBuf, addr string, read readFunc) (err, cause error) {
-	if err := pc.nextReply(req); err != nil {
+func readReply(pc *conn, p *pending, resp *wireBuf, addr string, read readFunc) (err, cause error) {
+	if err := pc.nextReply(false); err != nil {
 		err = pc.ctxErr(err)
 		return postError(p.action, addr, err), hungUp(err)
 	}
@@ -449,7 +453,7 @@ func (c *Client) exchange(ctx context.Context, span *obs.Span, m *Message, read 
 		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
 		defer cancel()
 	}
-	status, reply, err := c.send(ctx, hc.Transport, m.To.Address, m.Action, buf.Bytes())
+	status, reply, err := c.send(ctx, m.To.Address, m.Action, buf.Bytes())
 	// The transport and its wrappers run the exchange on this goroutine,
 	// so once send returns nothing holds the request bytes.
 	buf.release()
@@ -468,28 +472,28 @@ func (c *Client) exchange(ctx context.Context, span *obs.Span, m *Message, read 
 	return read(resp.Bytes(), status, span)
 }
 
-// send POSTs env, a SOAP envelope for action, to addr through rt and
-// returns the reply's status and body. The container's own transport
-// takes a plain address straight from the call; a wrapped transport, or
-// an address only url.Parse reads, is handed an http.Request. SOAP
-// follows no redirects, so either way the transport is called directly:
-// http.Client.Do would copy the headers for redirect handling on every
-// call. Errors read as Do's.
-func (c *Client) send(ctx context.Context, rt http.RoundTripper, addr, action string, env []byte) (int, io.ReadCloser, error) {
-	if rt == nil {
-		rt = defaultTransport
+// send POSTs env, a SOAP envelope for action, to addr and returns the
+// reply's status and body. SOAP follows no redirects, so the transport
+// is called directly: http.Client.Do would copy the headers for
+// redirect handling on every call. The container's own transport takes
+// the address straight from the call; a transport wrapped in an
+// http.RoundTripper is handed an http.Request, which reaches the
+// container transport's RoundTrip. A refused address fails with
+// parseAddress's error; exchange errors read as Do's.
+func (c *Client) send(ctx context.Context, addr, action string, env []byte) (int, io.ReadCloser, error) {
+	dst, err := parseAddress(addr)
+	if err != nil {
+		return 0, nil, err
 	}
-	if t, ok := rt.(*transport); ok {
-		if dst, ok := parseAddress(addr); ok {
-			status, body, err := t.post(ctx, dst, action, env, c.closeConns, c.traceConns)
-			if err != nil {
-				return 0, nil, postError(action, addr, err)
-			}
-			return status, body, nil
+	if t := c.ownTransport(); t != nil {
+		status, body, err := t.post(ctx, dst, action, env, c.closeConns, c.traceConns)
+		if err != nil {
+			return 0, nil, postError(action, addr, err)
 		}
+		return status, body, nil
 	}
 	if c.traceConns {
-		ctx = withDeliveryTrace(ctx)
+		ctx = context.WithValue(ctx, countConnsKey{}, true)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr, bytes.NewReader(env))
 	if err != nil {
@@ -498,11 +502,10 @@ func (c *Client) send(ctx context.Context, rt http.RoundTripper, addr, action st
 	// Keys already canonical, as Header.Set would make them.
 	req.Header["Content-Type"] = xmlContentType
 	req.Header["Soapaction"] = []string{action}
-	req.ContentLength = int64(len(env))
 	req.Close = c.closeConns
-	resp, err := rt.RoundTrip(req)
+	resp, err := c.HTTP.Transport.RoundTrip(req)
 	if err != nil {
-		return 0, nil, postError(action, req.URL.String(), err)
+		return 0, nil, postError(action, addr, err)
 	}
 	return resp.StatusCode, resp.Body, nil
 }
@@ -521,6 +524,17 @@ func (c *Client) httpClient() *http.Client {
 
 // defaultHTTP is the client of a Client built without NewClient.
 var defaultHTTP = http.Client{Transport: defaultTransport}
+
+// ownTransport returns the container transport c's exchanges run on,
+// or nil when c's transport is wrapped in another http.RoundTripper.
+func (c *Client) ownTransport() *transport {
+	rt := c.httpClient().Transport
+	if rt == nil {
+		return defaultTransport
+	}
+	t, _ := rt.(*transport)
+	return t
+}
 
 // DeliveryMode selects how the notification delivery paths manage
 // connections — the axis the paper's "TCP vs. HTTP issue" (§4.1.3)
@@ -556,28 +570,6 @@ func countDeliveryConns(reused bool, n int) {
 	obs.DeliveryConnsReused.Add(int64(n))
 }
 
-// deliveryTrace counts a delivery's connection when the exchange goes
-// through a wrapped transport's RoundTrip, which the client reaches only
-// through the request's context.
-var deliveryTrace = &httptrace.ClientTrace{
-	GotConn: func(info httptrace.GotConnInfo) { countDeliveryConns(info.Reused, 1) },
-}
-
-// withDeliveryTrace attaches deliveryTrace to ctx. httptrace composes a
-// new trace with one already in the context by rewriting the new
-// trace's hooks, so when the caller brought its own trace the
-// composition goes into a per-call copy: rewriting the shared trace
-// would race between fan-out workers and leave the caller's hooks
-// firing on every later delivery.
-func withDeliveryTrace(ctx context.Context) context.Context {
-	trace := deliveryTrace
-	if httptrace.ContextClientTrace(ctx) != nil {
-		cp := *deliveryTrace
-		trace = &cp
-	}
-	return httptrace.WithClientTrace(ctx, trace)
-}
-
 // ForDelivery returns a client configured for the outbound
 // notification path in the given mode. Both modes account connection
 // dials and reuses into the shared delivery metrics; DeliveryPooled
@@ -600,6 +592,28 @@ func (c *Client) ForDelivery(mode DeliveryMode) *Client {
 	if mode == DeliveryPerMessage {
 		cp.closeConns = true
 	}
+	return &cp
+}
+
+// WrapConns returns a copy of c whose transport wraps each connection
+// it dials with wrap, once any TLS handshake is done, outside the
+// wrapper the client's Link installed. The copy has a pool of its own,
+// so no connection dialed unwrapped serves it. c's transport must be
+// the container's own (nil: the shared one).
+func (c *Client) WrapConns(wrap func(net.Conn) net.Conn) *Client {
+	hc := *c.httpClient()
+	base := c.ownTransport()
+	if base == nil {
+		panic(fmt.Sprintf("container: WrapConns on a client whose transport is a %T", hc.Transport))
+	}
+	t := newTransport(base.tls, base.maxIdle)
+	t.dial, t.wrap = base.dial, wrap
+	if inner := base.wrap; inner != nil {
+		t.wrap = func(nc net.Conn) net.Conn { return wrap(inner(nc)) }
+	}
+	hc.Transport = t
+	cp := *c
+	cp.HTTP = &hc
 	return &cp
 }
 

@@ -3,7 +3,6 @@ package container
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -15,7 +14,6 @@ import (
 	"testing"
 
 	"altstacks/internal/wsa"
-	"altstacks/internal/xmlutil"
 )
 
 // The HTTP heads of one unsigned exchange, stored under testdata/ with
@@ -60,79 +58,6 @@ func checkHead(t *testing.T, name string, head []byte) {
 	if !bytes.Equal(head, want) {
 		t.Fatalf("%s changed\n got: %q\nwant: %q", name, head, want)
 	}
-}
-
-// TestGoldenRequestHead captures the request head Client writes for an
-// unsigned exchange on a raw listener, which answers with a plain
-// reply, through each entry point: Call, the one-way Deliver, and a
-// per-message Deliver, which asks the peer to close.
-func TestGoldenRequestHead(t *testing.T) {
-	body := xmlutil.NewText("urn:echo", "Echo", "hello")
-	deliver := func(mode DeliveryMode) func(*Client, wsa.EPR) error {
-		return func(c *Client, epr wsa.EPR) error {
-			return c.ForDelivery(mode).Deliver(context.Background(), epr, "urn:echo/Echo", nil, body)
-		}
-	}
-	for _, tc := range []struct {
-		name, golden string
-		call         func(*Client, wsa.EPR) error
-	}{
-		{"Call", "request-head.txt", func(c *Client, epr wsa.EPR) error {
-			_, err := c.Call(epr, "urn:echo/Echo", body)
-			return err
-		}},
-		{"Deliver", "request-head.txt", deliver(DeliveryPooled)},
-		{"DeliverPerMessage", "request-head-close.txt", deliver(DeliveryPerMessage)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			addr, heads := captureRequestHead(t)
-			epr := wsa.NewEPR("http://"+addr+"/consumer").WithProperty("urn:svc", "SubID", "s-42")
-			if err := tc.call(NewClient(ClientConfig{}), epr); err != nil {
-				t.Fatal(err)
-			}
-			got := <-heads
-			if got.err != nil {
-				t.Fatal(got.err)
-			}
-			checkHead(t, tc.golden, bytes.ReplaceAll(got.head, []byte(addr), []byte("127.0.0.1:PORT")))
-		})
-	}
-}
-
-type capturedHead struct {
-	head []byte
-	err  error
-}
-
-// captureRequestHead listens for one exchange, answers it with a plain
-// reply, and sends the request head it read.
-func captureRequestHead(t *testing.T) (addr string, heads <-chan capturedHead) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	const reply = `<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body><r:Ok xmlns:r="urn:echo"/></soap:Body></soap:Envelope>`
-	ch := make(chan capturedHead, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			ch <- capturedHead{err: err}
-			return
-		}
-		defer conn.Close()
-		br := bufio.NewReader(conn)
-		head, err := readHead(br)
-		if err == nil {
-			_, err = io.CopyN(io.Discard, br, int64(contentLength(head)))
-		}
-		if err == nil {
-			_, err = io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Type: text/xml; charset=utf-8\r\nContent-Length: "+
-				strconv.Itoa(len(reply))+"\r\n\r\n"+reply)
-		}
-		ch <- capturedHead{head, err}
-	}()
-	return ln.Addr().String(), ch
 }
 
 // echoRequest is a fixed unsigned request envelope for action, whose

@@ -11,12 +11,9 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptrace"
 	"net/http/httputil"
 	"net/textproto"
-	"net/url"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,14 +30,18 @@ import (
 // the pool when the caller closes a body it read to EOF. No goroutine
 // of the transport outlives the call.
 //
-// An unwrapped Client calls post, which writes the SOAP request head
-// itself from the address and the action, so its exchange builds no
-// http.Request, url.URL, header map or http.Response. A pooled
-// delivery client pipelines instead: it checks out one connection,
-// writes a run of such requests in one write, and reads the replies in
-// order with the same parser (Client.pipeline). RoundTrip serves
-// wrapped transports (netlat, faultinject, perfbench's meter) over the
-// same pool, reply parser and body reader, one exchange per request.
+// A Client calls post, which writes the SOAP request head itself from
+// the address and the action, so its exchange builds no http.Request,
+// url.URL, header map or http.Response. A pooled delivery client
+// pipelines instead: it checks out one connection, writes a run of such
+// requests in one write, and reads the replies in order with the same
+// parser (Client.pipeline). What stands between the client and its
+// peer wraps the connection, not the transport: wrap, when set, wraps
+// each connection the transport dials, once any TLS handshake is done
+// (a netlat link, the faultinject harness), so a wrapped client takes
+// these same paths. RoundTrip is an adapter over post for a Client
+// whose transport is itself wrapped in an http.RoundTripper
+// (perfbench's meter).
 //
 // The request head is byte for byte the one net/http's client writes,
 // replies are framed by http.ReadResponse's rules, and the pool keeps
@@ -58,6 +59,10 @@ type transport struct {
 	maxIdle int
 	// dial opens the TCP connection to a host:port.
 	dial func(ctx context.Context, addr string) (net.Conn, error)
+	// wrap, when set, wraps each connection dialed, after any TLS
+	// handshake: the handshake pays nothing a wrapper charges, and a
+	// wrapper sees the plain request bytes.
+	wrap func(net.Conn) net.Conn
 
 	mu sync.Mutex
 	// idle holds each host's idle connections as a stack through
@@ -128,9 +133,8 @@ type conn struct {
 	// and its body's framing. The body is chunked (chunks decodes it),
 	// sized (left bytes still to read) or ends at EOF (left < 0).
 	status       int
-	length       int64 // the body length the head gives, -1 if unknown
-	closes, keep bool  // the reply closes; neither side closes
-	gzip         bool  // the body is gzip-encoded; zr decodes it
+	closes, keep bool // the reply closes; neither side closes
+	gzip         bool // the body is gzip-encoded; zr decodes it
 	chunks       io.Reader
 	left         int64
 	zr           *gzip.Reader
@@ -183,15 +187,6 @@ func (pc *conn) probe(fd uintptr) bool {
 	return true
 }
 
-// request is what the transport must know of a request beyond its
-// bytes.
-type request struct {
-	gzip       bool // it asks for gzip, so a gzip-encoded reply is decoded
-	close      bool // it asks the peer to close the connection
-	head       bool // a HEAD request: the reply has no body
-	countConns bool // count the connection as a delivery dial or reuse
-}
-
 // address is a plain http or https URL split for the wire: the pool
 // key, the Host field and the request target.
 type address struct {
@@ -199,35 +194,60 @@ type address struct {
 	host, uri string
 }
 
-// parseAddress splits a URL of the form scheme://name[:port][/path]
-// whose name and path need no escaping, which url.Parse and
-// Request.RequestURI would pass through unchanged. Any other URL
-// reports false: it needs url.Parse's rules, and RoundTrip's.
-func parseAddress(s string) (a address, ok bool) {
+// The bytes a plain address's path may hold besides ASCII letters and
+// digits; its query may also hold '?'.
+const pathChars = ".-_~/!$&'()*+,;=:@"
+
+// parseAddress splits a URL of the form
+// scheme://host[:port][/path][?query], whose host is a name or a
+// bracketed IPv6 literal and whose path and query need no escaping:
+// the URLs whose Host field and request target url.Parse and
+// http.Request.Write pass through unchanged. Any other URL (an escape,
+// userinfo, a fragment, an IPv6 zone, another scheme) is refused with
+// an error that names it.
+func parseAddress(s string) (a address, err error) {
 	rest, ok := strings.CutPrefix(s, "http://")
 	if !ok {
 		if rest, ok = strings.CutPrefix(s, "https://"); !ok {
-			return a, false
+			return a, unsupportedAddress(s)
 		}
 		a.key.https = true
 	}
 	a.host, a.uri = rest, "/"
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
+	if i := strings.IndexAny(rest, "/?"); i >= 0 {
 		a.host, a.uri = rest[:i], rest[i:]
+		if rest[i] == '?' {
+			a.uri = "/" + a.uri
+		}
 	}
 	name, port, hasPort := strings.Cut(a.host, ":")
+	if ip, ok := strings.CutPrefix(a.host, "["); ok {
+		var after string
+		name, after, ok = strings.Cut(ip, "]")
+		port, hasPort = strings.CutPrefix(after, ":")
+		if !ok || !hasPort && after != "" || !strings.Contains(name, ":") || net.ParseIP(name) == nil {
+			return a, unsupportedAddress(s)
+		}
+	} else if !plainChars(name, ".-_") {
+		return a, unsupportedAddress(s)
+	}
+	path, query, _ := strings.Cut(a.uri, "?")
 	if name == "" || hasPort && (port == "" || strings.Trim(port, "0123456789") != "") ||
-		!plainChars(name, ".-_") || !plainChars(a.uri, ".-_~/!$&'()*+,;=:@") {
-		return a, false
+		!plainChars(path, pathChars) || !plainChars(query, pathChars+"?") {
+		return a, unsupportedAddress(s)
 	}
 	a.key.addr = a.host
 	if !hasPort {
-		a.key.addr = name + ":80"
+		a.key.addr = net.JoinHostPort(name, "80")
 		if a.key.https {
-			a.key.addr = name + ":443"
+			a.key.addr = net.JoinHostPort(name, "443")
 		}
 	}
-	return a, true
+	return a, nil
+}
+
+func unsupportedAddress(s string) error {
+	return fmt.Errorf("container: unsupported address %q: not a plain http or https URL", s)
 }
 
 // plainChars reports whether s holds only ASCII letters and digits and
@@ -241,10 +261,10 @@ func plainChars(s, extra string) bool {
 	return true
 }
 
-// post is the exchange of an unwrapped Client: it POSTs env, a SOAP
-// envelope for action, to dst and returns the reply's status and body,
-// which the caller reads and closes. closeConn asks the peer to close
-// the connection after the reply, and closes it; countConns counts the
+// post is a Client's exchange: it POSTs env, a SOAP envelope for
+// action, to dst and returns the reply's status and body, which the
+// caller reads and closes. closeConn asks the peer to close the
+// connection after the reply, and closes it; countConns counts the
 // connection as a delivery dial or reuse.
 func (t *transport) post(ctx context.Context, dst address, action string, env []byte, closeConn, countConns bool) (int, io.ReadCloser, error) {
 	if !validFieldValue(action) {
@@ -253,8 +273,19 @@ func (t *transport) post(ctx context.Context, dst address, action string, env []
 	wire := wirePool.Get().(*[]byte)
 	defer putWire(wire)
 	*wire = appendPost((*wire)[:0], dst, action, env, closeConn)
-	pc, err := t.send(ctx, dst.key, *wire, request{gzip: true, close: closeConn, countConns: countConns})
+	pc, err := t.checkout(ctx, dst.key, 0)
 	if err != nil {
+		return 0, nil, err
+	}
+	if countConns {
+		countDeliveryConns(pc.reused, 1)
+	}
+	if _, err = pc.nc.Write(*wire); err == nil {
+		err = pc.nextReply(closeConn)
+	}
+	if err != nil {
+		err = pc.ctxErr(err)
+		pc.release(false)
 		return 0, nil, err
 	}
 	return pc.status, reply{pc}, nil
@@ -262,58 +293,37 @@ func (t *transport) post(ctx context.Context, dst address, action string, env []
 
 var errBadAction = errors.New(`net/http: invalid header field value for "Soapaction"`)
 
-// RoundTrip runs one exchange on the calling goroutine, for a wrapped
-// transport. The response carries the reply's status, framing and
+// countConnsKey marks the context of a delivery whose connection
+// RoundTrip counts, as post counts a delivery client's.
+type countConnsKey struct{}
+
+// RoundTrip is post for a Client whose transport is wrapped in an
+// http.RoundTripper (perfbench's meter): it POSTs req's body to req's
+// URL for its Soapaction, in the bytes post writes, and reads nothing
+// else of req but Close. The response carries the reply's status and
 // body, and an empty Header: the SOAP client reads nothing else.
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	wire := wirePool.Get().(*[]byte)
-	defer putWire(wire)
-	gz := gzipWanted(req)
+	env := bodyPool.Get().(*wireBuf)
+	defer env.release()
+	env.Reset()
 	var err error
-	*wire, err = appendRequest((*wire)[:0], req, gz)
 	if req.Body != nil {
+		err = env.readFrom(req.Body)
 		req.Body.Close()
 	}
 	if err != nil {
 		return nil, err
 	}
-	key, err := keyOf(req.URL)
+	dst, err := parseAddress(req.URL.String())
 	if err != nil {
 		return nil, err
 	}
-	pc, err := t.send(req.Context(), key, *wire, request{gzip: gz, close: req.Close, head: req.Method == http.MethodHead})
+	count, _ := req.Context().Value(countConnsKey{}).(bool)
+	status, rc, err := t.post(req.Context(), dst, req.Header.Get("Soapaction"), env.Bytes(), req.Close, count)
 	if err != nil {
 		return nil, err
 	}
-	return &http.Response{
-		StatusCode: pc.status, Header: http.Header{}, Body: &body{r: reply{pc}}, ContentLength: pc.length,
-		Close: pc.closes, Uncompressed: pc.gzip, Request: req,
-	}, nil
-}
-
-// send checks out a connection to key, writes wire, a whole request,
-// and reads the reply head. The caller reads the reply's body from the
-// connection and closes it.
-func (t *transport) send(ctx context.Context, key connKey, wire []byte, req request) (*conn, error) {
-	pc, err := t.checkout(ctx, key, 0)
-	if err != nil {
-		return nil, err
-	}
-	if req.countConns {
-		countDeliveryConns(pc.reused, 1)
-	}
-	if trace := httptrace.ContextClientTrace(ctx); trace != nil && trace.GotConn != nil {
-		trace.GotConn(httptrace.GotConnInfo{Conn: pc.nc, Reused: pc.reused, WasIdle: pc.reused})
-	}
-	if _, err = pc.nc.Write(wire); err == nil {
-		err = pc.nextReply(req)
-	}
-	if err != nil {
-		err = pc.ctxErr(err)
-		pc.release(false)
-		return nil, err
-	}
-	return pc, nil
+	return &http.Response{StatusCode: status, Header: http.Header{}, Body: &body{r: rc}, Request: req}, nil
 }
 
 // checkout checks out a connection to key for an exchange under ctx:
@@ -349,11 +359,12 @@ func (pc *conn) arm() {
 }
 
 // nextReply reads the next reply head, skipping interim 1xx replies; the
-// heads read share one maxHead allowance.
-func (pc *conn) nextReply(req request) error {
+// heads read share one maxHead allowance. closeConn reports that the
+// request asked the peer to close.
+func (pc *conn) nextReply(closeConn bool) error {
 	left := maxHead
 	for {
-		if err := pc.readHead(&left, req); err != nil {
+		if err := pc.readHead(&left, closeConn); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
@@ -383,7 +394,7 @@ type replyFields struct {
 // it by http.ReadResponse's rules: the status line, the field lines
 // (obs-fold continuations included) and, once the head has ended, the
 // body's framing.
-func (pc *conn) readHead(left *int, req request) error {
+func (pc *conn) readHead(left *int, closeConn bool) error {
 	line, err := readLine(pc.br, left, errReplyHeadTooLarge)
 	if err != nil {
 		return err
@@ -422,7 +433,7 @@ func (pc *conn) readHead(left *int, req request) error {
 			pc.val = append(pc.val[:0], trimOWS(value)...)
 		}
 	}
-	return pc.frame(major, minor, &f, req)
+	return pc.frame(major, minor, &f, closeConn)
 }
 
 // statusLine parses "HTTP/x.y code reason" into pc.status. The code is
@@ -485,8 +496,9 @@ func (pc *conn) apply(f *replyFields, field int) {
 }
 
 // frame sets the reply's body framing and connection fate from its
-// head, as http.ReadResponse's readTransfer does.
-func (pc *conn) frame(major, minor int, f *replyFields, req request) error {
+// head, as http.ReadResponse's readTransfer does. Every request asks
+// for gzip, so a gzip-encoded body is decoded.
+func (pc *conn) frame(major, minor int, f *replyFields, closeConn bool) error {
 	pc.closes = major < 1 || f.close || major == 1 && minor == 0 && !f.keepAlive
 	if major == 0 && minor == 0 {
 		major, minor = 1, 1 // framed as HTTP/1.1
@@ -512,25 +524,19 @@ func (pc *conn) frame(major, minor int, f *replyFields, req request) error {
 	if chunked && f.badTrailer {
 		return errors.New("http: bad trailer key")
 	}
-	pc.length, pc.left, pc.chunks, pc.zr = 0, 0, nil, nil
+	pc.left, pc.chunks, pc.zr = 0, nil, nil
 	switch {
-	case req.head:
-		pc.length = length
 	case pc.status/100 == 1 || pc.status == http.StatusNoContent || pc.status == http.StatusNotModified:
 	case chunked:
-		pc.length = -1
 		pc.chunks = httputil.NewChunkedReader(pc.br)
 	case length >= 0:
-		pc.length, pc.left = length, length
+		pc.left = length
 	default:
 		// Neither a length nor chunks: the body ends when the peer closes.
-		pc.length, pc.left, pc.closes = -1, -1, true
+		pc.left, pc.closes = -1, true
 	}
-	pc.gzip = req.gzip && f.gzip
-	if pc.gzip {
-		pc.length = -1
-	}
-	pc.keep = !pc.closes && !req.close && pc.status != http.StatusSwitchingProtocols
+	pc.gzip = f.gzip
+	pc.keep = !pc.closes && !closeConn && pc.status != http.StatusSwitchingProtocols
 	pc.eof, pc.err = pc.chunks == nil && pc.left == 0, nil
 	return nil
 }
@@ -650,7 +656,7 @@ func readTrailer(br *bufio.Reader) error {
 
 // body is a RoundTrip reply's body, which refuses use after Close.
 type body struct {
-	r    reply
+	r    io.ReadCloser
 	done bool
 }
 
@@ -726,6 +732,9 @@ func (t *transport) dialConn(ctx context.Context, key connKey) (*conn, error) {
 			return nil, err
 		}
 		pc.nc = tc
+	}
+	if t.wrap != nil {
+		pc.nc = t.wrap(pc.nc)
 	}
 	pc.lendReader()
 	pc.abortFn, pc.expireFn, pc.probeFn = pc.abort, pc.expire, pc.probe
@@ -818,29 +827,6 @@ func (pc *conn) ctxErr(err error) error {
 	return err
 }
 
-func keyOf(u *url.URL) (connKey, error) {
-	var key connKey
-	switch u.Scheme {
-	case "http":
-	case "https":
-		key.https = true
-	default:
-		return key, fmt.Errorf("unsupported protocol scheme %q", u.Scheme)
-	}
-	if u.Host == "" {
-		return key, errors.New("http: no Host in request URL")
-	}
-	key.addr = u.Host
-	if u.Port() == "" {
-		port := "80"
-		if key.https {
-			port = "443"
-		}
-		key.addr = net.JoinHostPort(u.Hostname(), port)
-	}
-	return key, nil
-}
-
 // wirePool recycles the buffers requests are written from.
 var wirePool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -850,90 +836,10 @@ func putWire(w *[]byte) {
 	}
 }
 
-// gzipWanted reports whether the transport asks for a gzip-encoded
-// reply, and so decodes one, as net/http did.
-func gzipWanted(req *http.Request) bool {
-	return req.Method != http.MethodHead && req.Header.Get("Accept-Encoding") == "" && req.Header.Get("Range") == ""
-}
-
-// reqHeadSkip names the header keys appendRequest writes itself.
-var reqHeadSkip = map[string]bool{"Host": true, "User-Agent": true, "Content-Length": true, "Transfer-Encoding": true, "Trailer": true}
-
-// appendRequest appends req's head and body to b, as net/http's client
-// writes them: the request line, Host, User-Agent, Connection: close
-// when req.Close, Content-Length, the rest of req.Header sorted by key,
-// and Accept-Encoding: gzip when gz.
-func appendRequest(b []byte, req *http.Request, gz bool) ([]byte, error) {
-	size := req.ContentLength
-	if req.Body == nil || req.Body == http.NoBody {
-		size = 0
-	} else if size <= 0 {
-		return b, errors.New("container: request body of unknown length")
-	}
-	method := req.Method
-	host := req.Host
-	if host == "" {
-		host = req.URL.Host
-	}
-	b = append(b, method...)
-	b = append(b, ' ')
-	b = append(b, req.URL.RequestURI()...)
-	b = append(b, " HTTP/1.1\r\nHost: "...)
-	b = append(b, host...)
-	b = append(b, "\r\n"...)
-	ua := "Go-http-client/1.1"
-	if _, ok := req.Header["User-Agent"]; ok {
-		ua = textTrim(req.Header.Get("User-Agent"))
-	}
-	if ua != "" {
-		b = appendField(b, "User-Agent", ua)
-	}
-	if req.Close {
-		b = append(b, "Connection: close\r\n"...)
-	}
-	if size > 0 || method != http.MethodGet && method != http.MethodHead {
-		b = append(b, "Content-Length: "...)
-		b = strconv.AppendInt(b, size, 10)
-		b = append(b, "\r\n"...)
-	}
-	var keyBuf [8]string
-	keys := keyBuf[:0]
-	for k, vv := range req.Header {
-		if !validFieldName(k) {
-			return b, fmt.Errorf("net/http: invalid header field name %q", k)
-		}
-		for _, v := range vv {
-			if !validFieldValue(v) {
-				return b, fmt.Errorf("net/http: invalid header field value for %q", k)
-			}
-		}
-		if !reqHeadSkip[k] {
-			keys = append(keys, k)
-		}
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		for _, v := range req.Header[k] {
-			b = appendField(b, k, textTrim(v))
-		}
-	}
-	if gz {
-		b = append(b, "Accept-Encoding: gzip\r\n"...)
-	}
-	b = append(b, "\r\n"...)
-	if size == 0 {
-		return b, nil
-	}
-	n := len(b)
-	b = slices.Grow(b, int(size))[:n+int(size)]
-	if got, err := io.ReadFull(req.Body, b[n:]); err != nil {
-		return b[:n], fmt.Errorf("http: ContentLength=%d with Body length %d", size, got)
-	}
-	return b, nil
-}
-
-// appendPost appends the request appendRequest writes for a Client's
-// SOAP POST of env to dst, field for field.
+// appendPost appends a Client's SOAP POST of env to dst, as net/http's
+// client writes it: the request line, Host, User-Agent, Connection:
+// close when closeConn, Content-Length, the other fields sorted by key,
+// and Accept-Encoding: gzip.
 func appendPost(b []byte, dst address, action string, env []byte, closeConn bool) []byte {
 	b = append(b, "POST "...)
 	b = append(b, dst.uri...)
@@ -951,13 +857,6 @@ func appendPost(b []byte, dst address, action string, env []byte, closeConn bool
 	b = append(b, textTrim(action)...)
 	b = append(b, "\r\nAccept-Encoding: gzip\r\n\r\n"...)
 	return append(b, env...)
-}
-
-func appendField(b []byte, k, v string) []byte {
-	b = append(b, k...)
-	b = append(b, ": "...)
-	b = append(b, v...)
-	return append(b, "\r\n"...)
 }
 
 // textTrim trims the spaces and tabs net/http trims from a header value.

@@ -91,13 +91,11 @@ func drainIdle(tr *transport) {
 }
 
 // FuzzTransportResponse serves fuzzed reply bytes to one exchange
-// through each entry point: RoundTrip, which wrapped transports call,
-// and post, which an unwrapped Client calls. The transport must not
-// panic; it returns an error or a body the client's bounded reader
+// through post, which every Client's exchange calls. The transport must
+// not panic; it returns an error or a body the client's bounded reader
 // reads; it pools the connection only after a complete keep-alive reply
-// read to EOF, and closes it otherwise. Both entry points must agree on
-// failure, status, body bytes and pooling, and agree with
-// http.ReadResponse on the first three.
+// read to EOF, and closes it otherwise. It must agree with
+// http.ReadResponse on failure, status and body bytes.
 func FuzzTransportResponse(f *testing.F) {
 	var gz bytes.Buffer
 	zw := gzip.NewWriter(&gz)
@@ -134,27 +132,16 @@ func FuzzTransportResponse(f *testing.F) {
 			body   []byte
 			err    error
 		}
-		// run makes one exchange through the entry point on a transport
-		// whose only connection replies with the fuzzed bytes.
-		run := func(direct bool) outcome {
+		// run makes one exchange on a transport whose only connection
+		// replies with the fuzzed bytes.
+		run := func() outcome {
 			tr := newTransport(nil, 2)
 			defer drainIdle(tr)
 			sc := &scriptConn{r: bytes.NewReader(reply)}
 			tr.dial = func(context.Context, string) (net.Conn, error) { return sc, nil }
 			exchange := func() (o outcome) {
 				var body io.ReadCloser
-				if direct {
-					o.status, body, o.err = tr.post(context.Background(), dst, "urn:echo/Echo", []byte("ping"), false, false)
-				} else {
-					req, err := http.NewRequest(http.MethodPost, "http://peer.test/consumer", strings.NewReader("ping"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					var resp *http.Response
-					if resp, o.err = tr.RoundTrip(req); o.err == nil {
-						o.status, body = resp.StatusCode, resp.Body
-					}
-				}
+				o.status, body, o.err = tr.post(context.Background(), dst, "urn:echo/Echo", []byte("ping"), false, false)
 				if o.err == nil {
 					var buf wireBuf
 					o.err = buf.readFrom(body)
@@ -183,12 +170,8 @@ func FuzzTransportResponse(f *testing.F) {
 			}
 			return o
 		}
-		rt, post := run(false), run(true)
-		if (rt.err == nil) != (post.err == nil) || rt.status != post.status || !bytes.Equal(rt.body, post.body) || rt.pooled != post.pooled {
-			t.Fatalf("entry points disagree on %q:\nRoundTrip: status %d, %d body bytes, pooled %v, err %v\npost:      status %d, %d body bytes, pooled %v, err %v",
-				reply, rt.status, len(rt.body), rt.pooled, rt.err, post.status, len(post.body), post.pooled, post.err)
-		}
-		// And both read the reply as http.ReadResponse does.
+		post := run()
+		// post reads the reply as http.ReadResponse does.
 		status, body, _, err := readReference(reply)
 		if (err == nil) != (post.err == nil) || err == nil && (status != post.status || !bytes.Equal(body, post.body)) {
 			t.Fatalf("transport and http.ReadResponse disagree on %q:\nReadResponse: status %d, body %q, err %v\ntransport:    status %d, body %q, err %v",

@@ -324,28 +324,25 @@ func TestTransportHalfReadBodyNotReused(t *testing.T) {
 		return err == nil
 	})
 	tr := newTransport(nil, defaultPoolSize)
-	post := func() *http.Response {
-		req, err := http.NewRequest(http.MethodPost, "http://"+p.addr+"/consumer", strings.NewReader("ping"))
+	dst, _ := parseAddress("http://" + p.addr + "/consumer")
+	post := func() io.ReadCloser {
+		_, body, err := tr.post(context.Background(), dst, "urn:echo/Echo", []byte("ping"), false, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := tr.RoundTrip(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+		return body
 	}
-	resp := post()
-	if _, err := io.ReadFull(resp.Body, make([]byte, 10)); err != nil {
+	body := post()
+	if _, err := io.ReadFull(body, make([]byte, 10)); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	body.Close()
 	p.awaitEnded(t, 1)
-	resp = post()
-	if n, err := io.Copy(io.Discard, resp.Body); err != nil || n != int64(len(long)) {
+	body = post()
+	if n, err := io.Copy(io.Discard, body); err != nil || n != int64(len(long)) {
 		t.Fatalf("second body: %d bytes, %v", n, err)
 	}
-	resp.Body.Close()
+	body.Close()
 	if n := p.accepts.Load(); n != 2 {
 		t.Fatalf("half-read body: %d connections, want 2", n)
 	}
@@ -360,23 +357,19 @@ func TestTransportCancelDuringBodyRead(t *testing.T) {
 		return true // then stall: the rest never comes
 	})
 	tr := newTransport(nil, defaultPoolSize)
+	dst, _ := parseAddress("http://" + p.addr + "/consumer")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+p.addr+"/consumer", strings.NewReader("ping"))
+	_, body, err := tr.post(ctx, dst, "urn:echo/Echo", []byte("ping"), false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := tr.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	time.AfterFunc(20*time.Millisecond, cancel)
-	_, err = io.Copy(io.Discard, resp.Body)
+	_, err = io.Copy(io.Discard, body)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("body read after cancel = %v, want context.Canceled", err)
 	}
-	resp.Body.Close()
+	body.Close()
 	p.awaitEnded(t, 1)
 
 	// Through the client, the same cancel fails the Call.
@@ -456,5 +449,84 @@ func TestTransportHTTPSReuseAndResumption(t *testing.T) {
 	}
 	if n, r := handshakes.Load(), resumed.Load(); n != 4 || r != 3 {
 		t.Fatalf("4 per-message HTTPS deliveries after pooled calls: %d handshakes, %d resumed; want 4 and 3", n, r)
+	}
+}
+
+// TestParseAddress pins the addresses a Client sends to: each accepted
+// one splits into the request target and Host field http.Request.Write
+// writes for it, and the pool key net/http's transport dials; anything
+// else fails, with an error that names the address, and a delivery to
+// it fails as any other failed delivery does.
+func TestParseAddress(t *testing.T) {
+	for _, s := range []string{
+		"http://h/p",
+		"http://127.0.0.1:8080/consumer",
+		"https://example.com",
+		"http://h.example-1_x:1/a!b$c&d'e(f)g*h+i,j;k=l:m@n~o/",
+		"http://[::1]:8080/p",
+		"http://[::1]/p",
+		"https://[2001:db8::1]",
+		"http://[::ffff:10.0.0.1]:9/p",
+		"http://h:1/p?a=b&c=d/e?f",
+		"http://h?q=1",
+		"http://h/p?",
+	} {
+		a, err := parseAddress(s)
+		if err != nil {
+			t.Errorf("parseAddress(%q): %v", s, err)
+			continue
+		}
+		req, err := http.NewRequest(http.MethodPost, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w bytes.Buffer
+		if err := req.Write(&w); err != nil {
+			t.Fatal(err)
+		}
+		line, rest, _ := strings.Cut(w.String(), "\r\n")
+		host, _, _ := strings.Cut(strings.TrimPrefix(rest, "Host: "), "\r\n")
+		if want := "POST " + a.uri + " HTTP/1.1"; line != want || host != a.host {
+			t.Errorf("%q: target %q, Host %q; http.Request.Write wrote %q, Host %q", s, a.uri, a.host, line, host)
+		}
+		port := req.URL.Port()
+		if port == "" {
+			port = map[string]string{"http": "80", "https": "443"}[req.URL.Scheme]
+		}
+		if key := (connKey{https: req.URL.Scheme == "https", addr: net.JoinHostPort(req.URL.Hostname(), port)}); a.key != key {
+			t.Errorf("%q: key %+v, want %+v", s, a.key, key)
+		}
+	}
+
+	refused := []string{
+		"http://h/%41",                // an escape
+		"http://u@h/p",                // userinfo
+		"http://u:pw@h/p",             //
+		"http://h/p#f",                // a fragment
+		"http://[fe80::1%25en0]:80/p", // an IPv6 zone
+		"http://[::1/p",               // an unclosed literal
+		"http://[::1]x/p",             //
+		"http://[h]/p",                // not an IPv6 literal
+		"http://h:/p",                 // an empty port
+		"http://h:8x/p",               //
+		"http:///p",                   // no host
+		"http://h/p q",                //
+		"ftp://h/p",                   // another scheme
+		"HTTP://h/p",                  //
+		"",
+	}
+	for _, s := range refused {
+		if _, err := parseAddress(s); err == nil || !strings.Contains(err.Error(), strconv.Quote(s)) {
+			t.Errorf("parseAddress(%q) = %v, want an error naming it", s, err)
+		}
+	}
+	client := NewClient(ClientConfig{})
+	for _, c := range []*Client{client.ForDelivery(DeliveryPooled), client.ForDelivery(DeliveryPerMessage)} {
+		for _, s := range refused[:len(refused)-1] {
+			err := c.Deliver(context.Background(), wsa.NewEPR(s), "urn:echo/Echo", nil, echoBody)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(s)) {
+				t.Errorf("Deliver to %q = %v, want an error naming it", s, err)
+			}
+		}
 	}
 }

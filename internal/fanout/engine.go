@@ -305,7 +305,7 @@ const maxChunk = 32
 
 // Delivery is one subscription's delivery within a chunk. The stack's
 // send hook delivers Sub under Ctx, which carries the delivery's span,
-// and sets Err to the outcome.
+// and reports the outcome through Finish.
 type Delivery[S any] struct {
 	Ctx context.Context
 	Sub S
@@ -314,6 +314,14 @@ type Delivery[S any] struct {
 	i    int // its index among the matched subscriptions
 	id   string
 	span *obs.Span
+}
+
+// Finish sets the delivery's outcome as it arrives and, while the
+// delivery is traced, stamps its span: the span and the deliver stage
+// end there, not when the chunk's round is accounted.
+func (d *Delivery[S]) Finish(err error) {
+	d.Err = err
+	d.span.Stamp()
 }
 
 // Deliver fans one message out to the matched subscriptions over the
@@ -425,7 +433,9 @@ func (e *Engine[S, M]) deliver(ctx context.Context, chunk []Delivery[S], errs []
 }
 
 // account records a delivery's final outcome after its attempts: the
-// counters, its deliver span, and the subscription's ledger.
+// counters, its deliver span, and the subscription's ledger. The span
+// and the deliver stage run from t0, the chunk's start, to the outcome
+// (Finish).
 func (e *Engine[S, M]) account(t0 time.Time, d *Delivery[S], attempts int, errs []error) {
 	obs.StageDeliver.ObserveSinceSpan(t0, d.span)
 	e.add(cAttempts, int64(attempts))

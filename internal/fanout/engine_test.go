@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"altstacks/internal/obs"
 	"altstacks/internal/retry"
 )
 
@@ -86,10 +87,12 @@ func (f *fakeStack) publish(ctx context.Context, m string) (int, error) {
 		for i := range chunk {
 			s := chunk[i].Sub
 			time.Sleep(s.delay)
+			var err error
 			if s.failLeft.Load() != 0 {
 				s.failLeft.Add(-1)
-				chunk[i].Err = fmt.Errorf("deliver to %s failed", s.id)
+				err = fmt.Errorf("deliver to %s failed", s.id)
 			}
+			chunk[i].Finish(err)
 		}
 	})
 }
@@ -280,9 +283,11 @@ func (s *scriptSender) send(_ context.Context, chunk []Delivery[*fakeSub]) {
 	for i, id := range ids {
 		n := s.tried[id]
 		s.tried[id]++
+		var err error
 		if n < len(s.script[id]) && s.script[id][n] {
-			chunk[i].Err = fmt.Errorf("deliver to %s failed (attempt %d)", id, n+1)
+			err = fmt.Errorf("deliver to %s failed (attempt %d)", id, n+1)
 		}
+		chunk[i].Finish(err)
 	}
 	s.chunks = append(s.chunks, ids)
 }
@@ -455,5 +460,63 @@ func TestEngineDeadChunkCostsMaxAttemptsSends(t *testing.T) {
 	}
 	if st := f.eng.Stats(); st != (Stats{Attempts: 30, Retries: 20, Failures: 10}) {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestEngineTimesEachDelivery: a delivery's span and its deliver stage
+// end when its outcome arrives (Finish), not when its chunk's round is
+// accounted. A chunk whose deliveries complete a few ms apart records
+// durations that rise in delivery order, and none of them holds the
+// time the round went on after its last outcome.
+func TestEngineTimesEachDelivery(t *testing.T) {
+	if !obs.Enabled() {
+		obs.Enable()
+		t.Cleanup(obs.Disable)
+	}
+	const n, gap, tail = 4, 5 * time.Millisecond, 30 * time.Millisecond
+	f := newFakeStack(keyed(n, func(int) string { return "one consumer" })...)
+	stage := obs.StageDeliver.Snapshot()
+	ctx, root := obs.StartSpan(context.Background(), "publish")
+	if _, err := f.publishWith(ctx, "m", func(_ context.Context, chunk []Delivery[*fakeSub]) {
+		for i := range chunk {
+			time.Sleep(gap)
+			chunk[i].Finish(nil)
+		}
+		time.Sleep(tail)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	var spans []obs.SpanData
+	for _, tr := range obs.Traces() {
+		if tr.ID == root.TraceID() {
+			for _, s := range tr.Spans {
+				if s.Name == "fanouttest.deliver" {
+					spans = append(spans, s)
+				}
+			}
+		}
+	}
+	if len(spans) != n {
+		t.Fatalf("%d deliver spans, want %d", len(spans), n)
+	}
+	// Spans are recorded as they end, in delivery order.
+	var sum time.Duration
+	for i, s := range spans {
+		d := time.Duration(s.DurationNs)
+		if want := fmt.Sprintf("s%03d", i); s.Attrs[0].V != want {
+			t.Fatalf("span %d is %s's, want %s's", i, s.Attrs[0].V, want)
+		}
+		if i > 0 && d <= time.Duration(spans[i-1].DurationNs) {
+			t.Errorf("delivery %d took %v, not more than delivery %d's %v", i, d, i-1, time.Duration(spans[i-1].DurationNs))
+		}
+		sum += d
+	}
+	if last := time.Duration(spans[n-1].DurationNs); last >= n*gap+tail {
+		t.Errorf("the last delivery took %v, the whole round's %v or more", last, n*gap+tail)
+	}
+	d := obs.StageDeliver.Snapshot().Delta(stage)
+	if got := time.Duration(d.Sum * float64(time.Second)); d.Count != n || got < sum-time.Millisecond || got > sum+time.Millisecond {
+		t.Errorf("deliver stage: %d observations summing %v; want %d summing the spans' %v", d.Count, got, n, sum)
 	}
 }

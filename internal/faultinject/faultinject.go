@@ -1,20 +1,25 @@
 // Package faultinject is the deterministic fault-injection harness for
-// the notification delivery paths: it wraps a container.Client's HTTP
-// transport (and the wse TCP deliverer's connections) so tests can
+// the notification delivery paths: it wraps the connections a
+// container.Client dials (and the wse TCP deliverer's) so tests can
 // make a chosen endpoint fail, hang, or silently drop its first K
 // calls — or stay dead forever — and then assert the retry and
 // eviction semantics of both stacks under -race without real flaky
-// networks. Schedules are per endpoint and counted, so a test can also
-// ask how many calls an endpoint actually absorbed (for example to
-// prove an evicted subscriber is never contacted again).
+// networks. The faults act on the connection, so the client under test
+// runs the path production runs, pipelining included. Schedules are
+// per endpoint and counted, so a test can also ask how many calls an
+// endpoint actually absorbed (for example to prove an evicted
+// subscriber is never contacted again).
 package faultinject
 
 import (
+	"bytes"
 	"fmt"
 	"net"
-	"net/http"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"altstacks/internal/container"
@@ -31,13 +36,14 @@ type Plan struct {
 	// (the flaky-then-healthy consumer).
 	FailFirst int
 	// DropFirst swallows the next DropFirst calls after the FailFirst
-	// window. Over HTTP the call blocks until the request's context
-	// (the caller's delivery timeout) expires — a hung consumer. Over
-	// TCP the frame write reports success but nothing is sent — a
+	// window. Over HTTP the request gets no reply until the connection's
+	// deadline (the caller's delivery timeout) passes — a hung consumer.
+	// Over TCP the frame write reports success but nothing is sent — a
 	// silently lossy sink.
 	DropFirst int
 	// Delay is added before every call is resolved, injected latency on
-	// both faulted and passed calls.
+	// both faulted and passed calls. Over HTTP it never runs past the
+	// connection's deadline.
 	Delay time.Duration
 }
 
@@ -138,90 +144,131 @@ func (in *Injector) decide(key string) (verdict, time.Duration, int) {
 	}
 }
 
-// Transport wraps an HTTP round-tripper; requests are keyed by
-// "host:port/path". A dropped request blocks until its context is done
-// (hand the client a timeout or the call hangs, exactly like the real
-// failure mode being modeled).
-func (in *Injector) Transport(base http.RoundTripper) http.RoundTripper {
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	return &transport{in: in, base: base}
-}
-
-type transport struct {
-	in   *Injector
-	base http.RoundTripper
-}
-
-func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	key := req.URL.Host + req.URL.Path
-	v, delay, n := t.in.decide(key)
-	if delay > 0 {
-		timer := time.NewTimer(delay)
-		select {
-		case <-timer.C:
-		case <-req.Context().Done():
-			timer.Stop()
-			return nil, req.Context().Err()
-		}
-	}
-	switch v {
-	case fail:
-		return nil, &InjectedError{Endpoint: key, Call: n}
-	case drop:
-		<-req.Context().Done()
-		return nil, req.Context().Err()
-	}
-	return t.base.RoundTrip(req)
-}
-
-// WrapClient returns a copy of c whose transport routes through the
-// injector. Wrapping composes with the container client's own
-// decorators (WithTimeout, ForDelivery), so wrap once before handing
-// the client to a producer or source. A client without a transport is
-// given a default-configured container transport to wrap.
+// WrapClient returns a copy of c, with a connection pool of its own,
+// whose every HTTP request is a call: it wraps each connection the
+// client dials (container.Client.WrapConns), outside any link model
+// the client has, so a pooled delivery client still pipelines. Wrap
+// once, before WithTimeout and ForDelivery, which keep the wrapping.
 func (in *Injector) WrapClient(c *container.Client) *container.Client {
-	cp := *c
-	var hc http.Client
-	if c.HTTP != nil {
-		hc = *c.HTTP
-	}
-	if hc.Transport == nil {
-		hc.Transport = container.NewClient(container.ClientConfig{}).HTTP.Transport
-	}
-	hc.Transport = in.Transport(hc.Transport)
-	cp.HTTP = &hc
-	return &cp
+	return c.WrapConns(func(nc net.Conn) net.Conn { return &conn{Conn: nc, in: in} })
 }
 
-// ConnWrapper returns a wse.TCPDeliverer WrapConn hook: frame writes
-// on wrapped connections are keyed by the sink's "host:port" and
-// consume the same per-endpoint schedule as HTTP calls.
+// ConnWrapper returns a wse.TCPDeliverer WrapConn hook: each frame
+// write on a wrapped connection is a call, keyed by the sink's
+// "host:port".
 func (in *Injector) ConnWrapper() func(net.Conn) net.Conn {
 	return func(c net.Conn) net.Conn {
 		return &conn{Conn: c, in: in, key: c.RemoteAddr().String()}
 	}
 }
 
+// conn decides the calls written on one connection, in order, until one
+// fails or is dropped; that call and any after it in the write are not
+// decided, and nothing is written twice. The calls the write passed go
+// out after their delays, slept together and never past the deadline
+// the transport set: a sleep the deadline cuts short fails the write
+// whole. A dropped call is swallowed with the rest of the write, so it
+// gets no reply. A failed call fails the write if it comes first; a
+// plan that changed mid-write fails a later one as a consumer that
+// crashed there: the calls before it are answered, and then its reply
+// reads as the InjectedError.
 type conn struct {
 	net.Conn
-	in  *Injector
-	key string
+	in *Injector
+	// key keys every write as one call, on a TCP channel; "" frames the
+	// writes as HTTP requests.
+	key      string
+	deadline atomic.Int64 // the deadline set, in Unix nanoseconds; 0: none
+	crashed  error        // what the failed call's reply reads as
+}
+
+func (c *conn) SetDeadline(t time.Time) error {
+	var ns int64
+	if !t.IsZero() {
+		ns = t.UnixNano()
+	}
+	c.deadline.Store(ns)
+	return c.Conn.SetDeadline(t)
 }
 
 func (c *conn) Write(b []byte) (int, error) {
-	v, delay, n := c.in.decide(c.key)
-	if delay > 0 {
-		time.Sleep(delay)
+	if c.crashed != nil {
+		return 0, c.crashed
 	}
-	switch v {
-	case fail:
-		return 0, &InjectedError{Endpoint: c.key, Call: n}
-	case drop:
-		// Silently lossy: the write "succeeds" but nothing reaches the
-		// sink — the one-way TCP channel's own failure mode.
-		return len(b), nil
+	var (
+		end   int // b[:end] is passed
+		v     verdict
+		delay time.Duration
+		err   error
+	)
+	for end < len(b) {
+		n, key := c.frame(b[end:])
+		var d time.Duration
+		var call int
+		v, d, call = c.in.decide(key)
+		delay += d
+		if v == fail {
+			err = &InjectedError{Endpoint: key, Call: call}
+		}
+		if v != pass {
+			break
+		}
+		end += n
 	}
-	return c.Conn.Write(b)
+	if ns := c.deadline.Load(); delay > 0 && ns != 0 && time.Until(time.Unix(0, ns)) < delay {
+		time.Sleep(time.Until(time.Unix(0, ns)))
+		return 0, os.ErrDeadlineExceeded
+	}
+	time.Sleep(delay)
+	if end > 0 {
+		if n, werr := c.Conn.Write(b[:end]); werr != nil {
+			return n, werr
+		}
+	}
+	if err != nil {
+		cw, ok := c.Conn.(interface{ CloseWrite() error })
+		if end == 0 || !ok || cw.CloseWrite() != nil {
+			return end, err
+		}
+		c.crashed = err
+	}
+	return len(b), nil
+}
+
+// Read reads the replies; after a crash, their end reads as the crash.
+func (c *conn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if err != nil && c.crashed != nil {
+		err = c.crashed
+	}
+	return n, err
+}
+
+// frame returns the length and key of the call at the start of b: on a
+// TCP channel the whole write; otherwise an HTTP request, as its head's
+// Content-Length frames it, keyed by its Host field and request path.
+// Bytes it cannot frame are one call.
+func (c *conn) frame(b []byte) (n int, key string) {
+	if c.key != "" {
+		return len(b), c.key
+	}
+	head, _, ok := bytes.Cut(b, []byte("\r\n\r\n"))
+	if !ok {
+		return len(b), ""
+	}
+	n = len(head) + 4
+	line, fields, _ := strings.Cut(string(head), "\r\n")
+	_, target, _ := strings.Cut(line, " ")
+	target, _, _ = strings.Cut(target, " ")
+	path, _, _ := strings.Cut(target, "?")
+	for _, f := range strings.Split(fields, "\r\n") {
+		switch name, value, _ := strings.Cut(f, ": "); name {
+		case "Host":
+			key = value + path
+		case "Content-Length":
+			length, _ := strconv.Atoi(value)
+			n += max(length, 0)
+		}
+	}
+	return min(n, len(b)), key
 }

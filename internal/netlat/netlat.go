@@ -9,11 +9,15 @@
 // runs, and the model adds only the propagation and serialization
 // delay a 2005 switched-LAN link would — preserving the paper's
 // co-located vs distributed gap without fabricating its cause.
+//
+// The model sits on the connection (Profile.Conn), so every client
+// that crosses the link pays by one rule: the container's transport
+// wraps each connection it dials with it, and so does the WS-Eventing
+// TCP channel.
 package netlat
 
 import (
 	"net"
-	"net/http"
 	"runtime"
 	"time"
 )
@@ -22,8 +26,9 @@ import (
 type Profile struct {
 	// Name labels benchmark output rows.
 	Name string
-	// RTT is the round-trip propagation delay added per request/response
-	// exchange (half on the request path, half on the response path).
+	// RTT is the round-trip propagation delay: half of it is paid at the
+	// start of each flight of bytes (see Conn), so one request/response
+	// exchange pays it once.
 	RTT time.Duration
 	// BandwidthBps is the per-direction link bandwidth in bytes/second;
 	// zero means infinite (no serialization delay).
@@ -47,36 +52,17 @@ func (p Profile) txDelay(n int64) time.Duration {
 	return time.Duration(float64(n) / float64(p.BandwidthBps) * float64(time.Second))
 }
 
-type transport struct {
-	p    Profile
-	base http.RoundTripper
-}
-
-// Transport wraps an http.RoundTripper so each exchange pays the
-// profile's propagation and serialization costs.
-func (p Profile) Transport(base http.RoundTripper) http.RoundTripper {
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	if !p.Distributed() {
-		return base
-	}
-	return &transport{p: p, base: base}
-}
-
-func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	sleep(t.p.RTT/2 + t.p.txDelay(req.ContentLength))
-	resp, err := t.base.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	sleep(t.p.RTT/2 + t.p.txDelay(resp.ContentLength))
-	return resp, nil
-}
-
-// Conn wraps a raw connection (used by the WS-Eventing TCP delivery
-// path) so the first write of each message burst pays half an RTT and
-// every write pays serialization delay.
+// Conn wraps a connection so it pays the profile's costs. A flight
+// starts at the connection's first write and at each change of
+// direction, and pays half an RTT; every read and write pays its
+// bytes' serialization delay. A read pays after its bytes arrive, so
+// the delay adds to the peer's processing time instead of overlapping
+// it. One HTTP exchange so pays one RTT and the bytes of both messages,
+// a pipelined run of requests pays the same once, and a channel that
+// only writes (WS-Eventing's TCP deliveries) pays half an RTT once and
+// then its bytes. Dials and TLS handshakes happen before the wrap and
+// pay nothing. The connection is read and written by one goroutine at
+// a time.
 func (p Profile) Conn(c net.Conn) net.Conn {
 	if !p.Distributed() {
 		return c
@@ -84,20 +70,37 @@ func (p Profile) Conn(c net.Conn) net.Conn {
 	return &conn{Conn: c, p: p}
 }
 
+// The directions of a connection's flight in progress (0 before its
+// first).
+const writing, reading = 1, 2
+
 type conn struct {
 	net.Conn
-	p     Profile
-	wrote bool
+	p   Profile
+	dir int
+}
+
+// flight returns the delay n bytes moving in direction dir pay.
+func (c *conn) flight(dir int, n int) time.Duration {
+	d := c.p.txDelay(int64(n))
+	if c.dir != dir {
+		d += c.p.RTT / 2
+		c.dir = dir
+	}
+	return d
 }
 
 func (c *conn) Write(b []byte) (int, error) {
-	d := c.p.txDelay(int64(len(b)))
-	if !c.wrote {
-		d += c.p.RTT / 2
-		c.wrote = true
-	}
-	sleep(d)
+	sleep(c.flight(writing, len(b)))
 	return c.Conn.Write(b)
+}
+
+func (c *conn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if n > 0 {
+		sleep(c.flight(reading, n))
+	}
+	return n, err
 }
 
 // coarseSleep is the slack left to the spin loop when a delay is long

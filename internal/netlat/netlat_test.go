@@ -3,8 +3,6 @@ package netlat
 import (
 	"io"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -38,68 +36,76 @@ func TestTxDelay(t *testing.T) {
 	}
 }
 
-func TestCoLocatedTransportPassthrough(t *testing.T) {
-	base := http.DefaultTransport
-	if got := CoLocated.Transport(base); got != base {
-		t.Fatal("co-located profile should not wrap the transport")
-	}
-	if got := CoLocated.Transport(nil); got != http.DefaultTransport {
-		t.Fatal("nil base should default")
-	}
-}
-
-func TestTransportAddsRTT(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok") //nolint:errcheck
-	}))
-	defer srv.Close()
-
-	fast := &http.Client{}
-	slow := &http.Client{Transport: Profile{RTT: 40 * time.Millisecond}.Transport(nil)}
-
-	measure := func(c *http.Client) time.Duration {
-		t0 := time.Now()
-		resp, err := c.Get(srv.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		return time.Since(t0)
-	}
-	measure(fast) // warm
-	measure(slow)
-	fd := measure(fast)
-	sd := measure(slow)
-	if sd < fd+35*time.Millisecond {
-		t.Fatalf("slow=%v fast=%v: RTT not applied", sd, fd)
-	}
-}
-
-func TestTransportAddsBandwidthDelay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body) //nolint:errcheck
-		io.WriteString(w, "ok")     //nolint:errcheck
-	}))
-	defer srv.Close()
-	// 100 KB at 1 MB/s each way ≈ 100 ms on the request path.
-	p := Profile{BandwidthBps: 1_000_000}
-	c := &http.Client{Transport: p.Transport(nil)}
-	body := strings.NewReader(strings.Repeat("x", 100_000))
-	t0 := time.Now()
-	resp, err := c.Post(srv.URL, "text/plain", body)
+// echoConn dials a loopback peer that echoes what it reads.
+func echoConn(t *testing.T) net.Conn {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if d := time.Since(t0); d < 80*time.Millisecond {
-		t.Fatalf("100KB at 1MB/s took %v, want ≥80ms", d)
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		io.Copy(conn, conn) //nolint:errcheck
+	}()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() })
+	return raw
+}
+
+// TestConnChargesEachFlight: an exchange, a write and then a read of
+// the reply, pays one RTT; requests written back to back before their
+// replies are read (a pipelined run) pay it once between them.
+func TestConnChargesEachFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	const rtt = 40 * time.Millisecond
+	c := Profile{RTT: rtt}.Conn(echoConn(t))
+	exchange := func(requests int) time.Duration {
+		t0 := time.Now()
+		for i := 0; i < requests; i++ {
+			if _, err := c.Write([]byte("ping")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := io.ReadFull(c, make([]byte, 4*requests)); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+	for _, requests := range []int{1, 1, 3} {
+		if d := exchange(requests); d < rtt || d >= 2*rtt {
+			t.Fatalf("%d requests then their replies took %v, want one RTT (%v)", requests, d, rtt)
+		}
+	}
+}
+
+// TestConnChargesBytes: every byte pays serialization delay, written or
+// read.
+func TestConnChargesBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	// 100 KB at 1 MB/s ≈ 100 ms each way.
+	c := Profile{BandwidthBps: 1_000_000}.Conn(echoConn(t))
+	msg := []byte(strings.Repeat("x", 100_000))
+	t0 := time.Now()
+	if _, err := c.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(c, msg); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(t0); d < 190*time.Millisecond {
+		t.Fatalf("100KB each way at 1MB/s took %v, want ≥190ms", d)
 	}
 }
 

@@ -29,14 +29,15 @@ type Exemplar struct {
 
 // ObserveSinceSpan is ObserveSince plus exemplar capture: when s is a
 // live span, the bucket the duration lands in retains {trace id,
-// message id, value, now} as its most recent exemplar. A nil span (or
-// disabled instrumentation) degrades to plain ObserveSince, so call
-// sites need no branches.
+// message id, value, now} as its most recent exemplar, and the
+// duration runs to the span's stamp, if it has one (Span.Stamp). A nil
+// span (or disabled instrumentation) degrades to plain ObserveSince,
+// so call sites need no branches.
 func (h *Histogram) ObserveSinceSpan(t0 time.Time, s *Span) {
 	if t0.IsZero() {
 		return
 	}
-	h.observeSpan(time.Since(t0), s)
+	h.observeSpan(s.finished().Sub(t0), s)
 }
 
 // ObserveSpan records one duration with exemplar capture from s; see

@@ -25,6 +25,7 @@ type Span struct {
 	parentID string
 	name     string
 	start    time.Time
+	end      time.Time // when its stage finished, if stamped
 
 	messageID string
 	relatesTo string
@@ -171,13 +172,30 @@ func (s *Span) Fail(err error) {
 	}
 }
 
+// Stamp marks now as when the span's stage finished, for a stage whose
+// bookkeeping ends later: End and ObserveSinceSpan then measure to the
+// latest stamp instead of to their own call.
+func (s *Span) Stamp() {
+	if s != nil {
+		s.end = time.Now()
+	}
+}
+
+// finished returns when the span's stage finished: its stamp, or now.
+func (s *Span) finished() time.Time {
+	if s == nil || s.end.IsZero() {
+		return time.Now()
+	}
+	return s.end
+}
+
 // End closes the span. Ending the root span flushes the whole trace
 // into the bounded ring buffer.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	d := time.Since(s.start)
+	d := s.finished().Sub(s.start)
 	t := s.trace
 	t.mu.Lock()
 	if t.done {

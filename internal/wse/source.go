@@ -335,14 +335,14 @@ func (s *Source) PublishContext(ctx context.Context, topic string, message *xmlu
 			// frame write is bounded by the channel's write deadline; the
 			// attempt context bounds the dial, so a black-holed sink fails
 			// the attempt instead of hanging a fan-out worker in connect.
-			chunk[0].Err = s.TCP.DeliverContext(chunk[0].Ctx, sub.NotifyTo.Address, eventEnvelope(e), s.DeliveryTimeout)
+			chunk[0].Finish(s.TCP.DeliverContext(chunk[0].Ctx, sub.NotifyTo.Address, eventEnvelope(e), s.DeliveryTimeout))
 			return
 		}
 		// Push over HTTP: one-way SOAP POSTs to the sink, with the topic
 		// riding in a header block.
 		httpClient.DeliverEach(ctx, len(chunk), func(i int) container.Message {
 			return container.Message{Ctx: chunk[i].Ctx, To: chunk[i].Sub.NotifyTo, Action: ActionEvent, Headers: topicHeader, Body: e.Message}
-		}, func(i int, err error) { chunk[i].Err = err })
+		}, func(i int, err error) { chunk[i].Finish(err) })
 	})
 }
 

@@ -485,7 +485,7 @@ func (p *Producer) NotifyContext(ctx context.Context, topic string, message *xml
 				m.Body = message
 			}
 			return m
-		}, func(i int, err error) { chunk[i].Err = err })
+		}, func(i int, err error) { chunk[i].Finish(err) })
 	})
 }
 
