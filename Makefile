@@ -63,10 +63,11 @@ bench-smoke:
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./...
 
-# Delivery-path benchmarks (fan-out latency by mode, CPU per publish on
-# the pubsub-fanout shape, per-delivery allocation flatness), emitted
-# as machine-readable JSON. Advisory in CI: timings on shared runners
-# are indicative, not gating.
+# Delivery-path benchmarks (fan-out latency by mode, CPU per publish
+# and read and write system calls per delivery on the pubsub-fanout
+# shape, per-delivery allocation flatness), emitted as machine-readable
+# JSON. Advisory in CI: timings on shared runners are indicative, not
+# gating.
 bench-delivery:
 	$(GO) test -run NONE -bench 'NotifyFanout|DeliveryAllocFlatness' -benchmem -benchtime 10x . \
 		| $(GO) run ./cmd/benchjson > BENCH_delivery.json
@@ -109,18 +110,19 @@ soak-smoke:
 # Short fuzz passes over the network-boundary decoders that must never
 # panic on adversarial bytes: the hand-rolled XML parser, a peer's
 # metrics snapshot through decode, merge, render, and quantiles, a
-# peer's HTTP reply through both entry points of the container's
-# client transport (which must agree, and never pool a connection after
-# an incomplete reply), a peer's replies to a pipelined run of one to
-# four deliveries (read reply by reply as http.ReadResponse reads them,
-# every delivery after the run ends failing, and no pooling after an
-# incomplete run), a client's request bytes through the container's
-# server (one reply per complete request, as net/http's request reader
-# counts them, and no read past the head cap or the body bound), and a
-# subscriber's WS-Topics expression (whose Full-dialect matches must
-# also agree with the reference matcher). Minimising a new input is
-# bounded at 1s, so the passes spend their 10s finding inputs rather
-# than shrinking them.
+# peer's HTTP reply through the container's client transport, post
+# (which must agree with http.ReadResponse on failure, status and body,
+# and never pool a connection after an incomplete reply), a peer's
+# replies to a pipelined run of one to four deliveries (read reply by
+# reply as http.ReadResponse reads them, every delivery after the run
+# ends failing, and no pooling after an incomplete run), a client's
+# request bytes through the container's server (one reply per complete
+# request, as net/http's request reader counts them, and no read
+# between two writes past the head cap, the body bound and two run
+# buffers of read-ahead), and a subscriber's WS-Topics expression
+# (whose Full-dialect matches must also agree with the reference
+# matcher). Minimising a new input is bounded at 1s, so the passes
+# spend their 10s finding inputs rather than shrinking them.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/xmlutil/
 	$(GO) test -run NONE -fuzz FuzzDecodeSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/

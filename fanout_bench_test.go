@@ -68,7 +68,9 @@ func BenchmarkNotifyFanout(b *testing.B) {
 // (GOMAXPROCS workers): the shape perfbench's pubsub-fanout workload
 // measures, where each sink receives 31 or 32 of a publish's
 // deliveries. It reports the process's CPU time per publish, the
-// workload's cpu_ms_per_op, both sides of every exchange included.
+// workload's cpu_ms_per_op, and, where /proc/self/io exists, its read
+// and write system calls per delivery: both sides of every exchange
+// are included in each.
 func benchPubSub(b *testing.B, stack core.Stack) {
 	const subs, sinks = 1000, 32
 	f := deployFanout(b, stack, subs, sinks, container.ClientConfig{})
@@ -82,12 +84,18 @@ func benchPubSub(b *testing.B, stack core.Stack) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	cpu := processCPU()
+	reads, writes, counted := processSyscalls()
 	for i := 0; i < b.N; i++ {
 		if n, err := publish(); n != subs || err != nil {
 			b.Fatalf("publish = %d, %v; want %d", n, err, subs)
 		}
 	}
 	b.ReportMetric(float64(processCPU()-cpu)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
+	if r, w, ok := processSyscalls(); counted && ok {
+		deliveries := float64(b.N * subs)
+		b.ReportMetric(float64(r-reads)/deliveries, "reads/delivery")
+		b.ReportMetric(float64(w-writes)/deliveries, "writes/delivery")
+	}
 }
 
 func benchWSNFanout(b *testing.B) {

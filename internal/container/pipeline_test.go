@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -273,8 +274,9 @@ var dateField = regexp.MustCompile(`\r\nDate: [^\r]*\r\n`)
 
 // TestServerAnswersPipelinedRequestsTogether: 32 pipelined requests on
 // one connection get the replies they get one per connection, byte for
-// byte but the Date and each reply's fresh MessageID, in fewer writes
-// than requests.
+// byte but the Date and each reply's fresh MessageID. The run arrives
+// in one read, after the byte the idle connection waits for, and is
+// answered in one write.
 func TestServerAnswersPipelinedRequestsTogether(t *testing.T) {
 	c := New(SecurityNone)
 	c.Register(echoService())
@@ -295,8 +297,8 @@ func TestServerAnswersPipelinedRequestsTogether(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("pipelined replies differ from replies one per connection:\n got %q\nwant %q", got, want)
 	}
-	if conn.writes >= maxRun {
-		t.Fatalf("%d pipelined requests answered in %d writes", maxRun, conn.writes)
+	if conn.writes != 1 {
+		t.Fatalf("%d pipelined requests answered in %d writes, want 1", maxRun, conn.writes)
 	}
 	// Every reply parses in turn, as a pipelining client reads them.
 	br := bufio.NewReader(bytes.NewReader(conn.out.Bytes()))
@@ -309,5 +311,61 @@ func TestServerAnswersPipelinedRequestsTogether(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(fmt.Sprintf(">message %d<", i))) {
 			t.Fatalf("reply %d: %d %q", i, resp.StatusCode, body)
 		}
+	}
+}
+
+// recordConn records what a client reads on its connection: the
+// replies, after any TLS.
+type recordConn struct {
+	net.Conn
+	got *bytes.Buffer
+}
+
+func (c recordConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.got.Write(p[:n])
+	return n, err
+}
+
+var uuidPattern = regexp.MustCompile(`urn:uuid:[0-9a-f-]+`)
+
+// TestPipelinedRunOverHTTPS: a pooled delivery client's pipelined run
+// to a SecurityTLS container gets, on one connection, the replies the
+// same run gets over plain HTTP, byte for byte but the Date and the
+// message identifiers (each reply's MessageID and RelatesTo).
+func TestPipelinedRunOverHTTPS(t *testing.T) {
+	auth, sid, _ := pki(t)
+	replies := func(c *Container, cfg ClientConfig) []byte {
+		t.Helper()
+		c.Register(echoService())
+		if _, err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		var got bytes.Buffer
+		dials := 0
+		client := NewClient(cfg).WrapConns(func(nc net.Conn) net.Conn {
+			dials++
+			return recordConn{nc, &got}
+		}).ForDelivery(DeliveryPooled)
+		for i, err := range deliverEach(client, c.EPR("/echo"), maxRun) {
+			if err != nil {
+				t.Fatalf("%s delivery %d: %v", c.BaseURL(), i, err)
+			}
+		}
+		if dials != 1 {
+			t.Fatalf("%s: a run of %d took %d connections, want 1", c.BaseURL(), maxRun, dials)
+		}
+		return uuidPattern.ReplaceAll(dateField.ReplaceAll(got.Bytes(), []byte("\r\nDate: <masked>\r\n")), []byte("urn:uuid:<masked>"))
+	}
+	plain := replies(New(SecurityNone), ClientConfig{})
+	tc := New(SecurityTLS)
+	tc.TLS = auth.ServerTLS(sid)
+	secure := replies(tc, ClientConfig{Mode: SecurityTLS, TLS: auth.ClientTLS()})
+	if !bytes.Equal(secure, plain) {
+		t.Fatalf("replies over HTTPS differ from plain HTTP:\n got %q\nwant %q", secure, plain)
+	}
+	if n := bytes.Count(plain, []byte("HTTP/1.1 200 OK")); n != maxRun {
+		t.Fatalf("%d replies to a run of %d", n, maxRun)
 	}
 }

@@ -19,9 +19,12 @@ import (
 
 // server is the container's HTTP/1.1 server, the inbound twin of
 // transport.go. An accept loop hands each connection to one goroutine,
-// which serves the connection's requests in turn: it reads the request
-// head from a pooled bufio.Reader, keeping only the request line and
-// the fields the container acts on (Content-Length, Connection,
+// which serves the connection's requests in turn. An idle connection
+// holds no read buffer: it waits for a request with a one-byte read,
+// and then borrows a run buffer (runReaders), maxRunBytes long, so that
+// a client's pipelined run that arrives whole is read in one read. From
+// it the server reads each request head, keeping only the request line
+// and the fields the container acts on (Content-Length, Connection,
 // Transfer-Encoding, Host), reads the body into a pooled buffer, runs
 // the request through the container's pipeline and, once that has
 // returned, makes the reply's head and body. A reply is written in one
@@ -29,10 +32,11 @@ import (
 // next pipelined request is already in the read buffer: then it is
 // held, in a pooled buffer, and the replies held go out together in one
 // write before the server next reads the socket, or once they reach
-// maxRunBytes, the bound of a client's pipelined run. A request builds no header map and starts no
-// goroutine, and no reader watches the socket while a handler runs: a
-// client that hangs up mid-request is noticed when its reply is
-// written.
+// maxRunBytes. Once the read buffer is empty at a request boundary, the
+// connection writes what it holds, returns the buffer and waits again.
+// A request builds no header map and starts no goroutine, and no reader
+// watches the socket while a handler runs: a client that hangs up
+// mid-request is noticed when its reply is written.
 //
 // The replies are byte for byte the ones net/http's server wrote
 // (testdata/*-head.txt, *-reply.txt), and so are its limits: a request
@@ -172,18 +176,22 @@ func (c *Container) serveConn(nc net.Conn) {
 	if tc, ok := nc.(*tls.Conn); ok && handshake(c.srv.ctx, tc) != nil {
 		return // failed handshakes stay silent
 	}
-	sc := &srvConn{c: c, nc: nc, br: readers.Get().(*bufio.Reader)}
-	// The read buffer fills through sc, which writes the replies held
-	// before it reads the socket.
-	sc.br.Reset(sc)
+	(&srvConn{c: c, nc: nc}).serve()
+}
+
+// serve serves sc's requests in turn until one ends the connection.
+func (sc *srvConn) serve() {
 	defer func() {
 		sc.flush() // what a panicking handler's predecessors were owed
-		sc.br.Reset(nil)
-		readers.Put(sc.br)
+		sc.returnReader()
 	}()
 	for sc.serveOne() {
 	}
 }
+
+// runReaders lends a connection its read buffer while one of its
+// requests is in progress.
+var runReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, maxRunBytes) }}
 
 // handshake runs the TLS handshake within headTimeout.
 func handshake(ctx context.Context, tc *tls.Conn) error {
@@ -200,7 +208,12 @@ func handshake(ctx context.Context, tc *tls.Conn) error {
 type srvConn struct {
 	c  *Container
 	nc net.Conn // TLS-wrapped for https
-	br *bufio.Reader
+	// br is the run buffer, lent while a request is in progress; nil
+	// while the connection is idle. Its first fill takes first, the
+	// byte the idle connection waited for, while seeded.
+	br     *bufio.Reader
+	first  [1]byte
+	seeded bool
 	// left is what the head being read may still take.
 	left int
 	// val holds the value of the head field being read, when the
@@ -258,6 +271,8 @@ func (sc *srvConn) serveOne() bool {
 		// The next request is already here: its reply goes out with this
 		// one.
 		return true
+	case sc.br.Buffered() == 0:
+		sc.returnReader()
 	}
 	return sc.flush()
 }
@@ -266,8 +281,10 @@ func (sc *srvConn) serveOne() bool {
 // reply to a head the server cannot act on; an error means the peer
 // left or stalled, or the head passed maxHead.
 func (sc *srvConn) readHead() (reject string, err error) {
-	if _, err := sc.br.Peek(1); err != nil {
-		return "", err
+	if sc.br == nil {
+		if err := sc.await(); err != nil {
+			return "", err
+		}
 	}
 	// The head must arrive within headTimeout of its first byte.
 	if err := sc.nc.SetReadDeadline(time.Now().Add(headTimeout)); err != nil {
@@ -586,10 +603,40 @@ func (sc *srvConn) flush() bool {
 	return err == nil
 }
 
-// Read fills the read buffer from the socket, once the replies held
-// are written: a peer that pipelines requests gets every reply it is
-// owed before the server waits on it.
+// await waits for the next request with a one-byte read, once the
+// replies held are written, and then lends sc a run buffer whose first
+// fill is that byte.
+func (sc *srvConn) await() error {
+	if !sc.flush() {
+		return errHungUp
+	}
+	if _, err := io.ReadFull(sc.nc, sc.first[:]); err != nil {
+		return err
+	}
+	sc.br, sc.seeded = runReaders.Get().(*bufio.Reader), true
+	sc.br.Reset(sc)
+	return nil
+}
+
+// returnReader returns the run buffer, if sc holds one.
+func (sc *srvConn) returnReader() {
+	if sc.br != nil {
+		sc.br.Reset(nil)
+		runReaders.Put(sc.br)
+		sc.br = nil
+	}
+}
+
+// Read fills the run buffer: first with the byte await read, then from
+// the socket, once the replies held are written. A peer that pipelines
+// requests gets every reply it is owed before the server waits on it,
+// and a run that arrives whole is read in one read and answered in one
+// write.
 func (sc *srvConn) Read(p []byte) (int, error) {
+	if sc.seeded {
+		sc.seeded = false
+		return copy(p, sc.first[:]), nil
+	}
 	if !sc.flush() {
 		return 0, errHungUp
 	}

@@ -31,7 +31,7 @@ type inConn struct {
 var fillerBlock = bytes.Repeat([]byte{'x'}, 32<<10)
 
 // readBudget is what the server may read between two of its writes.
-const readBudget = maxHead + maxRequestBody + 2*4096
+const readBudget = maxHead + maxRequestBody + 2*maxRunBytes
 
 func (c *inConn) Read(p []byte) (int, error) {
 	if c.writeDone {

@@ -2,6 +2,7 @@ package container
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -265,4 +266,93 @@ func TestTimedDeliverAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, deliver); allocs > limit {
 		t.Fatalf("timed Deliver = %.1f allocs, want <= %.0f", allocs, limit)
 	}
+}
+
+// TestRequestOneBytePerWrite: two pipelined requests written one byte
+// per write are both answered, in order.
+func TestRequestOneBytePerWrite(t *testing.T) {
+	c, _ := startPlain(t)
+	conn := dialPlain(t, c)
+	run := rawPostText("/echo", "", echoRequest("urn:echo/Echo", "first")) +
+		rawPostText("/echo", "", echoRequest("urn:echo/Echo", "second"))
+	go func() {
+		for i := range len(run) {
+			if _, err := io.WriteString(conn, run[i:i+1]); err != nil {
+				return // the test failed and closed the connection
+			}
+		}
+	}()
+	br := bufio.NewReader(conn)
+	for _, said := range []string{"first", "second"} {
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), ">"+said+"<") {
+			t.Fatalf("reply for %q: %d %q, %v", said, resp.StatusCode, body, err)
+		}
+	}
+}
+
+// stepConn is an inbound connection fed by hand: each read reports its
+// length on reads, then takes the next chunk from feed (EOF once feed
+// is closed); each write goes to written.
+type stepConn struct {
+	*inConn
+	reads   chan int
+	feed    chan []byte
+	written chan []byte
+}
+
+func (c *stepConn) Read(p []byte) (int, error) {
+	c.reads <- len(p)
+	b, ok := <-c.feed
+	if !ok {
+		return 0, io.EOF
+	}
+	return copy(p, b), nil
+}
+
+func (c *stepConn) Write(p []byte) (int, error) {
+	c.written <- append([]byte(nil), p...)
+	return len(p), nil
+}
+
+// TestRunBufferLentPerRun: an idle connection holds no read buffer and
+// waits with a one-byte read; it then borrows a run buffer, reads the
+// rest of a pipelined run in one read, answers the run in one write,
+// and returns the buffer before it waits again.
+func TestRunBufferLentPerRun(t *testing.T) {
+	c := New(SecurityNone)
+	c.Register(echoService())
+	conn := &stepConn{inConn: &inConn{}, reads: make(chan int), feed: make(chan []byte), written: make(chan []byte, 1)}
+	sc := &srvConn{c: c, nc: conn}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sc.serve()
+	}()
+	run := []byte(rawPostText("/echo", "", echoRequest("urn:echo/Echo", "first")) +
+		rawPostText("/echo", "", echoRequest("urn:echo/Echo", "second")))
+	for i := 0; i < 2; i++ {
+		// sc.br is read between the server goroutine's send on reads and
+		// its receive from feed, while it is blocked.
+		if n := <-conn.reads; n != 1 || sc.br != nil {
+			t.Fatalf("run %d: the idle connection reads %d bytes, holding a read buffer %v; want 1 and none", i, n, sc.br != nil)
+		}
+		conn.feed <- run[:1]
+		if n := <-conn.reads; n != maxRunBytes-1 || sc.br == nil {
+			t.Fatalf("run %d: the run's second read takes up to %d bytes, from a lent buffer %v; want %d", i, n, sc.br != nil, maxRunBytes-1)
+		}
+		conn.feed <- run[1:]
+		if out := <-conn.written; bytes.Count(out, []byte("HTTP/1.1 200 OK")) != 2 {
+			t.Fatalf("run %d: the first write holds %q, want both replies", i, out)
+		}
+	}
+	if n := <-conn.reads; n != 1 || sc.br != nil {
+		t.Fatalf("after two runs: the idle connection reads %d bytes, holding a read buffer %v; want 1 and none", n, sc.br != nil)
+	}
+	close(conn.feed)
+	<-done
 }

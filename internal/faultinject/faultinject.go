@@ -150,24 +150,23 @@ func (in *Injector) decide(key string) (verdict, time.Duration, int) {
 // the client has, so a pooled delivery client still pipelines. Wrap
 // once, before WithTimeout and ForDelivery, which keep the wrapping.
 func (in *Injector) WrapClient(c *container.Client) *container.Client {
-	return c.WrapConns(func(nc net.Conn) net.Conn { return &conn{Conn: nc, in: in} })
+	return c.WrapConns(func(nc net.Conn) net.Conn { return newConn(nc, in, "") })
 }
 
 // ConnWrapper returns a wse.TCPDeliverer WrapConn hook: each frame
 // write on a wrapped connection is a call, keyed by the sink's
 // "host:port".
 func (in *Injector) ConnWrapper() func(net.Conn) net.Conn {
-	return func(c net.Conn) net.Conn {
-		return &conn{Conn: c, in: in, key: c.RemoteAddr().String()}
-	}
+	return func(c net.Conn) net.Conn { return newConn(c, in, c.RemoteAddr().String()) }
 }
 
 // conn decides the calls written on one connection, in order, until one
 // fails or is dropped; that call and any after it in the write are not
 // decided, and nothing is written twice. The calls the write passed go
 // out after their delays, slept together and never past the deadline
-// the transport set: a sleep the deadline cuts short fails the write
-// whole. A dropped call is swallowed with the rest of the write, so it
+// the transport set, even one it moves mid-sleep, as a cancelled
+// exchange does: a sleep the deadline cuts short fails the write whole.
+// A dropped call is swallowed with the rest of the write, so it
 // gets no reply. A failed call fails the write if it comes first; a
 // plan that changed mid-write fails a later one as a consumer that
 // crashed there: the calls before it are answered, and then its reply
@@ -179,7 +178,14 @@ type conn struct {
 	// writes as HTTP requests.
 	key      string
 	deadline atomic.Int64 // the deadline set, in Unix nanoseconds; 0: none
-	crashed  error        // what the failed call's reply reads as
+	// moved wakes a write sleeping out its delays when the deadline
+	// moves.
+	moved   chan struct{}
+	crashed error // what the failed call's reply reads as
+}
+
+func newConn(nc net.Conn, in *Injector, key string) *conn {
+	return &conn{Conn: nc, in: in, key: key, moved: make(chan struct{}, 1)}
 }
 
 func (c *conn) SetDeadline(t time.Time) error {
@@ -188,6 +194,10 @@ func (c *conn) SetDeadline(t time.Time) error {
 		ns = t.UnixNano()
 	}
 	c.deadline.Store(ns)
+	select {
+	case c.moved <- struct{}{}:
+	default: // a wake is pending already
+	}
 	return c.Conn.SetDeadline(t)
 }
 
@@ -215,11 +225,9 @@ func (c *conn) Write(b []byte) (int, error) {
 		}
 		end += n
 	}
-	if ns := c.deadline.Load(); delay > 0 && ns != 0 && time.Until(time.Unix(0, ns)) < delay {
-		time.Sleep(time.Until(time.Unix(0, ns)))
-		return 0, os.ErrDeadlineExceeded
+	if err := c.sleep(delay); err != nil {
+		return 0, err
 	}
-	time.Sleep(delay)
 	if end > 0 {
 		if n, werr := c.Conn.Write(b[:end]); werr != nil {
 			return n, werr
@@ -233,6 +241,33 @@ func (c *conn) Write(b []byte) (int, error) {
 		c.crashed = err
 	}
 	return len(b), nil
+}
+
+// sleep waits out delay, unless the deadline comes first: then it fails
+// once the deadline passes. SetDeadline may move the deadline meanwhile,
+// and wakes sleep to look again.
+func (c *conn) sleep(delay time.Duration) error {
+	if delay <= 0 {
+		return nil
+	}
+	end := time.Now().Add(delay)
+	for {
+		wait, err := time.Until(end), error(nil)
+		if ns := c.deadline.Load(); ns != 0 {
+			if left := time.Until(time.Unix(0, ns)); left < wait {
+				wait, err = left, os.ErrDeadlineExceeded
+			}
+		}
+		if wait <= 0 {
+			return err
+		}
+		t := time.NewTimer(wait)
+		select {
+		case <-t.C:
+		case <-c.moved:
+			t.Stop()
+		}
+	}
 }
 
 // Read reads the replies; after a crash, their end reads as the crash.

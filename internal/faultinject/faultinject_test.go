@@ -134,6 +134,27 @@ func TestDropBlocksUntilCallerTimeout(t *testing.T) {
 	}
 }
 
+// TestCancelEndsDelay: cancelling an exchange ends the Delay it sleeps
+// out: a Call cancelled 50 ms into a 3 s delay returns context.Canceled
+// at once, and its request never reaches the consumer.
+func TestCancelEndsDelay(t *testing.T) {
+	s := startSink(t)
+	in := New()
+	in.Set(s.epr("/x").Address, Plan{Delay: 3 * time.Second})
+	client := in.WrapClient(container.NewClient(container.ClientConfig{}))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := client.CallContext(ctx, s.epr("/x"), echoAction, xmlutil.NewText("urn:echo", "Echo", "x"))
+	if elapsed := time.Since(start); !errors.Is(err, context.Canceled) || elapsed > time.Second {
+		t.Fatalf("a Call cancelled 50 ms into a 3 s delay = %v after %v; want context.Canceled within 1 s", err, elapsed)
+	}
+	if n := s.served.Load(); n != 0 {
+		t.Fatalf("a cancelled request reached the consumer (%d served)", n)
+	}
+}
+
 // countConns counts the connections it wraps and the writes on them.
 type countConns struct{ dials, writes atomic.Int32 }
 
