@@ -108,7 +108,11 @@ soak-smoke:
 	$(GO) run ./cmd/loadgen -soak -stack both -duration 10s
 
 # Short fuzz passes over the network-boundary decoders that must never
-# panic on adversarial bytes: the hand-rolled XML parser, a peer's
+# panic on adversarial bytes, and over the serializer's template (a
+# random tree cut around a hole of random elements in namespaces that
+# take well-known and generated prefixes, refilled with others: a fill
+# must write what a full render writes, and be refused whenever that
+# render binds the namespaces otherwise): the hand-rolled XML parser, a peer's
 # metrics snapshot through decode, merge, render, and quantiles, a
 # peer's HTTP reply through the container's client transport, post
 # (which must agree with http.ReadResponse on failure, status and body,
@@ -125,6 +129,7 @@ soak-smoke:
 # spend their 10s finding inputs rather than shrinking them.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/xmlutil/
+	$(GO) test -run NONE -fuzz FuzzTemplate -fuzztime 10s -fuzzminimizetime 1s ./internal/xmlutil/
 	$(GO) test -run NONE -fuzz FuzzDecodeSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/
 	$(GO) test -run NONE -fuzz FuzzTransportResponse -fuzztime 10s -fuzzminimizetime 1s ./internal/container/
 	$(GO) test -run NONE -fuzz FuzzPipelinedReplies -fuzztime 10s -fuzzminimizetime 1s ./internal/container/

@@ -65,10 +65,18 @@ func BenchmarkNotifyFanout(b *testing.B) {
 
 // benchPubSub publishes to 1000 subscriptions spread over 32 sinks on
 // plain loopback, with pooled delivery and every knob at its default
-// (GOMAXPROCS workers): the shape perfbench's pubsub-fanout workload
-// measures, where each sink receives 31 or 32 of a publish's
-// deliveries. It reports the process's CPU time per publish, the
-// workload's cpu_ms_per_op, and, where /proc/self/io exists, its read
+// (GOMAXPROCS workers): the fan-out of perfbench's pubsub-fanout
+// workload, where each sink receives 31 or 32 of a publish's
+// deliveries. Each delivery costs less here than there: no subscription
+// carries a reference parameter (each of perfbench's carries its own
+// `Sub`, a header of every request to it), the payload is one value
+// (perfbench's carries a sequence number and 64 bytes of data), and the
+// sinks are wsn.Consumer and wse.HTTPSink endpoints drained by one
+// goroutine each, where perfbench's are containers whose handler
+// records every receipt. So a saving in rendering each delivery reads
+// smaller here than in perfbench. It reports the process's CPU time per
+// publish, the workload's cpu_ms_per_op, and, where /proc/self/io
+// exists, its read
 // and write system calls per delivery: both sides of every exchange
 // are included in each.
 func benchPubSub(b *testing.B, stack core.Stack) {

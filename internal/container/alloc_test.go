@@ -27,12 +27,12 @@ func notifyBody() *xmlutil.Element {
 // TestDeliveryRequestAllocs pins the per-delivery cost of building and
 // serializing one request, as exchange does for every subscriber of a
 // fan-out: the envelope, its addressing headers (a fresh MessageID and
-// a consumer reference property) and the wire bytes. The addressing
-// elements are one block, so the five allocations are the envelope,
-// the MessageID string, the block, the header list and the cloned
-// reference property.
+// a consumer reference property) and the wire bytes. The envelope and
+// the UUID stay on the stack, the addressing elements are one block,
+// and the reference property is shared, not cloned, so the three
+// allocations are the MessageID string, the block and the header list.
 func TestDeliveryRequestAllocs(t *testing.T) {
-	limit := 5.0
+	limit := 3.0
 	if raceEnabled {
 		limit = 16 // sync.Pool drops pooled frames at random under -race
 	}
@@ -47,6 +47,39 @@ func TestDeliveryRequestAllocs(t *testing.T) {
 	})
 	if allocs > limit {
 		t.Fatalf("delivery request build+marshal = %.0f allocs, want <= %.0f", allocs, limit)
+	}
+}
+
+// TestSplicedRequestAllocs pins the cost of a request spliced into its
+// run's template (splice.marshal), as a pipelined run writes all but
+// its first two requests: the MessageID string alone. It builds no
+// envelope, header block, header list or clone, and writes the
+// reference headers straight from the consumer's EPR.
+func TestSplicedRequestAllocs(t *testing.T) {
+	limit := 1.0
+	if raceEnabled {
+		limit = 8
+	}
+	c := &Client{}
+	m := Message{To: wsa.NewEPR("http://127.0.0.1:8080/consumer").WithParameter("urn:svc", "Sub", "42"),
+		Action: nsNT + "/Notify", Body: notifyBody()}
+	var s splice
+	var buf wireBuf
+	for range 2 {
+		if err := s.marshal(c, &m, nil, &buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.t == nil {
+		t.Fatal("a run's second request built no template")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.marshal(c, &m, nil, &buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > limit {
+		t.Fatalf("spliced request = %.0f allocs, want <= %.0f", allocs, limit)
 	}
 }
 

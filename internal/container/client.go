@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"time"
 
@@ -207,7 +208,8 @@ type readFunc func(resp []byte, status int, span *obs.Span) error
 // same address (addr, which dst splits for the wire), as HTTP/1.1
 // pipelined requests on one connection, and returns the index of the
 // first message it did not take. The requests are the ones post
-// writes, each with its own envelope, MessageID and signature. Each run
+// writes, each with its own MessageID and signature, most of them
+// spliced into a template of an earlier one (splice). Each run
 // of them goes out in one write, and the replies are read in order,
 // each whole, within the client's timeout of the previous one; each
 // message's outcome is what read makes of its reply. Once a reply
@@ -226,6 +228,7 @@ func (c *Client) pipeline(ctx context.Context, t *transport, timeout time.Durati
 	defer resp.release()
 	var pc *conn
 	var run [maxRun]pending
+	var sp splice
 	// cause is what ended the connection, which every later message
 	// fails with.
 	var cause error
@@ -241,7 +244,7 @@ func (c *Client) pipeline(ctx context.Context, t *transport, timeout time.Durati
 			*p = pending{i: i, action: m.Action}
 			if cause == nil {
 				p.span = obs.SpanFromContext(m.Ctx)
-				if p.err = c.marshal(&m, p.span, env); p.err == nil && !validFieldValue(m.Action) {
+				if p.err = sp.marshal(c, &m, p.span, env); p.err == nil && !validFieldValue(m.Action) {
 					p.err = postError(m.Action, addr, errBadAction)
 				}
 				if p.err == nil {
@@ -432,6 +435,43 @@ func (c *Client) marshal(m *Message, span *obs.Span, buf *wireBuf) error {
 	}
 	buf.Reset()
 	env.MarshalTo(&buf.Buffer)
+	return nil
+}
+
+// splice renders the requests of a pipelined run, each the bytes
+// Client.marshal writes for it. A request that repeats the last one
+// rendered in full in all but its EPR's reference headers (the same
+// action to the same address, and the same extra header blocks and body
+// elements) is rendered in full once more, as a template
+// (wsa.StampTemplate). Each later request like it is written as the
+// template's bytes around its own MessageID and reference headers
+// (wsa.Restamp), unless the template refuses them. A signing client
+// renders every request in full: each signature covers its own
+// timestamp.
+type splice struct {
+	last Message           // the last request rendered in full; a run's addresses are never ""
+	t    *xmlutil.Template // rendered from a request like last
+}
+
+// marshal renders m into buf, recording its MessageID on span.
+func (s *splice) marshal(c *Client, m *Message, span *obs.Span, buf *wireBuf) error {
+	if c.Signer != nil || m.To.Address != s.last.To.Address || m.Action != s.last.Action ||
+		m.Body != s.last.Body || !slices.Equal(m.Headers, s.last.Headers) {
+		if s.t == nil {
+			s.last = *m
+		}
+		return c.marshal(m, span, buf)
+	}
+	buf.Reset()
+	var mid string
+	if s.t == nil {
+		env := soap.New(m.Body)
+		env.AddHeader(m.Headers...)
+		mid, s.t = wsa.StampTemplate(env, m.To, m.Action, &buf.Buffer)
+	} else if mid = wsa.Restamp(s.t, &buf.Buffer, m.To); mid == "" {
+		return c.marshal(m, span, buf)
+	}
+	span.SetMessageID(mid)
 	return nil
 }
 

@@ -42,8 +42,8 @@ type Plan struct {
 	// silently lossy sink.
 	DropFirst int
 	// Delay is added before every call is resolved, injected latency on
-	// both faulted and passed calls. Over HTTP it never runs past the
-	// connection's deadline.
+	// both faulted and passed calls. It never runs past the write
+	// deadline the transport set, by SetDeadline or SetWriteDeadline.
 	Delay time.Duration
 }
 
@@ -163,9 +163,10 @@ func (in *Injector) ConnWrapper() func(net.Conn) net.Conn {
 // conn decides the calls written on one connection, in order, until one
 // fails or is dropped; that call and any after it in the write are not
 // decided, and nothing is written twice. The calls the write passed go
-// out after their delays, slept together and never past the deadline
-// the transport set, even one it moves mid-sleep, as a cancelled
-// exchange does: a sleep the deadline cuts short fails the write whole.
+// out after their delays, slept together and never past the write
+// deadline the transport set (SetDeadline sets it too, as on any
+// net.Conn), even one it moves mid-sleep, as a cancelled exchange does:
+// a sleep the deadline cuts short fails the write whole.
 // A dropped call is swallowed with the rest of the write, so it
 // gets no reply. A failed call fails the write if it comes first; a
 // plan that changed mid-write fails a later one as a consumer that
@@ -177,9 +178,9 @@ type conn struct {
 	// key keys every write as one call, on a TCP channel; "" frames the
 	// writes as HTTP requests.
 	key      string
-	deadline atomic.Int64 // the deadline set, in Unix nanoseconds; 0: none
-	// moved wakes a write sleeping out its delays when the deadline
-	// moves.
+	deadline atomic.Int64 // the write deadline set, in Unix nanoseconds; 0: none
+	// moved wakes a write sleeping out its delays when the write
+	// deadline moves.
 	moved   chan struct{}
 	crashed error // what the failed call's reply reads as
 }
@@ -189,6 +190,18 @@ func newConn(nc net.Conn, in *Injector, key string) *conn {
 }
 
 func (c *conn) SetDeadline(t time.Time) error {
+	c.moveDeadline(t)
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *conn) SetWriteDeadline(t time.Time) error {
+	c.moveDeadline(t)
+	return c.Conn.SetWriteDeadline(t)
+}
+
+// moveDeadline records t as the write deadline and wakes a sleeping
+// write.
+func (c *conn) moveDeadline(t time.Time) {
 	var ns int64
 	if !t.IsZero() {
 		ns = t.UnixNano()
@@ -198,7 +211,6 @@ func (c *conn) SetDeadline(t time.Time) error {
 	case c.moved <- struct{}{}:
 	default: // a wake is pending already
 	}
-	return c.Conn.SetDeadline(t)
 }
 
 func (c *conn) Write(b []byte) (int, error) {
@@ -243,9 +255,9 @@ func (c *conn) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// sleep waits out delay, unless the deadline comes first: then it fails
-// once the deadline passes. SetDeadline may move the deadline meanwhile,
-// and wakes sleep to look again.
+// sleep waits out delay, unless the write deadline comes first: then it
+// fails once the deadline passes. SetDeadline and SetWriteDeadline may
+// move the deadline meanwhile, and wake sleep to look again.
 func (c *conn) sleep(delay time.Duration) error {
 	if delay <= 0 {
 		return nil

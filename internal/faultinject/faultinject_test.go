@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -152,6 +153,40 @@ func TestCancelEndsDelay(t *testing.T) {
 	}
 	if n := s.served.Load(); n != 0 {
 		t.Fatalf("a cancelled request reached the consumer (%d served)", n)
+	}
+}
+
+// TestWriteDeadlineEndsDelay: a Delay on a TCP channel's connection
+// ends at the write deadline, as wse's TCP deliverer bounds each frame
+// write: a write under a 100 ms write deadline and a 2 s delay fails
+// with os.ErrDeadlineExceeded at the deadline, not after the delay.
+func TestWriteDeadlineEndsDelay(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			defer c.Close()
+			c.Read(make([]byte, 1))
+		}
+	}()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := New()
+	in.Set("tcp://"+ln.Addr().String(), Plan{Delay: 2 * time.Second})
+	c := in.ConnWrapper()(raw)
+	defer c.Close()
+	if err := c.SetWriteDeadline(time.Now().Add(100 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = c.Write([]byte("frame"))
+	if elapsed := time.Since(start); !errors.Is(err, os.ErrDeadlineExceeded) || elapsed > 500*time.Millisecond {
+		t.Fatalf("a write under a 100 ms write deadline and a 2 s delay = %v after %v; want os.ErrDeadlineExceeded within 0.5 s", err, elapsed)
 	}
 }
 

@@ -147,8 +147,15 @@ func (e *Envelope) Marshal() []byte {
 
 // MarshalTo appends the envelope's serialization to b — same bytes as
 // Marshal, no intermediate copy. The delivery paths use this to render
-// straight into pooled wire buffers.
-func (e *Envelope) MarshalTo(b *bytes.Buffer) {
+// straight into pooled wire buffers. It is MarshalTemplate without a
+// hole.
+func (e *Envelope) MarshalTo(b *bytes.Buffer) { e.MarshalTemplate(b, -1) }
+
+// MarshalTemplate appends the envelope's serialization to b, as
+// MarshalTo does, and returns it as a template whose hole is the header
+// blocks from the nth on (xmlutil.Element.MarshalTemplate): nil unless
+// there is an nth.
+func (e *Envelope) MarshalTemplate(b *bytes.Buffer, n int) *xmlutil.Template {
 	f := framePool.Get().(*frame)
 	f.env.Children = f.parts[:]
 	if len(e.Headers) == 0 {
@@ -160,9 +167,10 @@ func (e *Envelope) MarshalTo(b *bytes.Buffer) {
 		f.payload[0] = c
 		f.body.Children = f.payload[:]
 	}
-	f.env.MarshalTo(b)
+	t := f.env.MarshalTemplate(b, &f.header, n)
 	f.header.Children, f.payload[0] = nil, nil
 	framePool.Put(f)
+	return t
 }
 
 // Parse decodes a SOAP envelope from bytes.

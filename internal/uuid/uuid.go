@@ -9,7 +9,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -18,9 +17,10 @@ type UUID [16]byte
 
 // New returns a fresh random (version 4) UUID. It panics only if the
 // operating system's entropy source is broken, which is unrecoverable.
+// rand.Read, unlike a read through rand.Reader, leaves u on the stack.
 func New() UUID {
 	var u UUID
-	if _, err := io.ReadFull(rand.Reader, u[:]); err != nil {
+	if _, err := rand.Read(u[:]); err != nil {
 		panic("uuid: entropy source failed: " + err.Error())
 	}
 	u[6] = (u[6] & 0x0f) | 0x40 // version 4

@@ -12,6 +12,7 @@
 package wsa
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"slices"
@@ -143,35 +144,71 @@ type Info struct {
 // generated MessageID is returned so callers can correlate replies.
 //
 // Every message is stamped, so the addressing elements are built in
-// one block and env.Headers grows once.
+// one block and env.Headers grows once. The reference headers are
+// epr's own elements and the ReplyTo is one every request shares, as
+// the envelope shares its body: the stamped headers are read-only.
 func Stamp(env *soap.Envelope, epr EPR, action string) string {
+	mid, _ := stamp(env, epr, action)
+	return mid
+}
+
+// StampTemplate stamps env as Stamp does and appends its serialization
+// to b, returned as a template whose hole is the header blocks that
+// differ between requests with one action to one address: the
+// MessageID, the ReplyTo, and the reference properties and parameters.
+// Restamp fills it.
+func StampTemplate(env *soap.Envelope, epr EPR, action string, b *bytes.Buffer) (string, *xmlutil.Template) {
+	mid, hole := stamp(env, epr, action)
+	return mid, env.MarshalTemplate(b, hole)
+}
+
+// Restamp appends the request t was rendered from (StampTemplate)
+// stamped for epr instead, with a fresh MessageID, which it returns. It
+// writes nothing and returns "" when t refuses epr's reference headers
+// (xmlutil.Template.Fill).
+func Restamp(t *xmlutil.Template, b *bytes.Buffer, epr EPR) string {
 	mid := uuid.New().URN()
-	h := &requestHeaders{
-		to:        header("To", epr.Address),
-		action:    header("Action", action),
-		messageID: header("MessageID", mid),
-		replyTo:   header("ReplyTo", ""),
-		address:   header("Address", Anonymous),
-	}
-	h.replyToKids[0] = &h.address
-	h.replyTo.Children = h.replyToKids[:]
-	env.Headers = slices.Grow(env.Headers, 4+len(epr.ReferenceProperties)+len(epr.ReferenceParameters))
-	env.Headers = append(env.Headers, &h.to, &h.action, &h.messageID, &h.replyTo)
-	for _, p := range epr.ReferenceProperties {
-		env.Headers = append(env.Headers, p.Clone())
-	}
-	for _, p := range epr.ReferenceParameters {
-		env.Headers = append(env.Headers, p.Clone())
+	id := [1]*xmlutil.Element{{Name: xml.Name{Space: NS, Local: "MessageID"}, Text: mid}}
+	if g := perRequest(&id, epr); !t.Fill(b, g[:]...) {
+		return ""
 	}
 	return mid
 }
 
-// requestHeaders is the block Stamp builds in: To, Action, MessageID,
-// and a ReplyTo holding the anonymous Address.
-type requestHeaders struct {
-	to, action, messageID, replyTo, address xmlutil.Element
-	replyToKids                             [1]*xmlutil.Element
+// stamp is Stamp; it also returns the index in env.Headers of the first
+// of perRequest's blocks.
+func stamp(env *soap.Envelope, epr EPR, action string) (string, int) {
+	mid := uuid.New().URN()
+	h := &requestHeaders{to: header("To", epr.Address), action: header("Action", action), messageID: header("MessageID", mid)}
+	h.id[0] = &h.messageID
+	g := perRequest(&h.id, epr)
+	env.Headers = slices.Grow(env.Headers, 2+len(g[0])+len(g[1])+len(g[2])+len(g[3]))
+	env.Headers = append(env.Headers, &h.to, &h.action)
+	hole := len(env.Headers)
+	for _, blocks := range g {
+		env.Headers = append(env.Headers, blocks...)
+	}
+	return mid, hole
 }
+
+// requestHeaders is the block Stamp builds in: To, Action and
+// MessageID.
+type requestHeaders struct {
+	to, action, messageID xmlutil.Element
+	id                    [1]*xmlutil.Element // &messageID
+}
+
+// perRequest returns, in order, the header blocks that differ between
+// requests with one action to one address: the MessageID id holds, the
+// ReplyTo, and epr's reference properties and parameters.
+func perRequest(id *[1]*xmlutil.Element, epr EPR) [4][]*xmlutil.Element {
+	return [4][]*xmlutil.Element{id[:], anonymousReplyTo[:], epr.ReferenceProperties, epr.ReferenceParameters}
+}
+
+// anonymousReplyTo is every request's ReplyTo: replies flow back on the
+// transport's response channel.
+var anonymousReplyTo = [1]*xmlutil.Element{{Name: xml.Name{Space: NS, Local: "ReplyTo"},
+	Children: []*xmlutil.Element{{Name: xml.Name{Space: NS, Local: "Address"}, Text: Anonymous}}}}
 
 // StampReply adds response message information headers relating the
 // reply to the request's MessageID, built in one block like Stamp's.

@@ -96,9 +96,19 @@ func TestGoldenTCPEventFrame(t *testing.T) {
 
 // TestGoldenPushEventBody captures the request body a push-mode sink
 // receives for one event.
-func TestGoldenPushEventBody(t *testing.T) {
+func TestGoldenPushEventBody(t *testing.T) { checkGoldenPushEventBodies(t, 1) }
+
+// TestGoldenPushEventBodyRun is TestGoldenPushEventBody with three
+// subscriptions on the sink: one pipelined run, whose later requests
+// are spliced into the second's template. Every body must still be the
+// golden's.
+func TestGoldenPushEventBodyRun(t *testing.T) { checkGoldenPushEventBodies(t, 3) }
+
+// checkGoldenPushEventBodies publishes one event to subs push-mode
+// subscriptions on one sink and checks each body it receives.
+func checkGoldenPushEventBodies(t *testing.T, subs int) {
 	ack := soap.New(xmlutil.New(NS, "EventAck")).Marshal()
-	bodies := make(chan []byte, 1)
+	bodies := make(chan []byte, subs)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		select {
@@ -111,17 +121,21 @@ func TestGoldenPushEventBody(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	src, client, source := startSource(t, "")
-	if _, err := Subscribe(client, source, SubscribeOptions{
-		NotifyTo: wsa.NewEPR(srv.URL + "/sink"),
-	}); err != nil {
-		t.Fatal(err)
+	for range subs {
+		if _, err := Subscribe(client, source, SubscribeOptions{
+			NotifyTo: wsa.NewEPR(srv.URL + "/sink"),
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	topic, msg := goldenEvent()
-	if n, err := src.Publish(topic, msg); n != 1 || err != nil {
+	if n, err := src.Publish(topic, msg); n != subs || err != nil {
 		t.Fatalf("publish = %d, %v", n, err)
 	}
-	body := <-bodies
-	body = bytes.ReplaceAll(body, []byte(srv.Listener.Addr().String()), []byte("127.0.0.1:PORT"))
-	body = messageIDPattern.ReplaceAll(body, []byte("<wsa:MessageID>MASKED</wsa:MessageID>"))
-	checkGolden(t, "push-event-body.xml", body)
+	for range subs {
+		body := <-bodies
+		body = bytes.ReplaceAll(body, []byte(srv.Listener.Addr().String()), []byte("127.0.0.1:PORT"))
+		body = messageIDPattern.ReplaceAll(body, []byte("<wsa:MessageID>MASKED</wsa:MessageID>"))
+		checkGolden(t, "push-event-body.xml", body)
+	}
 }

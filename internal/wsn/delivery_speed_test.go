@@ -81,9 +81,19 @@ func TestDeliveryModeConnections(t *testing.T) {
 // consumer receives for one wrapped notification and compares it, with
 // the consumer's port and the fresh MessageID masked, against
 // testdata/notify-body.xml.
-func TestGoldenNotifyBody(t *testing.T) {
+func TestGoldenNotifyBody(t *testing.T) { checkGoldenNotifyBodies(t, 1) }
+
+// TestGoldenNotifyBodyRun is TestGoldenNotifyBody with three
+// subscriptions on the consumer: one pipelined run, whose later
+// requests are spliced into the second's template. Every body must
+// still be the golden's.
+func TestGoldenNotifyBodyRun(t *testing.T) { checkGoldenNotifyBodies(t, 3) }
+
+// checkGoldenNotifyBodies publishes one notification to subs
+// subscriptions on one consumer and checks each body it receives.
+func checkGoldenNotifyBodies(t *testing.T, subs int) {
 	ack := soap.New(xmlutil.New(NSNT, "NotifyResponse")).Marshal()
-	bodies := make(chan []byte, 1)
+	bodies := make(chan []byte, subs)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		select {
@@ -97,24 +107,28 @@ func TestGoldenNotifyBody(t *testing.T) {
 
 	p, client, producerEPR := startProducer(t, nil)
 	const topic = "jobs/7/done"
-	if _, err := Subscribe(client, producerEPR, wsa.NewEPR(srv.URL+"/consumer"),
-		SubscribeOptions{Topic: Concrete(topic)}); err != nil {
-		t.Fatal(err)
+	for range subs {
+		if _, err := Subscribe(client, producerEPR, wsa.NewEPR(srv.URL+"/consumer"),
+			SubscribeOptions{Topic: Concrete(topic)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A payload whose text needs escaping.
 	msg := xmlutil.New(nsJob, "JobDone").Add(xmlutil.NewText(nsJob, "Code", "1 < 2 & \"quoted\""))
-	if n, err := p.Notify(topic, msg); n != 1 || err != nil {
+	if n, err := p.Notify(topic, msg); n != subs || err != nil {
 		t.Fatalf("notify = %d, %v", n, err)
 	}
-	body := <-bodies
-	body = bytes.ReplaceAll(body, []byte(srv.Listener.Addr().String()), []byte("127.0.0.1:PORT"))
-	body = regexp.MustCompile(`<wsa:MessageID>[^<]*</wsa:MessageID>`).
-		ReplaceAll(body, []byte("<wsa:MessageID>MASKED</wsa:MessageID>"))
 	want, err := os.ReadFile("testdata/notify-body.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(body, want) {
-		t.Fatalf("notify-body.xml changed\n got: %q\nwant: %q", body, want)
+	for range subs {
+		body := <-bodies
+		body = bytes.ReplaceAll(body, []byte(srv.Listener.Addr().String()), []byte("127.0.0.1:PORT"))
+		body = regexp.MustCompile(`<wsa:MessageID>[^<]*</wsa:MessageID>`).
+			ReplaceAll(body, []byte("<wsa:MessageID>MASKED</wsa:MessageID>"))
+		if !bytes.Equal(body, want) {
+			t.Fatalf("notify-body.xml changed\n got: %q\nwant: %q", body, want)
+		}
 	}
 }

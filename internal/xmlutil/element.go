@@ -225,6 +225,12 @@ type encoder struct {
 	canonical bool
 	sorted    []string   // canonical: the distinct URIs, sorted
 	attrs     []xml.Attr // canonical: one element's attributes, sorted
+	// MarshalTemplate's hole, hole's children from holeAt on: found holes
+	// times, binding uris[bound[0]:bound[1]] and written at cut[0]:cut[1].
+	hole       *Element
+	holeAt     int
+	holes      int
+	bound, cut [2]int
 }
 
 // encPool recycles encoders between serializations: the signature path
@@ -243,6 +249,7 @@ func (enc *encoder) reset() {
 	enc.uris, enc.prefixes, enc.sorted, enc.attrs = enc.uris[:0], enc.prefixes[:0], enc.sorted[:0], enc.attrs[:0]
 	enc.next = 0
 	enc.canonical = false
+	enc.hole, enc.holes = nil, 0
 }
 
 // prefix returns the prefix bound to uri, or "" for no namespace.
@@ -284,8 +291,14 @@ func (enc *encoder) bindTree(e *Element) {
 	for _, a := range e.Attrs {
 		enc.bind(a.Name.Space)
 	}
-	for _, c := range e.Children {
+	for i, c := range e.Children {
+		if e == enc.hole && i == enc.holeAt {
+			enc.bound[0] = len(enc.uris)
+		}
 		enc.bindTree(c)
+	}
+	if e == enc.hole {
+		enc.bound[1] = len(enc.uris)
 	}
 }
 
@@ -340,14 +353,8 @@ func (e *Element) Marshal() []byte {
 // MarshalTo appends the same serialization Marshal produces to b, with
 // no intermediate []byte. The wire paths (HTTP request/response
 // bodies, TCP event frames) marshal straight into their pooled
-// transmit buffers through this.
-func (e *Element) MarshalTo(b *bytes.Buffer) {
-	enc := encPool.Get().(*encoder)
-	enc.bindTree(e)
-	enc.writeElement(b, e, true)
-	enc.reset()
-	encPool.Put(enc)
-}
+// transmit buffers through this. It is MarshalTemplate without a hole.
+func (e *Element) MarshalTo(b *bytes.Buffer) { e.MarshalTemplate(b, nil, 0) }
 
 // Canonical serializes the element tree in a normalized form suitable
 // for digesting and signing: same prefix discipline as Marshal, but
@@ -454,8 +461,15 @@ func (enc *encoder) writeElement(b *bytes.Buffer, e *Element, root bool) {
 	}
 	b.WriteByte('>')
 	escapeInto(b, text)
-	for _, c := range e.Children {
+	for i, c := range e.Children {
+		if e == enc.hole && i == enc.holeAt {
+			enc.cut[0] = b.Len()
+			enc.holes++
+		}
 		enc.writeElement(b, c, false)
+	}
+	if e == enc.hole {
+		enc.cut[1] = b.Len()
 	}
 	b.WriteString("</")
 	writeName(b, prefix, e.Name.Local)
