@@ -123,10 +123,14 @@ soak-smoke:
 # request bytes through the container's server (one reply per complete
 # request, as net/http's request reader counts them, and no read
 # between two writes past the head cap, the body bound and two run
-# buffers of read-ahead), and a subscriber's WS-Topics expression
-# (whose Full-dialect matches must also agree with the reference
-# matcher). Minimising a new input is bounded at 1s, so the passes
-# spend their 10s finding inputs rather than shrinking them.
+# buffers of read-ahead), an inbound SOAP envelope through the decode
+# a request gets (soap.Parse, wsa.Extract, mustUnderstand, ParseEPR on
+# every header: a repeated To, Action, MessageID or ReplyTo refused, and
+# an accepted envelope re-marshaling to the same bytes and addressing),
+# and a subscriber's WS-Topics expression (whose Full-dialect matches
+# must also agree with the reference matcher). Minimising a new input
+# is bounded at 1s, so the passes spend their 10s finding inputs rather
+# than shrinking them.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/xmlutil/
 	$(GO) test -run NONE -fuzz FuzzTemplate -fuzztime 10s -fuzzminimizetime 1s ./internal/xmlutil/
@@ -134,6 +138,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzTransportResponse -fuzztime 10s -fuzzminimizetime 1s ./internal/container/
 	$(GO) test -run NONE -fuzz FuzzPipelinedReplies -fuzztime 10s -fuzzminimizetime 1s ./internal/container/
 	$(GO) test -run NONE -fuzz FuzzServeConn -fuzztime 10s -fuzzminimizetime 1s ./internal/container/
+	$(GO) test -run NONE -fuzz FuzzExtract -fuzztime 10s -fuzzminimizetime 1s ./internal/wsa/
 	$(GO) test -run NONE -fuzz FuzzTopicMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/wsn/
 
 # End-to-end check of the observability surface: counterd -admin and a

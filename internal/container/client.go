@@ -363,7 +363,9 @@ func (c *Client) callEnvelope(ctx context.Context, epr wsa.EPR, action string, b
 		return nil, err
 	}
 	if span != nil {
-		span.SetRelatesTo(wsa.Extract(respEnv).RelatesTo)
+		// A reply is not refused for a repeated header.
+		info, _ := wsa.Extract(respEnv)
+		span.SetRelatesTo(info.RelatesTo)
 	}
 	if respEnv.IsFault() {
 		return nil, respEnv.Fault

@@ -284,13 +284,18 @@ func (c *Container) serveHTTP(w *srvConn, path []byte, post bool, body []byte) {
 		obs.StageDispatch.ObserveSinceSpan(t0, span)
 		span.End()
 	}()
+	// Extract refuses a repeated addressing header, before verify and
+	// dispatch could each act on another copy.
 	env, err := soap.Parse(body)
+	var info wsa.Info
+	if err == nil {
+		info, err = wsa.Extract(env)
+	}
 	if err != nil {
 		span.Fail(err)
-		c.writeFault(reqCtx, w, "", faultOf(err))
+		c.writeFault(reqCtx, w, info.MessageID, faultOf(err))
 		return
 	}
-	info := wsa.Extract(env)
 	// The inbound MessageID is the cross-process correlation key: when
 	// this request is a notification delivery, the sender's deliver span
 	// carries the same ID and obs.Stitch joins the two traces.

@@ -1,8 +1,12 @@
 package container
 
 import (
+	"bufio"
+	"io"
+	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,12 +133,64 @@ func TestReplyHeadersRelateToRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := wsa.Extract(env)
+	info, err := wsa.Extract(env)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if info.RelatesTo == "" || !strings.HasPrefix(info.RelatesTo, "urn:uuid:") {
 		t.Fatalf("RelatesTo = %q", info.RelatesTo)
 	}
 	if info.Action != "urn:echo/EchoResponse" {
 		t.Fatalf("Action = %q", info.Action)
+	}
+}
+
+// TestRepeatedAddressingHeaderRefused: a request that carries two
+// Actions, the first for one handler and the second for another, gets
+// a Client fault that names wsa:Action, and neither handler runs. A
+// repeated RelatesTo, which may appear once per relationship type, is
+// dispatched.
+func TestRepeatedAddressingHeaderRefused(t *testing.T) {
+	var echoes, fails atomic.Int32
+	count := func(n *atomic.Int32) ActionFunc {
+		return func(*Ctx) (*xmlutil.Element, error) { n.Add(1); return xmlutil.New("urn:echo", "Done"), nil }
+	}
+	c := New(SecurityNone)
+	c.Register(&Service{Path: "/echo", Actions: map[string]ActionFunc{"urn:echo/Echo": count(&echoes), "urn:echo/Fail": count(&fails)}})
+	if _, err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	post := func(extra string) (int, *soap.Envelope) {
+		req := strings.Replace(echoRequest("urn:echo/Echo", "hello"), "</wsa:Action>", "</wsa:Action>"+extra, 1)
+		conn := dialPlain(t, c)
+		if _, err := io.WriteString(conn, rawPostText("/echo", "", req)); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := soap.Parse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, env
+	}
+	status, env := post("<wsa:Action>urn:echo/Fail</wsa:Action>")
+	if f := env.Fault; status != http.StatusBadRequest || f == nil || f.Code != soap.FaultClient || !strings.Contains(f.Reason, "wsa:Action") {
+		t.Fatalf("two Actions: HTTP %d, fault %v; want a Client fault naming wsa:Action", status, f)
+	}
+	if echoes.Load() != 0 || fails.Load() != 0 {
+		t.Fatalf("handlers ran on a refused request: Echo %d, Fail %d", echoes.Load(), fails.Load())
+	}
+	status, env = post("<wsa:RelatesTo>urn:uuid:a</wsa:RelatesTo><wsa:RelatesTo>urn:uuid:b</wsa:RelatesTo>")
+	if status != http.StatusOK || env.IsFault() || echoes.Load() != 1 {
+		t.Fatalf("two RelatesTo: HTTP %d, fault %v, Echo ran %d times; want it dispatched once", status, env.Fault, echoes.Load())
 	}
 }
 

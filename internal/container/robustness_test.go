@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"altstacks/internal/soap"
@@ -95,13 +96,14 @@ func TestHandlerPanicSafety(t *testing.T) {
 	// deferred recover drops that connection only, and subsequent
 	// requests succeed.
 	c := New(SecurityNone)
-	calls := 0
+	// The calls run on two connections' goroutines, which nothing the
+	// race detector sees orders.
+	var calls atomic.Int32
 	c.Register(&Service{
 		Path: "/flaky",
 		Actions: map[string]ActionFunc{
 			"urn:f/Do": func(ctx *Ctx) (*xmlutil.Element, error) {
-				calls++
-				if calls == 1 {
+				if calls.Add(1) == 1 {
 					panic("handler bug")
 				}
 				return xmlutil.New("urn:f", "OK"), nil

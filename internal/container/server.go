@@ -23,15 +23,16 @@ import (
 // holds no read buffer: it waits for a request with a one-byte read,
 // and then borrows a run buffer (runReaders), maxRunBytes long, so that
 // a client's pipelined run that arrives whole is read in one read. From
-// it the server reads each request head, keeping only the request line
-// and the fields the container acts on (Content-Length, Connection,
-// Transfer-Encoding, Host), reads the body into a pooled buffer, runs
-// the request through the container's pipeline and, once that has
-// returned, makes the reply's head and body. A reply is written in one
-// write, as net/http flushed a handler's buffered reply, unless the
-// next pipelined request is already in the read buffer: then it is
-// held, in a pooled buffer, and the replies held go out together in one
-// write before the server next reads the socket, or once they reach
+// it the server reads each request head: the request line, then the
+// field lines through the reader the transport reads reply heads with
+// (fields), acting on Content-Length, Connection, Transfer-Encoding and
+// Host only. It reads the body into a pooled buffer, runs the request
+// through the container's pipeline and, once that has returned, makes
+// the reply's head and body. A reply is written in one write, as
+// net/http flushed a handler's buffered reply, unless the next
+// pipelined request is already in the read buffer: then it is held, in
+// a pooled buffer, and the replies held go out together in one write
+// before the server next reads the socket, or once they reach
 // maxRunBytes. Once the read buffer is empty at a request boundary, the
 // connection writes what it holds, returns the buffer and waits again.
 // A request builds no header map and starts no goroutine, and no reader
@@ -214,12 +215,8 @@ type srvConn struct {
 	br     *bufio.Reader
 	first  [1]byte
 	seeded bool
-	// left is what the head being read may still take.
-	left int
-	// val holds the value of the head field being read, when the
-	// server acts on it, until the next line shows whether the value
-	// continues (obs-fold); cl holds the request's first Content-Length.
-	val, cl []byte
+	// f reads each request's head fields.
+	f fields
 
 	// The request being served.
 	path   []byte
@@ -277,9 +274,11 @@ func (sc *srvConn) serveOne() bool {
 	return sc.flush()
 }
 
-// readHead reads a request head into sc. A non-empty reject is the
-// reply to a head the server cannot act on; an error means the peer
-// left or stalled, or the head passed maxHead.
+// readHead reads a request head into sc, judging it as net/http did:
+// the request line as soon as it is read, each field line as it is
+// read, and what the fields say once the head has ended. A non-empty
+// reject is the reply to a head the server cannot act on; an error
+// means the peer left or stalled, or the head passed maxHead.
 func (sc *srvConn) readHead() (reject string, err error) {
 	if sc.br == nil {
 		if err := sc.await(); err != nil {
@@ -290,36 +289,8 @@ func (sc *srvConn) readHead() (reject string, err error) {
 	if err := sc.nc.SetReadDeadline(time.Now().Add(headTimeout)); err != nil {
 		return "", err
 	}
-	if reject, err = sc.parseHead(); err != nil {
-		return "", err
-	}
-	return reject, sc.nc.SetReadDeadline(time.Time{})
-}
-
-// Head fields the server or the transport acts on.
-const (
-	fieldOther = iota
-	fieldContentLength
-	fieldTransferEncoding
-	fieldConnection
-	fieldHost
-	fieldContentEncoding
-	fieldTrailer
-)
-
-// headState is what a head's fields say, once read.
-type headState struct {
-	hosts            int
-	haveLength, bad  bool
-	chunked, connEnd bool
-}
-
-// parseHead reads the request line and the head fields, judging them as
-// net/http did: the request line as soon as it is read, each field line
-// as it is read, and what the fields say once the head has ended.
-func (sc *srvConn) parseHead() (string, error) {
-	sc.left = maxHead
-	line, err := readLine(sc.br, &sc.left, errRequestHeadTooLarge)
+	left := maxHead
+	line, err := readLine(sc.br, &left, errRequestHeadTooLarge)
 	if err != nil {
 		return "", err
 	}
@@ -327,78 +298,27 @@ func (sc *srvConn) parseHead() (string, error) {
 	if !ok {
 		return rejectBadRequest, nil
 	}
-	var h headState
-	field := fieldOther
-	for first := true; ; first = false {
-		line, err := readLine(sc.br, &sc.left, errRequestHeadTooLarge)
-		if err != nil {
-			return "", err
-		}
-		if len(line) > 0 && (line[0] == ' ' || line[0] == '\t') {
-			// A continuation line (obs-fold) extends the previous field.
-			v := trimOWS(line)
-			if first || !validFieldValue(v) {
-				return rejectBadRequest, nil
-			}
-			if field != fieldOther {
-				sc.val = append(append(sc.val, ' '), v...)
-			}
-			continue
-		}
-		sc.apply(&h, field)
-		if len(line) == 0 {
-			break
-		}
-		name, value, ok := bytes.Cut(line, []byte{':'})
-		if !ok || !validFieldName(name) || !validFieldValue(value) {
-			return rejectBadRequest, nil
-		}
-		if field = fieldOf(name); field != fieldOther {
-			sc.val = append(sc.val[:0], trimOWS(value)...)
-		}
+	switch err := sc.f.read(sc.br, &left, errRequestHeadTooLarge, validFieldName[[]byte]); {
+	case errors.Is(err, errMalformedLine):
+		return rejectBadRequest, nil
+	case err != nil:
+		return "", err
 	}
+	length, ok := sc.f.length()
 	switch {
-	case h.hosts > 1:
+	case sc.f.hosts > 1:
 		return rejectBadRequest, nil
-	case h.chunked && (major > 1 || minor > 0):
+	case sc.f.encodings > 0 && (major > 1 || minor > 0):
 		return rejectTE, nil
-	case h.bad:
+	case sc.f.badLength || !ok:
 		return rejectBadRequest, nil
-	}
-	sc.length = 0
-	if h.haveLength {
-		n, err := strconv.ParseUint(string(sc.cl), 10, 63)
-		if err != nil {
-			return rejectBadRequest, nil
-		}
-		sc.length = int64(n)
-	}
-	if major != 1 {
+	case major != 1:
 		return rejectVersion, nil
 	}
-	sc.close = h.connEnd || minor == 0
+	sc.length = max(length, 0)
+	sc.close = sc.f.close || minor == 0
 	sc.linger = false
-	return "", nil
-}
-
-// apply records what the field just read says.
-func (sc *srvConn) apply(h *headState, field int) {
-	switch field {
-	case fieldContentLength:
-		v := trimOWS(sc.val)
-		if !h.haveLength {
-			sc.cl = append(sc.cl[:0], v...)
-			h.haveLength = true
-		} else if !bytes.Equal(v, sc.cl) {
-			h.bad = true // differing lengths: a smuggling attempt
-		}
-	case fieldTransferEncoding:
-		h.chunked = true
-	case fieldConnection:
-		h.connEnd = h.connEnd || hasToken(sc.val, "close")
-	case fieldHost:
-		h.hosts++
-	}
+	return "", sc.nc.SetReadDeadline(time.Time{})
 }
 
 // requestLine parses "METHOD target HTTP/x.y" into sc's method and
@@ -446,96 +366,6 @@ func plainTarget(target []byte) bool {
 		}
 	}
 	return true
-}
-
-// parseVersion parses "HTTP/x.y" for single digits x and y.
-func parseVersion(p []byte) (major, minor int, ok bool) {
-	if len(p) != len("HTTP/x.y") || string(p[:5]) != "HTTP/" || p[6] != '.' || !isDigit(p[5]) || !isDigit(p[7]) {
-		return 0, 0, false
-	}
-	return int(p[5] - '0'), int(p[7] - '0'), true
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-// fieldOf names the head field the server or the transport acts on, or
-// fieldOther.
-func fieldOf(name []byte) int {
-	switch {
-	case fieldIs(name, "content-length"):
-		return fieldContentLength
-	case fieldIs(name, "transfer-encoding"):
-		return fieldTransferEncoding
-	case fieldIs(name, "connection"):
-		return fieldConnection
-	case fieldIs(name, "host"):
-		return fieldHost
-	case fieldIs(name, "content-encoding"):
-		return fieldContentEncoding
-	case fieldIs(name, "trailer"):
-		return fieldTrailer
-	}
-	return fieldOther
-}
-
-// fieldIs reports whether name is the lower-case key, ignoring ASCII
-// case.
-func fieldIs(name []byte, key string) bool {
-	if len(name) != len(key) {
-		return false
-	}
-	for i, c := range name {
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != key[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// hasToken reports whether the comma-separated list v holds the
-// lower-case token, ignoring ASCII case only, as net/http matched it.
-func hasToken(v []byte, token string) bool {
-	for len(v) > 0 {
-		var t []byte
-		t, v, _ = bytes.Cut(v, []byte{','})
-		if fieldIs(trimOWS(t), token) {
-			return true
-		}
-	}
-	return false
-}
-
-// trimOWS trims the spaces and tabs around a field value.
-func trimOWS(v []byte) []byte { return bytes.Trim(v, " \t") }
-
-// readLine returns the next head line from br without its line ending,
-// charging it to the head's allowance, *left: a line that overdraws it
-// fails with tooLarge. The line aliases br's buffer, unless it is longer
-// than the buffer, and is valid until the next read.
-func readLine(br *bufio.Reader, left *int, tooLarge error) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		long := append([]byte(nil), line...)
-		for err == bufio.ErrBufferFull && len(long) <= *left {
-			line, err = br.ReadSlice('\n')
-			long = append(long, line...)
-		}
-		line = long
-	}
-	if *left -= len(line); *left < 0 {
-		return nil, tooLarge
-	}
-	if err != nil {
-		return nil, err
-	}
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
 }
 
 // reply makes the reply serveOne writes, head and body, with the fields

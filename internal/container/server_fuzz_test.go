@@ -140,6 +140,11 @@ func FuzzServeConn(f *testing.F) {
 		"POST /echo HTTP/1.1\nContent-Length: 4\n\n<a/>",
 		"POST /echo",
 		"",
+		// Fields only the transport acts on, and a Connection value
+		// continued by obs-fold, through the reader both directions share.
+		rawPostText("/echo", "Content-Encoding: gzip\r\n", req),
+		rawPostText("/echo", "Trailer: Content-Length\r\n", req),
+		rawPostText("/echo", "Connection: keep-alive,\r\n close\r\n", req) + rawPostText("/echo", "", req),
 	} {
 		f.Add([]byte(seed))
 	}

@@ -12,7 +12,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httputil"
-	"net/textproto"
 	"os"
 	"strconv"
 	"strings"
@@ -24,21 +23,21 @@ import (
 // transport is the HTTP/1.1 client under every SOAP exchange. The
 // calling goroutine does the whole exchange: it checks out a pooled
 // connection to the scheme and host (or dials one), writes the request
-// head and body in one write, reads the reply head with the
-// container's own parser on the connection's buffered reader, and
-// reads the body through the connection. The connection goes back to
-// the pool when the caller closes a body it read to EOF. No goroutine
-// of the transport outlives the call.
+// head and body in one write, reads the reply head on the connection's
+// buffered reader, its field lines through the server's field reader
+// (fields), and reads the body through the connection. The connection
+// goes back to the pool when the caller closes a body it read to EOF.
+// No goroutine of the transport outlives the call.
 //
 // A Client calls post, which writes the SOAP request head itself from
 // the address and the action, so its exchange builds no http.Request,
 // url.URL, header map or http.Response. A pooled delivery client
 // pipelines instead: it checks out one connection, writes a run of such
-// requests in one write, and reads the replies in order with the same
-// parser (Client.pipeline). What stands between the client and its
-// peer wraps the connection, not the transport: wrap, when set, wraps
-// each connection the transport dials, once any TLS handshake is done
-// (a netlat link, the faultinject harness), so a wrapped client takes
+// requests in one write, and reads the replies in order the same way
+// (Client.pipeline). What stands between the client and its peer wraps
+// the connection, not the transport: wrap, when set, wraps each
+// connection the transport dials, once any TLS handshake is done (a
+// netlat link, the faultinject harness), so a wrapped client takes
 // these same paths. RoundTrip is an adapter over post for a Client
 // whose transport is itself wrapped in an http.RoundTripper
 // (perfbench's meter).
@@ -140,9 +139,8 @@ type conn struct {
 	zr           *gzip.Reader
 	eof          bool  // the body was read to its end
 	err          error // the first body read error other than EOF
-	// val holds the value of the head field being read, when the
-	// transport acts on it; cl holds the reply's first Content-Length.
-	val, cl []byte
+	// f reads each reply head's fields, and a chunked body's trailer.
+	f fields
 
 	// While idle: the next older idle connection to the same host, the
 	// idle connections from this one down, when it went idle, and the
@@ -358,20 +356,26 @@ func (pc *conn) arm() {
 	}
 }
 
-// nextReply reads the next reply head, skipping interim 1xx replies; the
-// heads read share one maxHead allowance. closeConn reports that the
-// request asked the peer to close.
+// nextReply reads the next reply head and sets pc's reply from it,
+// judging it by http.ReadResponse's rules: the status line, the field
+// lines and, once the head has ended, the body's framing. It skips
+// interim 1xx replies; the heads read share one maxHead allowance.
+// closeConn reports that the request asked the peer to close.
 func (pc *conn) nextReply(closeConn bool) error {
 	left := maxHead
 	for {
-		if err := pc.readHead(&left, closeConn); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
+		major, minor, err := pc.statusLine(&left)
+		if err == nil {
+			err = pc.f.read(pc.br, &left, errReplyHeadTooLarge, validReplyFieldName)
 		}
-		if pc.status >= 200 || pc.status == http.StatusSwitchingProtocols {
-			return nil
+		if err == nil {
+			err = pc.frame(major, minor, closeConn)
+		}
+		switch {
+		case err == io.EOF:
+			return io.ErrUnexpectedEOF
+		case err != nil || pc.status >= 200 || pc.status == http.StatusSwitchingProtocols:
+			return err
 		}
 	}
 }
@@ -381,65 +385,15 @@ func (pc *conn) nextReply(closeConn bool) error {
 // asked to close.
 func (pc *conn) reusable() bool { return pc.keep && pc.eof && pc.err == nil }
 
-// replyFields is what a reply head's fields say, once read.
-type replyFields struct {
-	lengths, encodings int  // Content-Length and Transfer-Encoding fields
-	badLength, chunked bool // the lengths differ; the first encoding is chunked
-	close, keepAlive   bool // Connection tokens
-	coded, gzip        bool // a Content-Encoding was read; the first is gzip
-	badTrailer         bool // a Trailer field names a framing field
-}
-
-// readHead reads one reply head and sets pc's reply from it, judging
-// it by http.ReadResponse's rules: the status line, the field lines
-// (obs-fold continuations included) and, once the head has ended, the
-// body's framing.
-func (pc *conn) readHead(left *int, closeConn bool) error {
+// statusLine reads "HTTP/x.y code reason" into pc.status, charged to
+// the allowance *left. The code is read as http.ReadResponse reads it,
+// with strconv.Atoi, which takes a sign; only a negative code is
+// refused.
+func (pc *conn) statusLine(left *int) (major, minor int, err error) {
 	line, err := readLine(pc.br, left, errReplyHeadTooLarge)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	major, minor, err := pc.statusLine(line)
-	if err != nil {
-		return err
-	}
-	var f replyFields
-	field := fieldOther
-	for first := true; ; first = false {
-		line, err := readLine(pc.br, left, errReplyHeadTooLarge)
-		if err != nil {
-			return err
-		}
-		if len(line) > 0 && (line[0] == ' ' || line[0] == '\t') {
-			// A continuation line (obs-fold) extends the previous field.
-			v := trimOWS(line)
-			if first || !validFieldValue(v) {
-				return fmt.Errorf("malformed MIME header line: %q", line)
-			}
-			if field != fieldOther {
-				pc.val = append(append(pc.val, ' '), v...)
-			}
-			continue
-		}
-		pc.apply(&f, field)
-		if len(line) == 0 {
-			break
-		}
-		name, value, ok := bytes.Cut(line, []byte{':'})
-		if !ok || !validReplyFieldName(name) || !validFieldValue(value) {
-			return fmt.Errorf("malformed MIME header line: %q", line)
-		}
-		if field = fieldOf(name); field != fieldOther {
-			pc.val = append(pc.val[:0], trimOWS(value)...)
-		}
-	}
-	return pc.frame(major, minor, &f, closeConn)
-}
-
-// statusLine parses "HTTP/x.y code reason" into pc.status. The code is
-// read as http.ReadResponse reads it, with strconv.Atoi, which takes a
-// sign; only a negative code is refused.
-func (pc *conn) statusLine(line []byte) (major, minor int, err error) {
 	proto, status, ok := bytes.Cut(line, []byte{' '})
 	if !ok {
 		return 0, 0, fmt.Errorf("malformed HTTP response %q", line)
@@ -454,51 +408,11 @@ func (pc *conn) statusLine(line []byte) (major, minor int, err error) {
 	return major, minor, nil
 }
 
-// validReplyFieldName reports whether name is a field name
-// http.ReadResponse reads: a token, in which it tolerates spaces (and
-// then matches no field it acts on).
-func validReplyFieldName(name []byte) bool {
-	for _, c := range name {
-		if c != ' ' && !tokenByte(c) {
-			return false
-		}
-	}
-	return len(name) > 0
-}
-
-// apply records what the field just read says.
-func (pc *conn) apply(f *replyFields, field int) {
-	switch field {
-	case fieldContentLength:
-		v := trimOWS(pc.val)
-		if f.lengths == 0 {
-			pc.cl = append(pc.cl[:0], v...)
-		} else if !bytes.Equal(v, pc.cl) {
-			f.badLength = true
-		}
-		f.lengths++
-	case fieldTransferEncoding:
-		if f.encodings == 0 {
-			f.chunked = fieldIs(pc.val, "chunked")
-		}
-		f.encodings++
-	case fieldConnection:
-		f.close = f.close || hasToken(pc.val, "close")
-		f.keepAlive = f.keepAlive || hasToken(pc.val, "keep-alive")
-	case fieldContentEncoding:
-		if !f.coded {
-			f.coded, f.gzip = true, fieldIs(pc.val, "gzip")
-		}
-	case fieldTrailer:
-		f.badTrailer = f.badTrailer || hasToken(pc.val, "transfer-encoding") || hasToken(pc.val, "trailer") ||
-			hasToken(pc.val, "content-length")
-	}
-}
-
 // frame sets the reply's body framing and connection fate from its
 // head, as http.ReadResponse's readTransfer does. Every request asks
 // for gzip, so a gzip-encoded body is decoded.
-func (pc *conn) frame(major, minor int, f *replyFields, closeConn bool) error {
+func (pc *conn) frame(major, minor int, closeConn bool) error {
+	f := &pc.f
 	pc.closes = major < 1 || f.close || major == 1 && minor == 0 && !f.keepAlive
 	if major == 0 && minor == 0 {
 		major, minor = 1, 1 // framed as HTTP/1.1
@@ -510,16 +424,12 @@ func (pc *conn) frame(major, minor int, f *replyFields, closeConn bool) error {
 		}
 		chunked = true
 	}
-	length := int64(-1)
-	if f.lengths > 0 {
-		if f.badLength {
-			return errors.New("http: message cannot contain multiple Content-Length headers")
-		}
-		n, err := strconv.ParseUint(string(pc.cl), 10, 63)
-		if err != nil {
-			return fmt.Errorf("bad Content-Length %q", pc.cl)
-		}
-		length = int64(n)
+	if f.badLength {
+		return errors.New("http: message cannot contain multiple Content-Length headers")
+	}
+	length, ok := f.length()
+	if !ok {
+		return fmt.Errorf("bad Content-Length %q", f.cl)
 	}
 	if chunked && f.badTrailer {
 		return errors.New("http: bad trailer key")
@@ -593,7 +503,7 @@ func (pc *conn) readRaw(p []byte) (n int, err error) {
 		return 0, io.EOF
 	case pc.chunks != nil:
 		if n, err = pc.chunks.Read(p); err == io.EOF {
-			if terr := readTrailer(pc.br); terr != nil {
+			if terr := pc.readTrailer(); terr != nil {
 				err = terr
 			}
 		}
@@ -624,8 +534,10 @@ type rawBody struct{ pc *conn }
 func (r rawBody) Read(p []byte) (int, error) { return r.pc.readRaw(p) }
 
 // readTrailer reads the trailer section after a chunked body's last
-// chunk, as net/http did: it must end within the read buffer.
-func readTrailer(br *bufio.Reader) error {
+// chunk, as net/http did: it must end within the read buffer, and its
+// field lines are judged as a reply head's.
+func (pc *conn) readTrailer() error {
+	br := pc.br
 	buf, err := br.Peek(2)
 	switch {
 	case string(buf) == "\r\n":
@@ -645,13 +557,10 @@ func readTrailer(br *bufio.Reader) error {
 			return errors.New("http: suspiciously long trailer after chunked body")
 		}
 	}
-	if _, err := textproto.NewReader(br).ReadMIMEHeader(); err != nil {
-		if err == io.EOF {
-			return errTrailerEOF
-		}
-		return err
-	}
-	return nil
+	// The blank line that ends the trailer is buffered, so no read
+	// reaches the connection.
+	left := maxHead
+	return pc.f.read(br, &left, errReplyHeadTooLarge, validReplyFieldName)
 }
 
 // body is a RoundTrip reply's body, which refuses use after Close.
@@ -861,30 +770,3 @@ func appendPost(b []byte, dst address, action string, env []byte, closeConn bool
 
 // textTrim trims the spaces and tabs net/http trims from a header value.
 func textTrim(s string) string { return strings.Trim(s, " \t") }
-
-// validFieldName reports whether k is an HTTP token.
-func validFieldName[S string | []byte](k S) bool {
-	if len(k) == 0 {
-		return false
-	}
-	for i := 0; i < len(k); i++ {
-		if !tokenByte(k[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func tokenByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0
-}
-
-// validFieldValue reports whether v holds no control byte but a tab.
-func validFieldValue[S string | []byte](v S) bool {
-	for i := 0; i < len(v); i++ {
-		if c := v[i]; c < ' ' && c != '\t' || c == 0x7f {
-			return false
-		}
-	}
-	return true
-}

@@ -90,6 +90,9 @@ func drainIdle(tr *transport) {
 	}
 }
 
+// chunkedOK is a chunked reply up to its trailer.
+const chunkedOK = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n"
+
 // FuzzTransportResponse serves fuzzed reply bytes to one exchange
 // through post, which every Client's exchange calls. The transport must
 // not panic; it returns an error or a body the client's bounded reader
@@ -121,6 +124,15 @@ func FuzzTransportResponse(f *testing.F) {
 		"",
 		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Fold: a\r\n b\r\nTransfer-Encoding: chunked\r\nTrailer: content-length\r\n\r\n0\r\n\r\n",
 		"HTTP/1.1 200 OK\nContent-Length : 2\nConnection: keep-alive, close\n\nok",
+		// A field only the server acts on, and trailers read by the reader
+		// heads are read with: a name with a space, which a reply's rule
+		// admits, a malformed line, an obs-fold first line, and one that
+		// ends in bare LFs, which net/http's double-CRLF rule refuses.
+		"HTTP/1.1 200 OK\r\nHost: a\r\nHost: b\r\nContent-Length: 2\r\n\r\nok",
+		chunkedOK + "X Y: z\r\n\r\n",
+		chunkedOK + "Bad Line\r\n\r\n",
+		chunkedOK + " folded: x\r\n\r\n",
+		chunkedOK + "X: a\n\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -201,6 +213,10 @@ func FuzzPipelinedReplies(f *testing.F) {
 		{4, ok + "HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\ncut"},
 		{1, ok + ok},
 		{2, ok},
+		{2, "HTTP/1.1 200 OK\r\nHost: a\r\nHost: b\r\nContent-Length: 2\r\n\r\nok" + ok},
+		{2, chunkedOK + "Bad Line\r\n\r\n" + ok},
+		{2, chunkedOK + " folded: x\r\n\r\n" + ok},
+		{2, chunkedOK + "X: a\n\n" + ok},
 	} {
 		f.Add(seed.n, []byte(seed.reply))
 	}

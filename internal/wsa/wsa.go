@@ -234,13 +234,28 @@ func header(local, text string) xmlutil.Element {
 	return xmlutil.Element{Name: xml.Name{Space: NS, Local: local}, Text: text}
 }
 
-// Extract reads the message information headers from an envelope.
-func Extract(env *soap.Envelope) Info {
-	info := Info{}
+// Extract reads the message information headers from an envelope: the
+// first of each, as Envelope.Header finds them. A repeated To, Action,
+// MessageID or ReplyTo is refused with a Client fault that names it, as
+// readers of different copies would disagree on the message; RelatesTo
+// may repeat, once per relationship type.
+func Extract(env *soap.Envelope) (info Info, err error) {
+	var read uint8 // a bit per infoHeaders entry read
 	for _, h := range env.Headers {
 		if h.Name.Space != NS {
 			continue
 		}
+		i := slices.Index(infoHeaders[:], h.Name.Local)
+		if i < 0 {
+			continue
+		}
+		if read&(1<<i) != 0 {
+			if h.Name.Local != "RelatesTo" && err == nil {
+				err = soap.Faultf(soap.FaultClient, "repeated wsa:%s header", h.Name.Local)
+			}
+			continue
+		}
+		read |= 1 << i
 		switch h.Name.Local {
 		case "To":
 			info.To = h.TrimText()
@@ -251,13 +266,14 @@ func Extract(env *soap.Envelope) Info {
 		case "RelatesTo":
 			info.RelatesTo = h.TrimText()
 		case "ReplyTo":
-			if epr, err := ParseEPR(h); err == nil {
-				info.ReplyTo = epr
-			}
+			info.ReplyTo, _ = ParseEPR(h)
 		}
 	}
-	return info
+	return info, err
 }
+
+// infoHeaders names the message information headers.
+var infoHeaders = [...]string{"To", "Action", "MessageID", "RelatesTo", "ReplyTo"}
 
 // ResourceID returns the trimmed text of the reference-property header
 // with the given name — how a service recovers the resource identity

@@ -77,7 +77,10 @@ func TestStampAndExtract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := Extract(parsed)
+	info, err := Extract(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if info.To != "http://host/counter" || info.Action != "urn:c/Get" || info.MessageID != mid {
 		t.Fatalf("info = %+v", info)
 	}
@@ -97,7 +100,10 @@ func TestStampReplyRelatesTo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := Extract(parsed)
+	info, err := Extract(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if info.RelatesTo != "urn:uuid:req-1" {
 		t.Fatalf("RelatesTo = %q", info.RelatesTo)
 	}

@@ -496,8 +496,15 @@ func (p *parser) startTag() error {
 	if err != nil {
 		return err
 	}
+	space := p.resolve(pfx, false)
+	if space != "" && strings.IndexByte(local, ':') >= 0 {
+		// An unprefixed name with a leading or trailing colon under a
+		// default namespace: its local part is no NCName, and the prefix
+		// it serializes under would make a name that does not parse.
+		return errParse("invalid XML name %s", raw)
+	}
 	el := p.newElement()
-	el.Name = xml.Name{Space: p.resolve(pfx, false), Local: local}
+	el.Name = xml.Name{Space: space, Local: local}
 	if n := len(p.scratch); n > 0 {
 		attrs := p.newAttrs(n)
 		for i, ra := range p.scratch {

@@ -85,13 +85,16 @@ func isNamespaceDecl(n xml.Name) bool {
 // must not start with a digit, '-' or '.', the ASCII name characters
 // that cannot start a name. encoding/xml leaves an unprefixed name
 // whole in Local, where its first character already passed as a name
-// start, so only the local part of a prefixed name can fail.
+// start, so only the local part of a prefixed name can fail that. Nor
+// may a name in a namespace keep a colon in its local part, as
+// encoding/xml keeps the leading or trailing colon of an unprefixed name
+// under a default namespace.
 func ncNameLocal(n xml.Name) bool {
 	if n.Local == "" {
 		return true
 	}
 	c := n.Local[0]
-	return !('0' <= c && c <= '9' || c == '-' || c == '.')
+	return !('0' <= c && c <= '9' || c == '-' || c == '.') && (n.Space == "" || !strings.Contains(n.Local, ":"))
 }
 
 // parseCorpus is the differential corpus: every document shape the two
@@ -179,6 +182,10 @@ var parseCorpus = []struct {
 	{name: "digit-local-bound-ns", doc: `<a><p:0 xmlns:p="u"/></a>`, wantErr: true},
 	{name: "dot-local-attr", doc: `<a p:.b="1" xmlns:p="u"/>`, wantErr: true},
 	{name: "digit-local-decl", doc: `<a xmlns:0="u"/>`, wantErr: true},
+	// Nor may a colon stay in the local part of a name in a namespace:
+	// under a default namespace "b:" serialized as "<ns1:b:/>".
+	{name: "colon-local-default-ns", doc: `<a xmlns="u"><b:/></a>`, wantErr: true},
+	{name: "colon-start-default-ns", doc: `<:a xmlns="u"/>`, wantErr: true},
 }
 
 // MustParseRef is MustParse via the reference decoder, used to build
